@@ -185,7 +185,7 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
         rows = np.concatenate([K, K, L, L, idx])
         cols = np.concatenate([K, L, K, L, idx])
         vals = np.concatenate([dK, dL, -dK, -dL, vol_dt * rho])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsr()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsc()
 
     ncfg = cfg or NewtonConfig()
     scale = max(1.0, float(np.max(vol_dt * rho)))

@@ -1,7 +1,12 @@
 """Sparse linear solves and the damped Newton driver.
 
-Direct factorization (scipy splu) is the workhorse at desk scale; Newton
-globalization halves the step until the iterate is admissible and the
+Direct factorization (scipy splu) is the workhorse at desk scale.  Every
+sparse system takes one policy: SuperLU with static diagonal pivots on the
+MMD(A^t + A) ordering, as in SuperLU_DIST (Li & Demmel, ACM TOMS 29, 2003),
+which keeps fill low on these diagonally weighted balances.  The result is
+checked a posteriori against the residual bound; when the factor breaks down
+or misses the bound, the system is refactorized with SuperLU's default
+threshold pivoting.  Newton globalization halves the step until the iterate is admissible and the
 residual norm does not grow, which is required because the state law is
 singular at p = 0.
 """
@@ -13,12 +18,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NewtonError, SolverError
-
-
-@dataclass
-class SparseSystem:
-    matrix: sp.spmatrix
-    rhs: np.ndarray
 
 
 @dataclass
@@ -41,16 +40,61 @@ class NewtonResult:
     residual_norm: float
 
 
+def _residual_miss(A, x, rhs, norm_A):
+    """(residual, bound) of the worst column that misses the a-posteriori
+    bound, or None.  Norms are max|.| per column, so an (n, k) rhs is checked
+    column by column."""
+    res = np.max(np.abs(A @ x - rhs), axis=0)
+    norm_b = np.max(np.abs(rhs), axis=0)
+    bound = 1e-12 * (norm_A * np.max(np.abs(x), axis=0) + norm_b)
+    miss = (res > np.maximum(bound, 1e-300)) & (res > 1e-8 * np.maximum(1.0, norm_b))
+    if not np.any(miss):
+        return None
+    j = np.argmax(np.where(miss, res, -np.inf))
+    return float(np.ravel(res)[j]), float(np.ravel(bound)[j])
+
+
+def _static_pivot_solve(A, rhs):
+    """Solve with diagonal pivots on a symmetric fill-reducing ordering, or
+    None when the factorization breaks down.
+
+    The threshold is 0 because the pressure Jacobian's z-columns have
+    |diagonal| / column max near 1e-3 (about the gas/liquid density ratio);
+    any larger threshold swaps those pivots off the diagonal and multiplies
+    fill and time several-fold.
+    """
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        x = lu.solve(rhs)
+    except RuntimeError:
+        return None
+    return x if np.all(np.isfinite(x)) else None
+
+
 def solve(matrix, rhs, check=True):
-    """Direct sparse (or dense) solve with an a-posteriori residual check."""
+    """Direct sparse (or dense) solve with an a-posteriori residual check.
+
+    ``rhs`` may be a vector or an (n, k) array of right-hand sides that share
+    one factorization.  A sparse matrix is first factorized with static
+    diagonal pivots (pivoting off the diagonal only at an exact zero); when
+    that factorization fails, yields a non-finite entry or misses the
+    residual bound, it is refactorized with SuperLU's default threshold
+    pivoting.  The fallback test runs even with ``check=False``; ``check``
+    only decides whether a miss of the final solution raises.
+    """
     rhs = np.asarray(rhs, dtype=float)
     if sp.issparse(matrix):
         A = matrix.tocsc()
+        norm_A = float(np.max(np.bincount(A.indices, weights=np.abs(A.data),
+                                          minlength=A.shape[0]), initial=0.0))
+        x = _static_pivot_solve(A, rhs)
+        if x is not None and _residual_miss(A, x, rhs, norm_A) is None:
+            return x
         try:
             x = spla.splu(A).solve(rhs)
         except RuntimeError as exc:  # singular factorization
             raise SolverError(f"sparse factorization failed: {exc}") from exc
-        norm_A = spla.norm(A, np.inf)
     else:
         A = np.asarray(matrix, dtype=float)
         try:
@@ -61,16 +105,12 @@ def solve(matrix, rhs, check=True):
     if not np.all(np.isfinite(x)):
         raise SolverError("linear solve produced non-finite entries")
     if check:
-        res = float(np.linalg.norm(A @ x - rhs, np.inf))
-        bound = 1e-12 * (norm_A * float(np.linalg.norm(x, np.inf)) + float(np.linalg.norm(rhs, np.inf)))
-        if res > max(bound, 1e-300) and res > 1e-8 * max(1.0, float(np.linalg.norm(rhs, np.inf))):
+        miss = _residual_miss(A, x, rhs, norm_A)
+        if miss is not None:
+            res, bound = miss
             raise SolverError(f"linear solve residual {res:.3e} exceeds bound {bound:.3e}",
                               residual=res)
     return x
-
-
-def solve_linear(system):
-    return solve(system.matrix, system.rhs)
 
 
 def _levenberg_step(residual_fn, J, x, r, merit, admissible_fn, target):

@@ -260,7 +260,7 @@ class MomentumAssembler:
         rhs[self._dirichlet_dofs] = dir_vals[self._dirichlet_dofs]
         rhs[td] = 0.0
 
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(self.ndof, self.ndof)).tocsr()
+        A = sp.coo_matrix((vals, (rows, cols)), shape=(self.ndof, self.ndof)).tocsc()
         return A, rhs
 
 
@@ -318,14 +318,11 @@ def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt,
     rows = np.concatenate([rows, np.arange(M)])
     cols = np.concatenate([cols, np.arange(M)])
     vals = np.concatenate([vals, diag])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsr()
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsc()
 
-    rhs_rho = mesh.cell_measure / dt * np.asarray(rho_init, dtype=float)
-    np.add.at(rhs_rho, bK, vb_in * rho_in)
-    rho0 = solve(A, rhs_rho)
-    rhs_z = mesh.cell_measure / dt * np.asarray(z_init, dtype=float)
-    np.add.at(rhs_z, bK, vb_in * z_in)
-    z0 = solve(A, rhs_z)
+    rhs = mesh.cell_measure / dt * np.column_stack([rho_init, z_init]).astype(float)
+    np.add.at(rhs, bK, vb_in[:, None] * np.column_stack([rho_in, z_in]))
+    rho0, z0 = solve(A, rhs).T.copy()
     if np.any(rho0 <= 0) or np.any(z0 <= 0):
         raise InvariantViolation("density prediction produced nonpositive values")
 

@@ -56,7 +56,7 @@ def renormalize_pressure(mesh, geom, p_n, rho_face_n, rho_face_nm1):
     Lg = assemble_pressure_operator(mesh, geom, g, ones)
     rhs = Lg @ np.asarray(p_n, dtype=float)
     w = np.full(M, mesh.cell_measure)
-    kkt = sp.bmat([[L, w[:, None]], [w[None, :], None]], format="csr")
+    kkt = sp.bmat([[L, w[:, None]], [w[None, :], None]], format="csc")
     sol = solve(kkt, np.concatenate([rhs, [w @ np.asarray(p_n)]]))
     return sol[:M]
 
@@ -169,7 +169,7 @@ class PressureCorrector:
                 rows = np.concatenate(rows)
                 cols = np.concatenate(cols)
                 vals = np.concatenate(vals)
-                return sp.coo_matrix((vals, (rows, cols)), shape=(2 * M, 2 * M)).tocsr()
+                return sp.coo_matrix((vals, (rows, cols)), shape=(2 * M, 2 * M)).tocsc()
 
             return residual, jacobian
 

@@ -76,9 +76,8 @@ def pressure_work_instance(rng, eos, dt=0.1):
         rows = np.concatenate([K, K, L, L, np.arange(M)])
         cols = np.concatenate([K, L, L, K, np.arange(M)])
         vals = np.concatenate([vp, -vm, vm, -vp, np.full(M, mesh.cell_measure / dt)])
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsr()
-        rho = solve(A, mesh.cell_measure / dt * rho_star)
-        z = solve(A, mesh.cell_measure / dt * z_star)
+        A = sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsc()
+        rho, z = solve(A, mesh.cell_measure / dt * np.column_stack([rho_star, z_star])).T
         ok = (np.all(rho > 0) and np.all(z > 0)
               and np.all(z - rho + eos.rho_l > 0)
               and np.all(z_star - rho_star + eos.rho_l > 0))

@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from driftflux import linalg
+from driftflux.config import make_config
+from driftflux.driver import run_simulation
 from driftflux.errors import NewtonError, SolverError
-from driftflux.linalg import NewtonConfig, SparseSystem, newton_solve, solve, solve_linear
+from driftflux.linalg import NewtonConfig, newton_solve, solve
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Every spla.splu call made by solve: (matrix size, static-pivot call?)."""
+    calls = []
+    splu = spla.splu
+
+    def counting(A, **kwargs):
+        calls.append((A.shape[0], "permc_spec" in kwargs))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", counting)
+    return calls
 
 
 def test_solve_identity():
@@ -13,7 +31,7 @@ def test_solve_identity():
 
 def test_solve_diagonal():
     A = sp.diags([2.0, 4.0]).tocsr()
-    x = solve_linear(SparseSystem(matrix=A, rhs=np.array([2.0, 8.0])))
+    x = solve(A, np.array([2.0, 8.0]))
     assert np.allclose(x, [1.0, 2.0])
 
 
@@ -25,6 +43,65 @@ def test_solve_spd_matches_dense_oracle():
     x_dense = np.linalg.solve(A, b)
     x = solve(sp.csr_matrix(A), b)
     assert np.max(np.abs(x - x_dense)) < 1e-10 * np.max(np.abs(x_dense))
+
+
+def test_solve_two_right_hand_sides_share_one_factorization(splu_calls):
+    rng = np.random.default_rng(5)
+    A = sp.random(30, 30, density=0.2, random_state=5, format="csc") + 4 * sp.eye(30)
+    B = rng.normal(size=(30, 2))
+    X = solve(A, B)
+    assert X.shape == (30, 2)
+    assert np.allclose(X, np.linalg.solve(A.toarray(), B), rtol=1e-12, atol=1e-12)
+    assert splu_calls == [(30, True)]
+
+
+def test_residual_check_is_column_by_column():
+    # column 0 is exact, column 1 misses by 1e-6; matrix norms over both
+    # columns (max row sum 1e6 + 1) would stretch the bound past that miss
+    A = sp.eye(2, format="csc")
+    rhs = np.array([[1e6, 1.0], [1e6, 1.0]])
+    x = rhs + np.array([[0.0, 1e-6], [0.0, 0.0]])
+    res, bound = linalg._residual_miss(A, x, rhs, 1.0)
+    assert res == pytest.approx(1e-6)
+    assert bound == pytest.approx(1e-12 * (1.0 + 1e-6) + 1e-12)
+    assert linalg._residual_miss(A, rhs, rhs, 1.0) is None
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_solve_falls_back_when_static_pivots_miss_the_bound(splu_calls, check):
+    # the tiny diagonal pivot makes the static-pivot factor grow by 1e20
+    A = sp.csr_matrix(np.array([[1e-20, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
+    b = np.random.default_rng(3).normal(size=3)
+    x_dense = np.linalg.solve(A.toarray(), b)
+    x = solve(A, b, check=check)
+    assert np.max(np.abs(x - x_dense)) < 1e-12 * np.max(np.abs(x_dense))
+    assert splu_calls == [(3, True), (3, False)]
+
+
+def test_solve_zero_diagonal_kkt_system_matches_dense_oracle():
+    # shaped like renormalize_pressure: a singular Laplacian bordered by the
+    # volume weights, with an exact zero in the last diagonal entry
+    n = 12
+    main = np.full(n, 2.0)
+    main[[0, -1]] = 1.0
+    lap = sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1])
+    w = np.full(n, 0.25)
+    kkt = sp.bmat([[lap, w[:, None]], [w[None, :], None]], format="csc")
+    b = np.random.default_rng(8).normal(size=n + 1)
+    x_dense = np.linalg.solve(kkt.toarray(), b)
+    x = solve(kkt, b)
+    assert np.max(np.abs(x - x_dense)) < 1e-10 * np.max(np.abs(x_dense))
+
+
+def test_sloshing_systems_never_take_the_fallback(splu_calls):
+    config = make_config("sloshing", nx=14, ny=18, dt=0.01, t_end=0.02)
+    result = run_simulation(config)
+    assert len(result.reports) == 3
+    mesh = result.problem.mesh
+    sizes = {n for n, _ in splu_calls}
+    assert 2 * mesh.n_faces in sizes          # momentum
+    assert 2 * mesh.n_cells in sizes          # pressure Jacobian
+    assert all(static for _, static in splu_calls)
 
 
 def test_solve_singular_raises():
