@@ -10,11 +10,12 @@ from .cases import build_case
 from .config import make_config
 from .diagnostics import build_step_report, initial_step_report
 from .errors import DriftFluxError, InvariantViolation, SimulationError
-from .fields import (State, discrete_l2_error_cell, discrete_l2_error_velocity,
-                     face_density)
+from .fields import (State, admissibility_violation, discrete_l2_error_cell,
+                     discrete_l2_error_velocity, face_density)
 from .gas_fraction import correct_mass_fraction, drift_fluxes
 from .io import dump_path, write_diagnostics_csv, write_vtk
 from .linalg import NewtonConfig
+from .mesh import volume_fluxes
 from .momentum import MomentumAssembler, init_density_prediction, predict_velocity
 from .pressure_correction import PressureCorrector, renormalize_pressure
 
@@ -68,8 +69,7 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
                                source=problem.momentum_source)
     corr = corrector.step(work, u_tilde, dt, t_next, ncfg, p_old=p_used,
                           enforce_y_bound=problem.y_ceiling_guard)
-    v_mean = problem.mesh.edge_measure[: problem.mesh.n_internal] * np.sum(
-        corr.u[: problem.mesh.n_internal] * problem.mesh.edge_normal, axis=1)
+    v_mean = volume_fluxes(problem.mesh, corr.u)[: problem.mesh.n_internal]
     G = drift_fluxes(problem.mesh, problem.eos, problem.drift,
                      corr.rho, corr.p, corr.z, v_mean)
     y_new = correct_mass_fraction(problem.mesh, problem.eos, corr.rho, corr.z, G,
@@ -88,12 +88,10 @@ def _with_pressure(state, p):
 
 
 def _guard(state, problem):
-    if np.any(state.rho <= 0) or np.any(state.p <= 0) or np.any(state.z <= 0):
-        raise InvariantViolation("rho, p, z must stay positive")
-    if np.any(state.y <= 0):
-        raise InvariantViolation("y must stay positive")
-    if problem.y_ceiling_guard and np.any(state.y > 1.0 + 1e-11):
-        raise InvariantViolation("y must stay at or below 1")
+    why = admissibility_violation(state.rho, state.z, state.p, state.y,
+                                  y_ceiling=problem.y_ceiling_guard)
+    if why:
+        raise InvariantViolation(why)
 
 
 def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,

@@ -1,18 +1,23 @@
 """Implicit finite-volume correction of the gas mass fraction.
 
 Drift and diffusion are discretized with a monotone two-point flux for
-phi(y) = max[y(1-y), 0]; the nonlinear cellwise system is solved by damped
+phi(y) = max[y(1-y), 0], upwinded with respect to the drift mass flux, and
+balanced with the mesh's implicit upwind transport operator (the face
+incidence ``Mesh2D.incidence`` on the residual side,
+:func:`driftflux.mesh.edge_pairs` on the Jacobian side), the same one the
+pressure correction uses.  The nonlinear cellwise system is solved by damped
 Newton with clamped one-sided derivatives at the flux kinks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import eos as _eos
 from .errors import InvariantViolation
+from .fields import admissibility_violation
 from .linalg import NewtonConfig, newton_solve
+from .mesh import coo_sum, edge_pairs, upwind
 
 
 def _phi(s):
@@ -105,7 +110,7 @@ def drift_fluxes(mesh, eos, model, rho, p, z, v_mean):
     """
     K, L = mesh.edge_K, mesh.edge_L
     rho = np.asarray(rho, dtype=float)
-    rho_up = np.where(np.asarray(v_mean) >= 0, rho[K], rho[L])
+    rho_up = rho[upwind(mesh, v_mean)[0]]
     if model.kind == "none":
         return np.zeros(mesh.n_internal)
     if model.kind == "constant":
@@ -122,11 +127,6 @@ def drift_fluxes(mesh, eos, model, rho, p, z, v_mean):
     raise ValueError(f"unknown drift model {model.kind!r}")
 
 
-def drift_mass_flux(edge, mesh, eos, model, rho, p, z, v_mean):
-    """Single-edge convenience wrapper around :func:`drift_fluxes`."""
-    return float(drift_fluxes(mesh, eos, model, rho, p, z, v_mean)[edge])
-
-
 def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None,
                           source=None, t=None, boundary_flux=None):
     """Solve the implicit y-correction; returns y in (0, 1].
@@ -138,30 +138,27 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
     """
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
-    if np.any(rho <= 0):
-        raise InvariantViolation("y correction requires positive density")
+    y_ceiling = source is None
+    why = admissibility_violation(rho, z, y_ceiling=y_ceiling)
+    if why:
+        raise InvariantViolation(f"y correction input: {why}")
     y0 = z / rho
-    if np.any(y0 <= 0) or (source is None and np.any(y0 > 1.0 + 1e-11)):
-        raise InvariantViolation("y correction requires z/rho in (0, 1]")
     src = None
     if source is not None:
         src = mesh.cell_measure * np.asarray(source(mesh.cell_centers, t), dtype=float)
+    bflux = np.zeros(mesh.n_boundary)
     if boundary_flux is not None:
         b = slice(mesh.n_internal, mesh.n_faces)
         bflux = np.asarray(boundary_flux(mesh.face_midpoint[b], t, mesh.face_normal[b]),
                            dtype=float) * mesh.face_measure[b]
-        if src is None:
-            src = np.zeros(mesh.n_cells)
-        np.add.at(src, mesh.face_K[b], -bflux)
 
     G = np.asarray(G, dtype=float)
     no_flux = (G.size == 0 or not np.any(G)) and diffusion == 0.0
-    if no_flux and src is None:
+    if no_flux and src is None and boundary_flux is None:
         return np.minimum(y0, 1.0)
 
     K, L = mesh.edge_K, mesh.edge_L
-    Gp = np.maximum(G, 0.0)
-    Gm = np.maximum(-G, 0.0)
+    up, down = upwind(mesh, G)
     dcoef = diffusion * mesh.edge_measure / mesh.d_sigma
     vol_dt = mesh.cell_measure / dt
     M = mesh.n_cells
@@ -171,21 +168,14 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
         r = vol_dt * (rho * y - z)
         if src is not None:
             r = r - src
-        tflux = Gp * flux_fn.value(y[K], y[L]) - Gm * flux_fn.value(y[L], y[K])
-        tflux = tflux + dcoef * (y[K] - y[L])
-        np.add.at(r, K, tflux)
-        np.add.at(r, L, -tflux)
-        return r
+        tflux = G * flux_fn.value(y[up], y[down]) + dcoef * (y[K] - y[L])
+        return r + mesh.incidence @ np.concatenate([tflux, bflux])
 
     def jacobian(y):
-        d1KL, d2KL = flux_fn.partials(y[K], y[L])
-        d1LK, d2LK = flux_fn.partials(y[L], y[K])
-        dK = Gp * d1KL - Gm * d2LK + dcoef
-        dL = Gp * d2KL - Gm * d1LK - dcoef
-        rows = np.concatenate([K, K, L, L, idx])
-        cols = np.concatenate([K, L, K, L, idx])
-        vals = np.concatenate([dK, dL, -dK, -dL, vol_dt * rho])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsc()
+        d_up, d_down = flux_fn.partials(y[up], y[down])
+        return coo_sum(M, [edge_pairs(mesh, [up, down, K, L],
+                                      [G * d_up, G * d_down, dcoef, -dcoef]),
+                           (idx, idx, vol_dt * rho)]).tocsc()
 
     ncfg = cfg or NewtonConfig()
     scale = max(1.0, float(np.max(vol_dt * rho)))
@@ -194,6 +184,7 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
     cap = 1.0 if source is None else max(1.0, float(np.max(y0)))
     res = newton_solve(residual, jacobian, np.clip(y0, 1e-300, cap), ncfg)
     y = res.x
-    if np.any(y <= 0) or (source is None and np.any(y > 1.0 + 1e-11)):
-        raise InvariantViolation("y correction left (0, 1]")
+    why = admissibility_violation(rho, z, y=y, y_ceiling=y_ceiling)
+    if why:
+        raise InvariantViolation(f"y correction left (0, 1]: {why}")
     return y

@@ -1,15 +1,22 @@
-"""Uniform rectangular mesh, edge topology and the diamond-cell dual geometry.
+"""Uniform rectangular mesh, edge topology, the diamond-cell dual geometry
+and the implicit upwind transport operator.
 
 Cells are indexed row-major, k = j*nx + i.  Faces live in a single index
 space: internal faces first (x-normal block, then y-normal block, each
 row-major), boundary faces after (left, right, bottom, top sides).  For an
 internal face sigma = K|L the stored normal points from K to L; for a
 boundary face it is the outward normal of the single adjacent cell.
+
+Every finite-volume balance (mass, gas mass, the y-correction and the
+pressure-work check) goes through one operator: the face incidence turns face
+fluxes in the K orientation into the net outflow of each cell, and
+:func:`edge_pairs` builds the matching matrix entries.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError
 
@@ -46,6 +53,10 @@ class Mesh2D:
     n_boundary: int
     boundary_side: np.ndarray     # (B,) left/right/bottom/top
     boundary_tags: np.ndarray     # (B,) wall/slip/inlet/outlet
+    # (M, F) face incidence: the first I columns are the signed edge incidence
+    # D (+1 at K, -1 at L), the last B the boundary scatter (+1 at K), so one
+    # product gives the net outflow of every cell
+    incidence: sp.csc_matrix
 
     @property
     def n_cells(self):
@@ -79,9 +90,6 @@ class Mesh2D:
     @property
     def d_sigma(self):
         return self.face_d[: self.n_internal]
-
-    def boundary_face_ids(self):
-        return np.arange(self.n_internal, self.n_faces)
 
 
 def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
@@ -207,6 +215,15 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
             else:
                 boundary_tags[b] = tags.get(boundary_side[b], WALL)
 
+    # built column by column (each face lists its cells), which skips the
+    # COO sort that would double the cost of building a small mesh
+    incidence = sp.csc_matrix(
+        (np.concatenate([np.tile([1.0, -1.0], n_int), np.ones(n_bnd)]),
+         np.concatenate([np.column_stack([face_K[:n_int], face_L[:n_int]]).ravel(),
+                         face_K[n_int:]]),
+         np.concatenate([np.arange(0, 2 * n_int, 2), 2 * n_int + np.arange(n_bnd + 1)])),
+        shape=(nx * ny, F))
+
     return Mesh2D(
         nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), x0=float(x0), y0=float(y0),
         dx=dx, dy=dy, cell_measure=dx * dy, cell_centers=cell_centers,
@@ -215,7 +232,59 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
         face_axis=face_axis, face_d=face_d, cell_faces=cell_faces,
         n_internal=n_int, n_boundary=n_bnd,
         boundary_side=boundary_side, boundary_tags=boundary_tags,
+        incidence=incidence,
     )
+
+
+def volume_fluxes(mesh, u):
+    """v_sigma = |sigma| u_sigma . n_sigma on every face (K orientation)."""
+    return mesh.face_measure * np.sum(np.asarray(u) * mesh.face_normal, axis=1)
+
+
+def upwind(mesh, v):
+    """(upstream, downstream) cell of each internal edge for the signed flux
+    ``v``; ties (v = 0) pick K as upstream."""
+    K, L = mesh.edge_K, mesh.edge_L
+    up_is_K = np.asarray(v) >= 0
+    return np.where(up_is_K, K, L), np.where(up_is_K, L, K)
+
+
+def inlet_split(mesh, vb):
+    """(outflow, inflow) weights of the boundary volume fluxes ``vb``.
+
+    Inlet faces upwind a prescribed inflow state; every other boundary face
+    transports the interior state with the prescribed velocity.
+    """
+    is_inlet = mesh.boundary_tags == INLET
+    return (np.where(is_inlet, np.maximum(vb, 0.0), vb),
+            np.where(is_inlet, np.maximum(-vb, 0.0), 0.0))
+
+
+def upwind_fluxes(mesh, v, up, split, x, x_in):
+    """Upwind face fluxes (F,) of the cell field ``x``, K orientation.
+
+    v x_up on internal edges; vb_out x_K - vb_in x_in on boundary faces, with
+    ``split`` = (vb_out, vb_in) from :func:`inlet_split`.
+    """
+    vb_out, vb_in = split
+    bK = mesh.face_K[mesh.n_internal:]
+    return np.concatenate([v * x[up], vb_out * x[bK] - vb_in * x_in])
+
+
+def edge_pairs(mesh, cols, vals, row0=0):
+    """COO triplets of edge-pair blocks: for every internal edge and every
+    column array ``cols[j]`` with values ``vals[j]``, +vals[j] in row K and
+    -vals[j] in row L (both shifted by ``row0``), in column cols[j]."""
+    cols, vals = np.asarray(cols), np.asarray(vals)
+    rows = np.concatenate([mesh.edge_K, mesh.edge_L] * len(cols)) + row0
+    return (rows, np.concatenate([cols, cols], axis=1).ravel(),
+            np.concatenate([vals, -vals], axis=1).ravel())
+
+
+def coo_sum(n, triplets):
+    """n-by-n COO matrix of the ``triplets`` (rows, cols, vals); duplicates add."""
+    rows, cols, vals = [np.concatenate(parts) for parts in zip(*triplets)]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 # corner order: NE, NW, SW, SE.  For the sub-edge from the cell center to
@@ -237,22 +306,11 @@ class DiamondGeometry:
     """Dual (diamond-cell) geometry of a uniform rectangular mesh."""
 
     mesh: Mesh2D
-    half_K: np.ndarray        # (I,) |D_{K,sigma}|
-    half_L: np.ndarray        # (I,) |D_{L,sigma}|
+    half: np.ndarray          # (I,) |D_{K,sigma}| = |D_{L,sigma}|
     diamond: np.ndarray       # (I,) |D_sigma|
     boundary_half: np.ndarray  # (B,) |D_{K,sigma}| of boundary faces
     face_lump: np.ndarray     # (F,) diamond measure for internal, half for boundary
     subedge_length: float     # all sub-edges are congruent on a uniform mesh
-
-    def corner_subedge_endpoints(self, cell):
-        """Endpoints (center, corner) of the four sub-edges of one cell."""
-        m = self.mesh
-        c = m.cell_centers[cell]
-        off = np.array(
-            [[m.dx / 2, m.dy / 2], [-m.dx / 2, m.dy / 2],
-             [-m.dx / 2, -m.dy / 2], [m.dx / 2, -m.dy / 2]]
-        )
-        return [(c, c + o) for o in off]
 
 
 def build_diamond_geometry(mesh):
@@ -266,7 +324,7 @@ def build_diamond_geometry(mesh):
     diamond = 2.0 * half
     face_lump = np.concatenate([diamond, boundary_half])
     return DiamondGeometry(
-        mesh=mesh, half_K=half.copy(), half_L=half.copy(), diamond=diamond,
+        mesh=mesh, half=half, diamond=diamond,
         boundary_half=boundary_half, face_lump=face_lump,
         subedge_length=float(np.hypot(m.dx, m.dy) / 2.0),
     )

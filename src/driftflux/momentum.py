@@ -15,7 +15,8 @@ from .boundary import mirror_partners
 from .errors import InvariantViolation
 from .fields import face_density_all
 from .linalg import solve
-from .mesh import SLIP, dual_corner_fluxes, _CORNER_IN, _CORNER_OUT
+from .mesh import (SLIP, coo_sum, dual_corner_fluxes, edge_pairs, inlet_split, upwind,
+                   upwind_fluxes, volume_fluxes, _CORNER_IN, _CORNER_OUT)
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -281,12 +282,6 @@ def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=N
     return x.reshape(-1, 2)
 
 
-def boundary_volume_fluxes(mesh, u_face):
-    """v_{sigma,K} = |sigma| u_sigma . n_outward for boundary faces."""
-    b = slice(mesh.n_internal, mesh.n_faces)
-    return mesh.face_measure[b] * np.sum(np.asarray(u_face)[b] * mesh.face_normal[b], axis=1)
-
-
 def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt, t0=0.0):
     """Implicit upwind mass balance that initializes (rho^0, z^0, F^0).
 
@@ -298,35 +293,20 @@ def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt,
     """
     M = mesh.n_cells
     nint = mesh.n_internal
-    vK = mesh.face_measure[:nint] * np.sum(np.asarray(u_init)[:nint] * mesh.edge_normal, axis=1)
-    vb = boundary_volume_fluxes(mesh, u_init)
+    v_all = volume_fluxes(mesh, u_init)
+    v = v_all[:nint]
+    up, _ = upwind(mesh, v)
+    split = vb_out, vb_in = inlet_split(mesh, v_all[nint:])
     rho_in, z_in, _, _ = bc.inflow_state(mesh, t0, np.asarray(p_init), np.asarray(z_init), eos)
-    is_inlet = mesh.boundary_tags == "inlet"
-    vb_out = np.where(is_inlet, np.maximum(vb, 0.0), vb)
-    vb_in = np.where(is_inlet, np.maximum(-vb, 0.0), 0.0)
 
-    K = mesh.edge_K
-    L = mesh.edge_L
-    vp = np.maximum(vK, 0.0)
-    vm = np.maximum(-vK, 0.0)
-    rows = np.concatenate([K, K, L, L])
-    cols = np.concatenate([K, L, L, K])
-    vals = np.concatenate([vp, -vm, vm, -vp])
-    diag = np.full(M, mesh.cell_measure / dt)
-    bK = mesh.face_K[nint:]
-    np.add.at(diag, bK, vb_out)
-    rows = np.concatenate([rows, np.arange(M)])
-    cols = np.concatenate([cols, np.arange(M)])
-    vals = np.concatenate([vals, diag])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsc()
-
-    rhs = mesh.cell_measure / dt * np.column_stack([rho_init, z_init]).astype(float)
-    np.add.at(rhs, bK, vb_in[:, None] * np.column_stack([rho_in, z_in]))
+    # boundary faces: the outflow weight joins the diagonal, the inflow the rhs
+    bnd = mesh.incidence @ np.concatenate([
+        np.zeros((nint, 3)), np.column_stack([vb_out, vb_in * rho_in, vb_in * z_in])])
+    idx = np.arange(M)
+    A = coo_sum(M, [edge_pairs(mesh, [up], [v]),
+                    (idx, idx, mesh.cell_measure / dt + bnd[:, 0])]).tocsc()
+    rhs = mesh.cell_measure / dt * np.column_stack([rho_init, z_init]) + bnd[:, 1:]
     rho0, z0 = solve(A, rhs).T.copy()
     if np.any(rho0 <= 0) or np.any(z0 <= 0):
         raise InvariantViolation("density prediction produced nonpositive values")
-
-    fluxes = np.zeros(mesh.n_faces)
-    fluxes[:nint] = vp * rho0[K] - vm * rho0[L]
-    fluxes[nint:] = vb_out * rho0[bK] - vb_in * rho_in
-    return rho0, z0, fluxes
+    return rho0, z0, upwind_fluxes(mesh, v, up, split, rho0, rho_in)

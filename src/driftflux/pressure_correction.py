@@ -1,7 +1,10 @@
 """Coupled pressure correction step.
 
 The velocity update is eliminated algebraically into the mass balance,
-leaving a 2M nonlinear system in (p, z) per upwind pattern.  The pattern is
+leaving a 2M nonlinear system in (p, z) per upwind pattern.  The mass and
+gas-mass balances share the mesh's implicit upwind transport operator (the
+face incidence ``Mesh2D.incidence`` on the residual side,
+:func:`driftflux.mesh.edge_pairs` on the Jacobian side).  The pattern is
 frozen from the latest velocity iterate, the system is solved by the damped
 Newton of :mod:`driftflux.linalg` with the analytic Jacobian of the state
 law, the velocity is updated, and the loop repeats until the pattern is
@@ -15,8 +18,9 @@ import scipy.sparse as sp
 
 from . import eos as _eos
 from .errors import InvariantViolation, OuterLoopError
-from .fields import face_density
+from .fields import admissibility_violation, face_density
 from .linalg import NewtonConfig, newton_solve, solve
+from .mesh import coo_sum, edge_pairs, inlet_split, upwind, upwind_fluxes, volume_fluxes
 
 
 @dataclass
@@ -35,13 +39,9 @@ def assemble_pressure_operator(mesh, geom, rho_face, rho_upwind):
     """Elliptic operator (L q)_K = sum (rho_up/rho_sigma)(|s|^2/|D_s|)(q_K - q_L)."""
     if np.any(np.asarray(rho_face) <= 0):
         raise InvariantViolation("pressure operator: nonpositive face density")
-    M = mesh.n_cells
-    K, L = mesh.edge_K, mesh.edge_L
     w = np.asarray(rho_upwind) / np.asarray(rho_face) * mesh.edge_measure**2 / geom.diamond
-    rows = np.concatenate([K, K, L, L])
-    cols = np.concatenate([K, L, L, K])
-    vals = np.concatenate([w, -w, w, -w])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsr()
+    pairs = edge_pairs(mesh, [mesh.edge_K, mesh.edge_L], [w, -w])
+    return coo_sum(mesh.n_cells, [pairs]).tocsr()
 
 
 def renormalize_pressure(mesh, geom, p_n, rho_face_n, rho_face_nm1):
@@ -68,15 +68,7 @@ class PressureCorrector:
         self.eos = eos
         self.bc = bc
         self.max_outer = max_outer
-        self._K = mesh.edge_K
-        self._L = mesh.edge_L
-        self._bK = mesh.face_K[mesh.n_internal:]
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
-
-    def _internal_volume_flux(self, u):
-        m = self.mesh
-        n = m.n_internal
-        return m.edge_measure[:n] * np.sum(np.asarray(u)[:n] * m.edge_normal, axis=1)
 
     def step(self, state, u_tilde, dt, t_next, cfg=None, p_old=None,
              enforce_y_bound=True):
@@ -90,7 +82,8 @@ class PressureCorrector:
         m = self.mesh
         M = m.n_cells
         nint = m.n_internal
-        K, L, bK = self._K, self._L, self._bK
+        K, L = m.edge_K, m.edge_L
+        bK = m.face_K[nint:]
 
         p_old = np.asarray(state.p if p_old is None else p_old, dtype=float)
         rho_n = np.asarray(state.rho, dtype=float)
@@ -98,15 +91,9 @@ class PressureCorrector:
         rho_face_n = face_density(rho_n, self.geom)
         vol_dt = m.cell_measure / dt
         c_edge = dt * m.edge_measure**2 / (self.geom.diamond * rho_face_n)
-        v_tilde = self._internal_volume_flux(u_tilde)
-        vb = m.face_measure[nint:] * np.sum(
-            np.asarray(u_tilde)[nint:] * m.face_normal[nint:], axis=1
-        )
-        is_inlet = m.boundary_tags == "inlet"
-        # inlet faces upwind a prescribed inflow state; every other boundary
-        # face transports the interior state with the prescribed velocity
-        vb_out = np.where(is_inlet, np.maximum(vb, 0.0), vb)
-        vb_in = np.where(is_inlet, np.maximum(-vb, 0.0), 0.0)
+        v_all = volume_fluxes(m, u_tilde)
+        v_tilde = v_all[:nint]
+        split = vb_out, vb_in = inlet_split(m, v_all[nint:])
 
         r_scale = max(1.0, float(vol_dt * np.max(rho_n)))
         ncfg = NewtonConfig(abs_tol=cfg.abs_tol * r_scale, rel_tol=cfg.rel_tol,
@@ -115,24 +102,19 @@ class PressureCorrector:
         def admissible(x):
             return bool(np.all(x[:M] > self._p_floor))
 
-        def make_residual(up_is_K):
-            ucell = np.where(up_is_K, K, L)
+        def edge_volume_flux(p):
+            return v_tilde + c_edge * ((p[K] - p_old[K]) - (p[L] - p_old[L]))
 
+        def make_residual(up):
             def residual(x):
                 p, z = x[:M], x[M:]
                 rho_c = _eos.rho_from_pz(p, z, eos)
-                v = v_tilde + c_edge * ((p[K] - p_old[K]) - (p[L] - p_old[L]))
-                f_rho = v * rho_c[ucell]
-                f_z = v * z[ucell]
-                r1 = vol_dt * (rho_c - rho_n)
-                r2 = vol_dt * (z - rhoy_n)
-                np.add.at(r1, K, f_rho)
-                np.add.at(r1, L, -f_rho)
-                np.add.at(r2, K, f_z)
-                np.add.at(r2, L, -f_z)
+                v = edge_volume_flux(p)
                 rho_in, z_in, _, _ = self.bc.inflow_state(m, t_next, p, z, eos)
-                np.add.at(r1, bK, vb_out * rho_c[bK] - vb_in * rho_in)
-                np.add.at(r2, bK, vb_out * z[bK] - vb_in * z_in)
+                r1 = vol_dt * (rho_c - rho_n) + m.incidence @ upwind_fluxes(
+                    m, v, up, split, rho_c, rho_in)
+                r2 = vol_dt * (z - rhoy_n) + m.incidence @ upwind_fluxes(
+                    m, v, up, split, z, z_in)
                 return np.concatenate([r1, r2])
 
             def jacobian(x):
@@ -140,36 +122,24 @@ class PressureCorrector:
                 rho_c = _eos.rho_from_pz(p, z, eos)
                 drdp = _eos.drho_dp_pz(p, z, eos)
                 drdz = _eos.drho_dz_pz(p, z, eos)
-                v = v_tilde + c_edge * ((p[K] - p_old[K]) - (p[L] - p_old[L]))
-                up_p = drdp[ucell]
-                up_z = drdz[ucell]
-                isK = up_is_K.astype(float)
-                isL = 1.0 - isK
-                a_pk = c_edge * rho_c[ucell] + v * up_p * isK
-                a_pl = -c_edge * rho_c[ucell] + v * up_p * isL
-                a_zu = v * up_z
-                b_pk = c_edge * z[ucell]
-                b_pl = -c_edge * z[ucell]
-                rows = [K, K, K, L, L, L,
-                        M + K, M + K, M + K, M + L, M + L, M + L]
-                cols = [K, L, M + ucell, K, L, M + ucell,
-                        K, L, M + ucell, K, L, M + ucell]
-                vals = [a_pk, a_pl, a_zu, -a_pk, -a_pl, -a_zu,
-                        b_pk, b_pl, v, -b_pk, -b_pl, -v]
+                v = edge_volume_flux(p)
+                c_rho = c_edge * rho_c[up]
+                c_z = c_edge * z[up]
                 idx = np.arange(M)
-                rows += [idx, idx, M + idx]
-                cols += [idx, M + idx, M + idx]
-                vals += [vol_dt * drdp, vol_dt * drdz, np.full(M, vol_dt)]
-                # boundary fluxes
                 _, _, drin_dp, dzin_dp = self.bc.inflow_state(m, t_next, p, z, eos)
-                rows += [bK, bK, M + bK, bK, M + bK]
-                cols += [bK, M + bK, M + bK, bK, bK]
-                vals += [vb_out * drdp[bK], vb_out * drdz[bK], vb_out,
-                         -vb_in * drin_dp, -vb_in * dzin_dp]
-                rows = np.concatenate(rows)
-                cols = np.concatenate(cols)
-                vals = np.concatenate(vals)
-                return sp.coo_matrix((vals, (rows, cols)), shape=(2 * M, 2 * M)).tocsc()
+                return coo_sum(2 * M, [
+                    # mass balance: d/dp through v and rho_up, d/dz through rho_up
+                    edge_pairs(m, [K, L, up, M + up],
+                               [c_rho, -c_rho, v * drdp[up], v * drdz[up]]),
+                    # gas-mass balance: d/dp through v, d/dz through z_up
+                    edge_pairs(m, [K, L, M + up], [c_z, -c_z, v], M),
+                    (idx, idx, vol_dt * drdp), (idx, M + idx, vol_dt * drdz),
+                    (M + idx, M + idx, np.full(M, vol_dt)),
+                    # boundary fluxes
+                    (bK, bK, vb_out * drdp[bK]), (bK, M + bK, vb_out * drdz[bK]),
+                    (M + bK, M + bK, vb_out), (bK, bK, -vb_in * drin_dp),
+                    (M + bK, bK, -vb_in * dzin_dp),
+                ]).tocsc()
 
             return residual, jacobian
 
@@ -183,12 +153,12 @@ class PressureCorrector:
         p_guess[bad] = np.maximum(p_guess, p_req)[bad]
         x = np.concatenate([p_guess, rhoy_n])
         u_cur = np.array(u_tilde, dtype=float)
-        pattern = (v_tilde + c_edge * ((p_guess - p_old)[K] - (p_guess - p_old)[L])) >= 0
+        up, _ = upwind(m, edge_volume_flux(p_guess))
         scale_u = max(1.0, float(np.max(np.abs(u_tilde))))
         total_newton = 0
         trace = []
         for outer in range(1, self.max_outer + 1):
-            residual, jacobian = make_residual(pattern)
+            residual, jacobian = make_residual(up)
             res = newton_solve(residual, jacobian, x, ncfg, admissible)
             x = res.x
             total_newton += res.iterations
@@ -197,15 +167,13 @@ class PressureCorrector:
             dp = (p_new - p_old)[K] - (p_new - p_old)[L]
             u_new[:nint] += (dt * m.edge_measure[:nint] /
                              (self.geom.diamond * rho_face_n) * dp)[:, None] * m.edge_normal
-            v_new = self._internal_volume_flux(u_new)
-            pattern_new = v_new >= 0
+            up_new, _ = upwind(m, volume_fluxes(m, u_new)[:nint])
             du = float(np.max(np.abs(u_new - u_cur))) if u_new.size else 0.0
-            changed = int(np.sum(pattern_new != pattern))
+            changed = int(np.sum(up_new != up))
             trace.append((outer, changed, du))
-            same = changed == 0
             u_cur = u_new
-            pattern = pattern_new
-            if same and du <= 1e-10 * scale_u:
+            up = up_new
+            if changed == 0 and du <= 1e-10 * scale_u:
                 break
         else:
             raise OuterLoopError(
@@ -213,19 +181,13 @@ class PressureCorrector:
 
         p, z = x[:M], x[M:]
         rho = _eos.rho_from_pz(p, z, eos)
-        if np.any(rho <= 0) or np.any(p <= 0) or np.any(z <= 0):
-            raise InvariantViolation("pressure correction left the physical range")
-        y = z / rho
-        if np.any(y <= 0) or (enforce_y_bound and np.any(y > 1.0 + 1e-11)):
-            raise InvariantViolation("pressure correction: z/rho outside (0, 1]")
+        why = admissibility_violation(rho, z, p, y_ceiling=enforce_y_bound)
+        if why:
+            raise InvariantViolation(f"pressure correction: {why}")
 
-        v = v_tilde + c_edge * ((p[K] - p_old[K]) - (p[L] - p_old[L]))
-        ucell = np.where(pattern, K, L)
-        fluxes = np.zeros(m.n_faces)
-        fluxes[:nint] = v * rho[ucell]
-        rho_in, z_in, _, _ = self.bc.inflow_state(m, t_next, p, z, eos)
-        fluxes[nint:] = vb_out * rho[bK] - vb_in * rho_in
-        res_final = np.linalg.norm(make_residual(pattern)[0](x), np.inf)
+        rho_in, _, _, _ = self.bc.inflow_state(m, t_next, p, z, eos)
+        fluxes = upwind_fluxes(m, edge_volume_flux(p), up, split, rho, rho_in)
+        res_final = np.linalg.norm(make_residual(up)[0](x), np.inf)
         return CorrectionResult(u=u_cur, p=p, z=z, rho=rho, fluxes=fluxes,
                                 newton_iters=total_newton, outer_iters=len(trace),
                                 residual=float(res_final))

@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import eos as _eos
 from .boundary import BoundaryConditions
@@ -16,7 +15,7 @@ from .driver import simulate
 from .eos import EosParams
 from .gas_fraction import FLUX_FUNCTIONS, DriftModel, correct_mass_fraction, drift_fluxes, _phi
 from .linalg import NewtonConfig, solve
-from .mesh import build_diamond_geometry, build_uniform_mesh
+from .mesh import build_diamond_geometry, build_uniform_mesh, coo_sum, edge_pairs, upwind
 from .momentum import ViscosityModel
 
 
@@ -70,13 +69,9 @@ def pressure_work_instance(rng, eos, dt=0.1):
         M = mesh.n_cells
         _, _, rho_star, z_star = _random_admissible(rng, M, eos)
         v = rng.uniform(-0.4, 0.4, mesh.n_internal) * mesh.cell_measure / dt
-        K, L = mesh.edge_K, mesh.edge_L
-        vp = np.maximum(v, 0.0)
-        vm = np.maximum(-v, 0.0)
-        rows = np.concatenate([K, K, L, L, np.arange(M)])
-        cols = np.concatenate([K, L, L, K, np.arange(M)])
-        vals = np.concatenate([vp, -vm, vm, -vp, np.full(M, mesh.cell_measure / dt)])
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(M, M)).tocsc()
+        idx = np.arange(M)
+        A = coo_sum(M, [edge_pairs(mesh, [upwind(mesh, v)[0]], [v]),
+                        (idx, idx, np.full(M, mesh.cell_measure / dt))]).tocsc()
         rho, z = solve(A, mesh.cell_measure / dt * np.column_stack([rho_star, z_star])).T
         ok = (np.all(rho > 0) and np.all(z > 0)
               and np.all(z - rho + eos.rho_l > 0)

@@ -132,4 +132,3 @@ def test_quiescent_entropy_margin_zero():
     res = simulate(build_case(config), config.dt, config.t_end)
     for rep in res.reports[1:]:
         assert abs(rep.entropy_margin) < 1e-12 * D.entropy_scale(rep)
-        assert D.entropy_step_check(res.reports[rep.step - 1], rep) == rep.entropy_margin

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from driftflux import fields
 from driftflux.errors import InvariantViolation
-from driftflux.mesh import build_diamond_geometry, build_uniform_mesh
+from driftflux.mesh import build_diamond_geometry, build_uniform_mesh, upwind
 
 
 @pytest.fixture
@@ -27,14 +26,14 @@ def test_face_density_equal_weights(geom2):
 
 
 def test_face_density_weighted_average():
-    # unequal half diamonds: build by hand with a rectangular cell ratio
-    m = build_uniform_mesh(2, 1, 1.0, 1.0)
+    # every half diamond of a uniform mesh is |K| / 4, also on rectangular
+    # cells, so the weighted average is the arithmetic mean on both edge axes
+    m = build_uniform_mesh(2, 2, 1.0, 0.5)
     g = build_diamond_geometry(m)
-    g.half_K[0] = 0.1
-    g.half_L[0] = 0.3
-    g.diamond[0] = 0.4
-    rho = np.array([4.0, 0.4])
-    assert fields.face_density(rho, g)[0] == pytest.approx((0.4 + 0.12) / 0.4)
+    assert g.half == pytest.approx(np.full(m.n_internal, m.cell_measure / 4))
+    rho = np.array([4.0, 0.4, 1.0, 2.0])
+    expect = 0.5 * (rho[m.edge_K] + rho[m.edge_L])
+    assert fields.face_density(rho, g) == pytest.approx(expect, rel=1e-14)
 
 
 def test_face_density_bounds_property():
@@ -53,16 +52,11 @@ def test_face_density_rejects_nonpositive(geom2):
         fields.face_density(np.array([1.0, -0.5]), geom2)
 
 
-def test_upwind_value_examples():
-    assert fields.upwind_value(2.0, 1.0, 3.0) == 1.0
-    assert fields.upwind_value(-2.0, 1.0, 3.0) == 3.0
-    assert fields.upwind_value(0.0, 1.0, 3.0) == 1.0  # tie picks K
-
-
-@given(st.floats(-10, 10), st.floats(-5, 5), st.floats(-5, 5))
-def test_upwind_flux_identity(v, a_K, a_L):
-    vp, vm = max(v, 0.0), -min(v, 0.0)
-    assert vp * a_K - vm * a_L == pytest.approx(v * float(fields.upwind_value(v, a_K, a_L)))
+def test_upwind_value_examples(mesh2):
+    a = np.array([1.0, 3.0])
+    for v, up, down in ((2.0, 1.0, 3.0), (-2.0, 3.0, 1.0), (0.0, 1.0, 3.0)):  # tie picks K
+        cells = upwind(mesh2, np.array([v]))
+        assert (a[cells[0]][0], a[cells[1]][0]) == (up, down)
 
 
 def test_weighted_kinetic_norm_zero(geom2):

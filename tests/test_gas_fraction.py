@@ -5,8 +5,7 @@ import scipy.optimize
 from driftflux.eos import EosParams
 from driftflux.errors import InvariantViolation
 from driftflux.gas_fraction import (FLUX_FUNCTIONS, DriftModel, _phi,
-                                    correct_mass_fraction, drift_fluxes,
-                                    drift_mass_flux)
+                                    correct_mass_fraction, drift_fluxes)
 from driftflux.linalg import NewtonConfig
 from driftflux.mesh import build_uniform_mesh
 
@@ -55,10 +54,10 @@ def test_drift_mass_flux_constant_examples():
     z = 0.3 * rho
     # u_r orthogonal to the edge normal
     model = DriftModel("constant", u_r=(0.0, 1.0))
-    assert drift_mass_flux(0, m, E51, model, rho, p, z, np.array([1.0])) == 0.0
+    assert drift_fluxes(m, E51, model, rho, p, z, np.array([1.0]))[0] == 0.0
     # |s| = 0.05, u_r.n = 0.2, rho_up = 2
     model = DriftModel("constant", u_r=(0.2, 0.0))
-    G = drift_mass_flux(0, m, E51, model, rho, p, z, np.array([1.0]))
+    G = drift_fluxes(m, E51, model, rho, p, z, np.array([1.0]))[0]
     assert G == pytest.approx(0.02)
 
 
@@ -68,7 +67,7 @@ def test_drift_mass_flux_darcy_zero_jump():
     p = np.array([1.3, 1.3])
     z = 0.3 * rho
     model = DriftModel("darcy", lam=0.7)
-    assert drift_mass_flux(0, m, E51, model, rho, p, z, np.array([1.0])) == 0.0
+    assert drift_fluxes(m, E51, model, rho, p, z, np.array([1.0]))[0] == 0.0
 
 
 def test_drift_darcy_direction():

@@ -69,8 +69,7 @@ def test_cell_face_table_closed():
 def test_diamond_cone_measures():
     m = build_uniform_mesh(2, 1, 1.0, 1.0)
     g = build_diamond_geometry(m)
-    assert g.half_K[0] == pytest.approx(0.125)
-    assert g.half_L[0] == pytest.approx(0.125)
+    assert g.half[0] == pytest.approx(0.125)
     assert g.diamond[0] == pytest.approx(0.25)
 
 
@@ -87,15 +86,10 @@ def test_diamond_tiling(nx, ny, Lx, Ly):
     g = build_diamond_geometry(m)
     total = np.sum(g.diamond) + np.sum(g.boundary_half)
     assert total == pytest.approx(Lx * Ly, rel=1e-13)
-    assert np.allclose(g.diamond, g.half_K + g.half_L)
+    assert np.allclose(g.diamond, 2 * g.half)
 
 
 def test_subedge_geometry():
     m = build_uniform_mesh(3, 2, 1.5, 1.0)
     g = build_diamond_geometry(m)
     assert g.subedge_length == pytest.approx(np.hypot(m.dx, m.dy) / 2)
-    ends = g.corner_subedge_endpoints(0)
-    assert len(ends) == 4
-    for start, stop in ends:
-        assert np.allclose(start, m.cell_centers[0])
-        assert np.linalg.norm(stop - start) == pytest.approx(g.subedge_length)
