@@ -95,7 +95,7 @@ def _guard(state, problem):
 
 
 def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
-             dump_interval=0, y_floor=None):
+             dump_interval=0, y_floor=None, max_outer=20):
     """Run the three-step scheme from t = 0 to t_end with constant dt."""
     ncfg = ncfg or NewtonConfig()
     y_floor = problem.y_floor if y_floor is None else y_floor
@@ -104,7 +104,8 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
         log.warning("t_end %.6g is not a multiple of dt %.6g; running %d steps",
                     t_end, dt, n_steps)
     assembler = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
-    corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
+    corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc,
+                                  max_outer=max_outer)
     try:
         state = initial_state(problem, dt)
     except DriftFluxError as exc:
@@ -151,7 +152,8 @@ def run_simulation(config):
                     ncfg=newton_config_from(config),
                     renormalize=config.renormalize,
                     out_dir=config.out_dir or None,
-                    dump_interval=config.dump_interval)
+                    dump_interval=config.dump_interval,
+                    max_outer=config.outer_max_iter)
 
 
 def manufactured_errors(result):
@@ -181,7 +183,7 @@ def exact_injection_errors(n, t=0.5):
     return manufactured_errors(fake)
 
 
-def run_manufactured(n, dt, t_end=0.5, flux="flux_splitting", ncfg=None):
+def run_manufactured(n, dt, t_end=0.5, flux="flux_splitting"):
     config = make_config("manufactured", nx=n, ny=n, dt=dt, t_end=t_end, flux=flux)
     result = run_simulation(config)
     return manufactured_errors(result)

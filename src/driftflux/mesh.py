@@ -310,11 +310,10 @@ class DiamondGeometry:
     diamond: np.ndarray       # (I,) |D_sigma|
     boundary_half: np.ndarray  # (B,) |D_{K,sigma}| of boundary faces
     face_lump: np.ndarray     # (F,) diamond measure for internal, half for boundary
-    subedge_length: float     # all sub-edges are congruent on a uniform mesh
 
 
 def build_diamond_geometry(mesh):
-    """Half-diamond and diamond measures plus sub-edge bookkeeping."""
+    """Half-diamond and diamond measures of a uniform mesh."""
     m = mesh
     # cone with base sigma and apex at the cell center: |sigma| * dist / 2
     dist = np.where(m.face_axis[: m.n_internal] == 0, m.dx / 2, m.dy / 2)
@@ -326,7 +325,6 @@ def build_diamond_geometry(mesh):
     return DiamondGeometry(
         mesh=mesh, half=half, diamond=diamond,
         boundary_half=boundary_half, face_lump=face_lump,
-        subedge_length=float(np.hypot(m.dx, m.dy) / 2.0),
     )
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -159,6 +163,91 @@ def test_manufactured_boundary_flux_fd(sol):
         expect = drift - sol.diffusion * dy
         got = sol.y_boundary_flux(np.array([[a, b]]), t, n)[0]
         assert got == pytest.approx(expect, abs=1e-7)
+
+
+def _symbolic_solution(rho_l, a2, mu, diffusion, u_r):
+    """The manufactured fields and forcing derived with sympy, lambdified to numpy."""
+    sp = pytest.importorskip("sympy")
+    t, x1, x2 = sp.symbols("t x1 x2", real=True)
+    rho = 1 + sp.Rational(1, 4) * sp.sin(sp.pi * t) * (sp.cos(sp.pi * x1) - sp.sin(sp.pi * x2))
+    rho_u1 = -sp.Rational(1, 4) * sp.cos(sp.pi * t) * sp.sin(sp.pi * x1)
+    rho_u2 = -sp.Rational(1, 4) * sp.cos(sp.pi * t) * sp.cos(sp.pi * x2)
+    y = (sp.Rational(5, 2) - rho / 2) / (sp.Rational(9, 2) * rho)
+    z = rho * y
+    p = a2 * z * rho_l / (z + rho_l - rho)
+    u1 = rho_u1 / rho
+    u2 = rho_u2 / rho
+    div_u = sp.diff(u1, x1) + sp.diff(u2, x2)
+
+    def mom_source(i, ui, rho_ui):
+        conv = sp.diff(rho * u1 * ui, x1) + sp.diff(rho * u2 * ui, x2)
+        lap = sp.diff(ui, x1, 2) + sp.diff(ui, x2, 2)
+        xi = (x1, x2)[i]
+        return (sp.diff(rho_ui, t) + conv + sp.diff(p, xi)
+                - mu * (lap + sp.Rational(1, 3) * sp.diff(div_u, xi)))
+
+    drift = sp.diff(rho * y * (1 - y) * u_r[0], x1) + sp.diff(rho * y * (1 - y) * u_r[1], x2)
+    lap_y = sp.diff(y, x1, 2) + sp.diff(y, x2, 2)
+    s_y = (sp.diff(z, t) + sp.diff(z * u1, x1) + sp.diff(z * u2, x2)
+           + drift - diffusion * lap_y)
+    names = {"rho": rho, "rho_u1": rho_u1, "rho_u2": rho_u2, "u1": u1, "u2": u2,
+             "y": y, "z": z, "p": p, "s1": mom_source(0, u1, rho_u1),
+             "s2": mom_source(1, u2, rho_u2), "s_y": s_y,
+             "drift1": rho * y * (1 - y) * u_r[0], "drift2": rho * y * (1 - y) * u_r[1],
+             "dy1": sp.diff(y, x1), "dy2": sp.diff(y, x2)}
+    return {k: sp.lambdify((t, x1, x2), v, "numpy") for k, v in names.items()}
+
+
+@pytest.mark.parametrize("params", [
+    {}, dict(rho_l=7.0, a2=2.0, mu=0.05, diffusion=0.3, u_r=(0.4, -0.7))])
+def test_manufactured_closed_form_matches_symbolic(params):
+    """Every output of the closed form equals the symbolic derivation to roundoff."""
+    sol = ManufacturedSolution(**params)
+    fn = _symbolic_solution(sol.eos.rho_l, sol.eos.a2, sol.mu, sol.diffusion, sol.u_r)
+    rng = np.random.default_rng(71)
+    n = 500
+    worst = {}
+    for t in rng.uniform(0.0, 1.0, 10):
+        x = np.column_stack([rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n)])
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        normal = np.column_stack([np.cos(angle), np.sin(angle)])
+
+        def sym(*names):
+            cols = [np.broadcast_to(fn[k](t, x[:, 0], x[:, 1]), (n,)) for k in names]
+            return cols[0] if len(cols) == 1 else np.column_stack(cols)
+
+        rho, rho_u, y, z, p = sol.eval(t, x)
+        flux = np.sum((sym("drift1", "drift2") - sol.diffusion * sym("dy1", "dy2")) * normal,
+                      axis=1)
+        pairs = {
+            "rho": (rho, sym("rho")), "rho_u": (rho_u, sym("rho_u1", "rho_u2")),
+            "y": (y, sym("y")), "z": (z, sym("z")), "p": (p, sym("p")),
+            "velocity": (sol.velocity(x, t), sym("u1", "u2")),
+            "pressure": (sol.pressure(x, t), sym("p")),
+            "mass_fraction": (sol.mass_fraction(x, t), sym("y")),
+            "state": (np.column_stack(sol.state(x, t)), sym("rho", "z")),
+            "momentum_source": (sol.momentum_source(x, t), sym("s1", "s2")),
+            "y_source": (sol.y_source(x, t), sym("s_y")),
+            "y_boundary_flux": (sol.y_boundary_flux(x, t, normal), flux),
+        }
+        for name, (got, want) in pairs.items():
+            assert got.shape == want.shape, name
+            rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            worst[name] = max(worst.get(name, 0.0), rel)
+    assert max(worst.values()) <= 1e-12, worst
+
+
+def test_run_path_does_not_import_sympy():
+    """sympy is a test-only dependency: a manufactured run never imports it."""
+    code = ("import sys\n"
+            "from driftflux.config import make_config\n"
+            "from driftflux.driver import run_simulation\n"
+            "run_simulation(make_config('manufactured', nx=4, ny=4, dt=0.01, t_end=0.02))\n"
+            "sys.exit(3 if 'sympy' in sys.modules else 0)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
+    assert proc.returncode == 0, proc.stderr or "sympy was imported"
 
 
 def test_manufactured_phys_bounds_grid(sol):

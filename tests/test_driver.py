@@ -6,7 +6,7 @@ import pytest
 from driftflux.config import load_config, make_config
 from driftflux.driver import (exact_injection_errors, manufactured_errors,
                               run_simulation, simulate)
-from driftflux.errors import ConfigurationError
+from driftflux.errors import ConfigurationError, OuterLoopError, SimulationError
 
 
 def test_quiescent_uniform_static():
@@ -121,10 +121,18 @@ def test_config_validation():
         load_config("/nonexistent/file.cfg")
 
 
+def test_outer_max_iter_reaches_the_corrector():
+    """One upwinding pass cannot settle the interface step: the run stops named."""
+    with pytest.raises(SimulationError, match="did not settle in 1 iterations") as err:
+        run_simulation(make_config("interface", outer_max_iter=1))
+    assert err.value.step == 1
+    assert isinstance(err.value.__cause__, OuterLoopError)
+    assert err.value.__cause__.trace
+
+
 def test_abort_writes_csv_note(tmp_path):
     # poison the gas-fraction source after the first step: the Newton solve
     # sees a non-finite residual and the driver must abort with diagnostics
-    from driftflux.errors import SimulationError
     from driftflux.verification import random_wall_problem
 
     problem = random_wall_problem(np.random.default_rng(3), 3, 3)

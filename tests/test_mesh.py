@@ -87,9 +87,3 @@ def test_diamond_tiling(nx, ny, Lx, Ly):
     total = np.sum(g.diamond) + np.sum(g.boundary_half)
     assert total == pytest.approx(Lx * Ly, rel=1e-13)
     assert np.allclose(g.diamond, 2 * g.half)
-
-
-def test_subedge_geometry():
-    m = build_uniform_mesh(3, 2, 1.5, 1.0)
-    g = build_diamond_geometry(m)
-    assert g.subedge_length == pytest.approx(np.hypot(m.dx, m.dy) / 2)
