@@ -35,35 +35,38 @@ class BoundaryConditions:
                 vals[sel] = self.velocity(x, t)
         return vals
 
-    def inflow_state(self, mesh, t, p_cells, z_cells, eos):
-        """(rho_in, z_in, drho_in/dp_K, dz_in/dp_K) per boundary face.
+    def inflow(self, mesh, t, eos):
+        """Inflow state at time ``t`` as a function of the cell pressures:
+        p -> (rho_in, z_in, drho_in/dp_K, dz_in/dp_K) per boundary face.
 
-        Only inlet faces carry a real inflow state; the other entries are
-        placeholders (their inflow weight is zero in the assembly).
+        A prescribed ``inlet_state(x, t)`` is evaluated here, once; a fixed
+        inlet mass fraction per call, because its density follows the
+        adjacent cell's pressure.  Only inlet faces carry a real inflow state;
+        the other entries are placeholders (their inflow weight is zero in
+        the assembly).
         """
-        K = mesh.face_K[mesh.n_internal:]
-        rho_in = np.asarray(p_cells)[K] * 0.0 + eos.rho_l
+        rho_in = np.full(mesh.n_boundary, eos.rho_l)
         z_in = np.zeros(mesh.n_boundary)
-        drho_dp = np.zeros(mesh.n_boundary)
-        dz_dp = np.zeros(mesh.n_boundary)
+        zero = np.zeros(mesh.n_boundary)
         is_inlet = mesh.boundary_tags == INLET
-        if np.any(is_inlet):
-            x = mesh.face_midpoint[mesh.n_internal:][is_inlet]
-            if self.inlet_state is not None:
-                r, z = self.inlet_state(x, t)
-                rho_in[is_inlet] = r
-                z_in[is_inlet] = z
-            elif self.inlet_mass_fraction is not None:
-                y_imp = self.inlet_mass_fraction
-                pk = np.asarray(p_cells)[K[is_inlet]]
-                r = _eos.rho_from_py(pk, y_imp, eos)
-                rho_in[is_inlet] = r
-                z_in[is_inlet] = r * y_imp
-                drho_dp[is_inlet] = _eos.drho_dp_py(pk, y_imp, eos)
-                dz_dp[is_inlet] = drho_dp[is_inlet] * y_imp
-            else:
+        if np.any(is_inlet) and self.inlet_state is not None:
+            rho_in[is_inlet], z_in[is_inlet] = self.inlet_state(
+                mesh.face_midpoint[mesh.n_internal:][is_inlet], t)
+        elif np.any(is_inlet):
+            if self.inlet_mass_fraction is None:
                 raise ValueError("inlet faces present but no inlet state given")
-        return rho_in, z_in, drho_dp, dz_dp
+            y_imp = self.inlet_mass_fraction
+            K = mesh.face_K[mesh.n_internal:][is_inlet]
+
+            def state(p_cells):
+                pk = np.asarray(p_cells)[K]
+                rho, drho_dp = rho_in.copy(), zero.copy()
+                rho[is_inlet] = _eos.rho_from_py(pk, y_imp, eos)
+                drho_dp[is_inlet] = _eos.drho_dp_py(pk, y_imp, eos)
+                return rho, np.where(is_inlet, rho * y_imp, 0.0), drho_dp, drho_dp * y_imp
+
+            return state
+        return lambda p_cells: (rho_in, z_in, zero, zero)
 
 
 def mirror_partners(mesh):

@@ -200,30 +200,26 @@ class BubbleColumnCase:
 
 
 def _hydrostatic_pressure(mesh, eos, y_cells, g, p_top, discrete=True):
-    """Column pressures integrating rho g downward from the top row.
+    """Column pressures integrating rho g downward from the top row (one
+    row at a time, every column at once).
 
     ``discrete=True`` uses the scheme's own face balance
     |sigma| (p_K - p_L) = g |D_sigma| rho_sigma (jumps rho g dy / 2), which
     makes the initial state an exact discrete rest state.
     """
-    nx, ny = mesh.nx, mesh.ny
-    p = np.empty(mesh.n_cells)
+    y = np.asarray(y_cells).reshape(mesh.ny, mesh.nx)
+    p = np.empty((mesh.ny, mesh.nx))
     factor = 0.5 if discrete else 1.0
-    for i in range(nx):
-        cells = i + nx * np.arange(ny)
-        p_above = p_top
-        rho_above = _eos.rho_from_py(p_top, y_cells[cells[-1]], eos)
-        p[cells[-1]] = p_top
-        for j in range(ny - 2, -1, -1):
-            k = cells[j]
-            pk = p_above
-            for _ in range(3):
-                rho_k = _eos.rho_from_py(pk, y_cells[k], eos)
-                pk = p_above + factor * g * mesh.dy * 0.5 * (rho_k + rho_above)
-            p[k] = pk
-            p_above = pk
-            rho_above = _eos.rho_from_py(pk, y_cells[k], eos)
-    return p
+    p[-1] = p_top
+    rho_above = _eos.rho_from_py(p_top, y[-1], eos)
+    for j in range(mesh.ny - 2, -1, -1):
+        pk = p[j + 1]
+        for _ in range(3):
+            rho_k = _eos.rho_from_py(pk, y[j], eos)
+            pk = p[j + 1] + factor * g * mesh.dy * 0.5 * (rho_k + rho_above)
+        p[j] = pk
+        rho_above = _eos.rho_from_py(pk, y[j], eos)
+    return p.ravel()
 
 
 def build_manufactured(config):

@@ -3,10 +3,10 @@
 Drift and diffusion are discretized with a monotone two-point flux for
 phi(y) = max[y(1-y), 0], upwinded with respect to the drift mass flux, and
 balanced with the mesh's implicit upwind transport operator (the face
-incidence ``Mesh2D.incidence`` on the residual side,
-:func:`driftflux.mesh.edge_pairs` on the Jacobian side), the same one the
-pressure correction uses.  The nonlinear cellwise system is solved by damped
-Newton with clamped one-sided derivatives at the flux kinks.
+incidence ``Mesh2D.incidence`` on the residual side, edge-pair blocks in a
+fixed :class:`driftflux.mesh.SparsePattern` on the Jacobian side), the same
+one the pressure correction uses.  The nonlinear cellwise system is solved
+by damped Newton with clamped one-sided derivatives at the flux kinks.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from . import eos as _eos
 from .errors import InvariantViolation
 from .fields import admissibility_violation
 from .linalg import NewtonConfig, newton_solve
-from .mesh import coo_sum, edge_pairs, upwind
+from .mesh import SparsePattern, edge_pair_index, edge_pair_values, upwind
 
 
 def _phi(s):
@@ -127,6 +127,14 @@ def drift_fluxes(mesh, eos, model, rho, p, z, v_mean):
     raise ValueError(f"unknown drift model {model.kind!r}")
 
 
+def _jacobian_pattern(mesh):
+    """Triplet positions of the y-correction Jacobian: the edge pairs of
+    columns K and L, then the diagonal."""
+    idx = np.arange(mesh.n_cells)
+    return SparsePattern(mesh.n_cells, [edge_pair_index(mesh, [mesh.edge_K, mesh.edge_L]),
+                                        (idx, idx)])
+
+
 def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None,
                           source=None, t=None, boundary_flux=None):
     """Solve the implicit y-correction; returns y in (0, 1].
@@ -159,10 +167,9 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
 
     K, L = mesh.edge_K, mesh.edge_L
     up, down = upwind(mesh, G)
+    up_is_K = up == K
     dcoef = diffusion * mesh.edge_measure / mesh.d_sigma
     vol_dt = mesh.cell_measure / dt
-    M = mesh.n_cells
-    idx = np.arange(M)
 
     def residual(y):
         r = vol_dt * (rho * y - z)
@@ -173,9 +180,11 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
 
     def jacobian(y):
         d_up, d_down = flux_fn.partials(y[up], y[down])
-        return coo_sum(M, [edge_pairs(mesh, [up, down, K, L],
-                                      [G * d_up, G * d_down, dcoef, -dcoef]),
-                           (idx, idx, vol_dt * rho)]).tocsc()
+        # the upwind and downwind derivatives sit in columns K and L
+        d_K = np.where(up_is_K, G * d_up, G * d_down)
+        d_L = np.where(up_is_K, G * d_down, G * d_up)
+        pattern = mesh.pattern("y_jacobian", _jacobian_pattern)
+        return pattern.matrix([edge_pair_values([d_K + dcoef, d_L - dcoef]), vol_dt * rho])
 
     ncfg = cfg or NewtonConfig()
     scale = max(1.0, float(np.max(vol_dt * rho)))

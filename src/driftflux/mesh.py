@@ -11,9 +11,14 @@ Every finite-volume balance (mass, gas mass, the y-correction and the
 pressure-work check) goes through one operator: the face incidence turns face
 fluxes in the K orientation into the net outflow of each cell, and
 :func:`edge_pairs` builds the matching matrix entries.
+
+The systems solved every step (the momentum matrix and both Newton
+Jacobians) keep a fixed sparsity on a mesh: each is a :class:`SparsePattern`,
+built on first use and cached by :meth:`Mesh2D.pattern`, whose CSC
+structure is filled in place with each call's values.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +62,14 @@ class Mesh2D:
     # D (+1 at K, -1 at L), the last B the boundary scatter (+1 at K), so one
     # product gives the net outflow of every cell
     incidence: sp.csc_matrix
+    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def pattern(self, key, build):
+        """The :class:`SparsePattern` ``key`` of this mesh; ``build(mesh)``
+        makes it on first use."""
+        if key not in self._patterns:
+            self._patterns[key] = build(self)
+        return self._patterns[key]
 
     @property
     def n_cells(self):
@@ -271,20 +284,65 @@ def upwind_fluxes(mesh, v, up, split, x, x_in):
     return np.concatenate([v * x[up], vb_out * x[bK] - vb_in * x_in])
 
 
-def edge_pairs(mesh, cols, vals, row0=0):
-    """COO triplets of edge-pair blocks: for every internal edge and every
-    column array ``cols[j]`` with values ``vals[j]``, +vals[j] in row K and
-    -vals[j] in row L (both shifted by ``row0``), in column cols[j]."""
-    cols, vals = np.asarray(cols), np.asarray(vals)
+def edge_pair_index(mesh, cols, row0=0):
+    """(rows, cols) of edge-pair blocks: for every internal edge and every
+    column array ``cols[j]``, an entry in row K and one in row L (both
+    shifted by ``row0``), in column cols[j]."""
+    cols = np.asarray(cols)
     rows = np.concatenate([mesh.edge_K, mesh.edge_L] * len(cols)) + row0
-    return (rows, np.concatenate([cols, cols], axis=1).ravel(),
-            np.concatenate([vals, -vals], axis=1).ravel())
+    return rows, np.concatenate([cols, cols], axis=1).ravel()
+
+
+def edge_pair_values(vals):
+    """Values of :func:`edge_pair_index`: +vals[j] in row K, -vals[j] in row L."""
+    vals = np.asarray(vals)
+    return np.concatenate([vals, -vals], axis=1).ravel()
+
+
+def edge_pairs(mesh, cols, vals, row0=0):
+    """COO triplets (rows, cols, vals) of :func:`edge_pair_index` and
+    :func:`edge_pair_values`."""
+    return (*edge_pair_index(mesh, cols, row0), edge_pair_values(vals))
 
 
 def coo_sum(n, triplets):
-    """n-by-n COO matrix of the ``triplets`` (rows, cols, vals); duplicates add."""
+    """n-by-n COO matrix of the ``triplets`` (rows, cols, vals); duplicates
+    add.  For one-shot matrices; a system assembled every step goes through a
+    :class:`SparsePattern`."""
     rows, cols, vals = [np.concatenate(parts) for parts in zip(*triplets)]
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class SparsePattern:
+    """CSC structure of an n-by-n matrix whose triplet positions never change.
+
+    Built once from the (rows, cols) blocks of every triplet an assembly
+    writes, in the order it writes them; triplets in a negative row are
+    dropped.  Each :meth:`matrix` call then sums the matching value blocks
+    into their slots, so duplicates add as in :func:`coo_sum`, and every
+    matrix shares ``indices`` and ``indptr`` (sorted, read-only) but owns its
+    ``data``.
+    """
+
+    def __init__(self, n, blocks):
+        rows, cols = [np.concatenate(part) for part in zip(*blocks)]
+        keep = rows >= 0
+        keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+        self.n = n
+        self.nnz = keys.size
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        # dropped triplets go to a trailing bin that matrix() cuts off
+        self._slot = np.full(rows.size, self.nnz, dtype=np.int32)
+        self._slot[keep] = slot
+
+    def matrix(self, blocks):
+        """The CSC matrix whose entries are the slot sums of the value blocks."""
+        data = np.bincount(self._slot, np.concatenate(blocks), minlength=self.nnz + 1)
+        data = data[: self.nnz]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 # corner order: NE, NW, SW, SE.  For the sub-edge from the cell center to

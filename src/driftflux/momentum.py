@@ -3,20 +3,22 @@ dual mass fluxes, plus the first-step density prediction.
 
 Velocity dofs live on every face (2 components); boundary dofs carry
 Dirichlet rows (wall/inlet/outlet) or the slip constraints, so the system
-stays square over 2 * n_faces unknowns.
+stays square over 2 * n_faces unknowns.  The mesh fixes the sparsity: inertia,
+advection, viscosity and the constraint rows fill one
+:class:`driftflux.mesh.SparsePattern`, built on the first assembly, where the
+other entries of the constrained rows are dropped once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .boundary import mirror_partners
 from .errors import InvariantViolation
 from .fields import face_density_all
 from .linalg import solve
-from .mesh import (SLIP, coo_sum, dual_corner_fluxes, edge_pairs, inlet_split, upwind,
-                   upwind_fluxes, volume_fluxes, _CORNER_IN, _CORNER_OUT)
+from .mesh import (SLIP, SparsePattern, coo_sum, dual_corner_fluxes, edge_pairs, inlet_split,
+                   upwind, upwind_fluxes, volume_fluxes, _CORNER_IN, _CORNER_OUT)
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -113,7 +115,6 @@ class DualFluxes:
 def assemble_dual_mass_fluxes(mesh, geom, primal_fluxes):
     """Dual fluxes from the direction-split Rannacher-Turek reconstruction."""
     f = np.asarray(primal_fluxes, dtype=float)
-    n = mesh.n_internal
     if not np.all(np.isfinite(f)):
         raise InvariantViolation("dual fluxes: non-finite primal fluxes")
     corner = dual_corner_fluxes(mesh, geom, f)
@@ -136,7 +137,11 @@ def viscous_form(u, w, mesh, mu_cells, constant_model):
 
 
 class MomentumAssembler:
-    """Precomputes dof/index structure for repeated prediction solves."""
+    """Constrained dofs of a mesh and the prediction-step assembly.
+
+    The matrix fills the mesh's fixed ``momentum`` :class:`SparsePattern`,
+    built on the first :meth:`assemble`; only its values change per step.
+    """
 
     def __init__(self, mesh, geom, viscosity):
         self.mesh = mesh
@@ -144,124 +149,83 @@ class MomentumAssembler:
         self.viscosity = viscosity
         self.ndof = 2 * mesh.n_faces
         self._element = viscous_element_matrix(mesh.dx, mesh.dy, viscosity.constant_form)
-        gd = np.empty((mesh.n_cells, 8), dtype=np.int64)
-        gd[:, 0::2] = 2 * mesh.cell_faces
-        gd[:, 1::2] = 2 * mesh.cell_faces + 1
-        self._gdofs = gd
-        self._visc_rows = np.repeat(gd, 8, axis=1).ravel()
-        self._visc_cols = np.tile(gd, (1, 8)).ravel()
 
         # constrained dofs
         bidx = np.arange(mesh.n_boundary)
         tags = mesh.boundary_tags
         gface = mesh.n_internal + bidx
         axis = mesh.face_axis[gface]
-        dirichlet = []
-        for i in (0, 1):
-            full = tags != SLIP
-            dirichlet.append(2 * gface[full] + i)
+        full = 2 * gface[tags != SLIP]
         slip = np.where(tags == SLIP)[0]
         slip_face = gface[slip]
-        self._slip_normal_dof = 2 * slip_face + axis[slip]
+        slip_normal_dof = 2 * slip_face + axis[slip]
         partners = mirror_partners(mesh)[slip]
         tang = 1 - axis[slip]
-        has_partner = partners >= 0
-        self._slip_tan_dof = 2 * slip_face + tang
-        self._slip_tan_partner = np.where(has_partner, 2 * partners + tang, -1)
+        tied = partners >= 0
+        slip_tan_dof = 2 * slip_face + tang
         self._dirichlet_dofs = np.concatenate(
-            dirichlet + [self._slip_normal_dof, self._slip_tan_dof[~has_partner]]
-        )
-        constrained = np.zeros(self.ndof, dtype=bool)
-        constrained[self._dirichlet_dofs] = True
-        constrained[self._slip_tan_dof] = True
-        self._constrained = constrained
+            [full, full + 1, slip_normal_dof, slip_tan_dof[~tied]])
+        # tangential slip dofs tied to their mirror partner: u_d - u_partner = 0
+        self._tie_dofs = slip_tan_dof[tied]
+        self._tie_partners = 2 * partners[tied] + tang[tied]
 
-    def dirichlet_values(self, bc, t):
-        """Values for the Dirichlet dofs (slip handled by constraint rows)."""
-        vals = np.zeros(self.ndof)
-        bvals = bc.face_velocity(self.mesh, t)
-        for i in (0, 1):
-            vals[2 * (self.mesh.n_internal + np.arange(self.mesh.n_boundary)) + i] = bvals[:, i]
-        vals[self._slip_normal_dof] = 0.0
-        return vals
+    def _pattern(self, mesh):
+        """Triplet positions in :meth:`assemble`'s value order: inertia,
+        advection, viscosity (constrained rows dropped), then the identity
+        rows of the Dirichlet dofs and the slip ties."""
+        ndof = self.ndof
+        dof = np.arange(ndof).reshape(-1, 2)
+        fo = dof[mesh.cell_faces[:, _CORNER_OUT].ravel()]  # (4M, 2)
+        fi = dof[mesh.cell_faces[:, _CORNER_IN].ravel()]
+        gd = dof[mesh.cell_faces].reshape(-1, 8)           # local dof 2*face + comp
+        rows = np.concatenate([dof.ravel(), fo.ravel(), fo.ravel(), fi.ravel(), fi.ravel(),
+                               np.repeat(gd, 8, axis=1).ravel()])
+        cols = np.concatenate([dof.ravel(), fo.ravel(), fi.ravel(), fi.ravel(), fo.ravel(),
+                               np.tile(gd, (1, 8)).ravel()])
+        constrained = np.zeros(ndof, dtype=bool)
+        constrained[self._dirichlet_dofs] = True
+        constrained[self._tie_dofs] = True
+        rows[constrained[rows]] = -1
+        dd, td = self._dirichlet_dofs, self._tie_dofs
+        return SparsePattern(ndof, [(rows, cols), (dd, dd), (td, td), (td, self._tie_partners)])
 
     def assemble(self, rho_face_n, rho_face_nm1, u_n, dual, p_n, dt, mu_cells,
                  body_accel=None, source=None, t=None, bc=None):
-        """Matrix and rhs of the prediction step (Dirichlet rows included)."""
+        """Matrix and rhs of the prediction step (Dirichlet rows included).
+
+        ``dual`` holds the mesh's sub-edge fluxes in the corner order of
+        :func:`assemble_dual_mass_fluxes`.
+        """
         m = self.mesh
-        g = self.geom
-        rows, cols, vals = [], [], []
+        dia = self.geom.face_lump
+        # centered advection on diamond sub-edges: +half in the out-diamond's
+        # rows, -half in the in-diamond's
+        half = 0.5 * dual.corner_flux.ravel()
+        n_tie = self._tie_dofs.size
+        A = m.pattern("momentum", self._pattern).matrix([
+            np.repeat(dia * rho_face_n / dt, 2),                     # lumped inertia
+            np.repeat(np.concatenate([half, half, -half, -half]), 2),
+            (np.asarray(mu_cells)[:, None, None] * self._element).ravel(),
+            np.ones(self._dirichlet_dofs.size + n_tie), -np.ones(n_tie)])
 
-        # lumped inertia
-        dia = g.face_lump
-        for i in (0, 1):
-            d = 2 * np.arange(m.n_faces) + i
-            rows.append(d)
-            cols.append(d)
-            vals.append(dia * rho_face_n / dt)
-
-        # centered advection on diamond sub-edges
-        fo = 2 * dual.out_face
-        fi = 2 * dual.in_face
-        half = 0.5 * dual.corner_flux
-        for i in (0, 1):
-            for r, c in ((fo + i, fo + i), (fo + i, fi + i)):
-                rows.append(r.ravel())
-                cols.append(c.ravel())
-                vals.append(half.ravel())
-            for r, c in ((fi + i, fi + i), (fi + i, fo + i)):
-                rows.append(r.ravel())
-                cols.append(c.ravel())
-                vals.append(-half.ravel())
-
-        # viscosity
-        ev = (np.asarray(mu_cells)[:, None, None] * self._element).ravel()
-        rows.append(self._visc_rows)
-        cols.append(self._visc_cols)
-        vals.append(ev)
-
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-
-        rhs = np.zeros(self.ndof)
-        for i in (0, 1):
-            d = 2 * np.arange(m.n_faces) + i
-            rhs[d] += dia * rho_face_nm1 * np.asarray(u_n)[:, i] / dt
-        # pressure force on internal faces: + |sigma| (p_K - p_L) n_i
-        nint = m.n_internal
+        rhs = (dia * rho_face_nm1)[:, None] * np.asarray(u_n) / dt
+        # pressure force on internal faces: + |sigma| (p_K - p_L) n
         dp = np.asarray(p_n)[m.edge_K] - np.asarray(p_n)[m.edge_L]
-        for i in (0, 1):
-            rhs[2 * np.arange(nint) + i] += m.edge_measure * dp * m.edge_normal[:, i]
+        rhs[: m.n_internal] += (m.edge_measure * dp)[:, None] * m.edge_normal
         # body force, mass-lumped with the inertia weights (for piecewise
         # constant density this equals the exact finite element integral)
         if body_accel is not None:
-            for i in (0, 1):
-                rhs[2 * np.arange(m.n_faces) + i] += dia * rho_face_n * body_accel[i]
+            rhs += (dia * rho_face_n)[:, None] * np.asarray(body_accel, dtype=float)
         if source is not None:
-            sv = source(m.face_midpoint, t)
-            for i in (0, 1):
-                rhs[2 * np.arange(m.n_faces) + i] += dia * sv[:, i]
-
-        # replace constrained rows
-        keep = ~self._constrained[rows]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        dir_dofs = self._dirichlet_dofs
-        rows = np.concatenate([rows, dir_dofs])
-        cols = np.concatenate([cols, dir_dofs])
-        vals = np.concatenate([vals, np.ones(dir_dofs.size)])
-        tied = self._slip_tan_partner >= 0
-        td = self._slip_tan_dof[tied]
-        tp = self._slip_tan_partner[tied]
-        rows = np.concatenate([rows, td, td])
-        cols = np.concatenate([cols, td, tp])
-        vals = np.concatenate([vals, np.ones(td.size), -np.ones(td.size)])
-
-        dir_vals = self.dirichlet_values(bc, t) if bc is not None else np.zeros(self.ndof)
-        rhs[self._dirichlet_dofs] = dir_vals[self._dirichlet_dofs]
-        rhs[td] = 0.0
-
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(self.ndof, self.ndof)).tocsc()
+            rhs += dia[:, None] * source(m.face_midpoint, t)
+        rhs = rhs.ravel()
+        # constrained rows: prescribed boundary velocity (0 on walls and slip
+        # faces), 0 for the ties
+        u_bnd = np.zeros((m.n_faces, 2))
+        if bc is not None:
+            u_bnd[m.n_internal:] = bc.face_velocity(m, t)
+        rhs[self._dirichlet_dofs] = u_bnd.ravel()[self._dirichlet_dofs]
+        rhs[self._tie_dofs] = 0.0
         return A, rhs
 
 
@@ -297,7 +261,7 @@ def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt,
     v = v_all[:nint]
     up, _ = upwind(mesh, v)
     split = vb_out, vb_in = inlet_split(mesh, v_all[nint:])
-    rho_in, z_in, _, _ = bc.inflow_state(mesh, t0, np.asarray(p_init), np.asarray(z_init), eos)
+    rho_in, z_in, _, _ = bc.inflow(mesh, t0, eos)(np.asarray(p_init))
 
     # boundary faces: the outflow weight joins the diagonal, the inflow the rhs
     bnd = mesh.incidence @ np.concatenate([

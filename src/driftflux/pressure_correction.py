@@ -3,8 +3,11 @@
 The velocity update is eliminated algebraically into the mass balance,
 leaving a 2M nonlinear system in (p, z) per upwind pattern.  The mass and
 gas-mass balances share the mesh's implicit upwind transport operator (the
-face incidence ``Mesh2D.incidence`` on the residual side,
-:func:`driftflux.mesh.edge_pairs` on the Jacobian side).  The pattern is
+face incidence ``Mesh2D.incidence`` on the residual side, edge-pair blocks on
+the Jacobian side).  The Jacobian fills one fixed
+:class:`driftflux.mesh.SparsePattern` per mesh: every edge stores both of
+its z-columns, so a change of upwind pattern changes only values.  The
+prescribed inflow state is evaluated once per step.  The upwind pattern is
 frozen from the latest velocity iterate, the system is solved by the damped
 Newton of :mod:`driftflux.linalg` with the analytic Jacobian of the state
 law, the velocity is updated, and the loop repeats until the pattern is
@@ -20,7 +23,8 @@ from . import eos as _eos
 from .errors import InvariantViolation, OuterLoopError
 from .fields import admissibility_violation, face_density
 from .linalg import NewtonConfig, newton_solve, solve
-from .mesh import coo_sum, edge_pairs, inlet_split, upwind, upwind_fluxes, volume_fluxes
+from .mesh import (SparsePattern, coo_sum, edge_pair_index, edge_pair_values, edge_pairs,
+                   inlet_split, upwind, upwind_fluxes, volume_fluxes)
 
 
 @dataclass
@@ -61,6 +65,22 @@ def renormalize_pressure(mesh, geom, p_n, rho_face_n, rho_face_nm1):
     return sol[:M]
 
 
+def _jacobian_pattern(m):
+    """Triplet positions of the (p, z) Jacobian, in the value order of
+    :meth:`PressureCorrector.step`.  Every edge holds both its z-columns
+    (the downwind one stores 0), so the pattern does not depend on the
+    upwind choice."""
+    M = m.n_cells
+    K, L = m.edge_K, m.edge_L
+    bK = m.face_K[m.n_internal:]
+    idx = np.arange(M)
+    cols = [K, L, M + K, M + L]
+    return SparsePattern(2 * M, [
+        edge_pair_index(m, cols), edge_pair_index(m, cols, M),
+        (idx, idx), (idx, M + idx), (M + idx, M + idx),
+        (bK, bK), (bK, M + bK), (M + bK, M + bK), (bK, bK), (M + bK, bK)])
+
+
 class PressureCorrector:
     def __init__(self, mesh, geom, eos, bc, max_outer=20):
         self.mesh = mesh
@@ -94,6 +114,7 @@ class PressureCorrector:
         v_all = volume_fluxes(m, u_tilde)
         v_tilde = v_all[:nint]
         split = vb_out, vb_in = inlet_split(m, v_all[nint:])
+        inflow = self.bc.inflow(m, t_next, eos)
 
         r_scale = max(1.0, float(vol_dt * np.max(rho_n)))
         ncfg = NewtonConfig(abs_tol=cfg.abs_tol * r_scale, rel_tol=cfg.rel_tol,
@@ -106,11 +127,17 @@ class PressureCorrector:
             return v_tilde + c_edge * ((p[K] - p_old[K]) - (p[L] - p_old[L]))
 
         def make_residual(up):
+            up_is_K = up == K
+
+            def at_up(w):
+                """(column K, column L) parts of a value in column ``up``."""
+                return np.where(up_is_K, w, 0.0), np.where(up_is_K, 0.0, w)
+
             def residual(x):
                 p, z = x[:M], x[M:]
                 rho_c = _eos.rho_from_pz(p, z, eos)
                 v = edge_volume_flux(p)
-                rho_in, z_in, _, _ = self.bc.inflow_state(m, t_next, p, z, eos)
+                rho_in, z_in, _, _ = inflow(p)
                 r1 = vol_dt * (rho_c - rho_n) + m.incidence @ upwind_fluxes(
                     m, v, up, split, rho_c, rho_in)
                 r2 = vol_dt * (z - rhoy_n) + m.incidence @ upwind_fluxes(
@@ -125,21 +152,21 @@ class PressureCorrector:
                 v = edge_volume_flux(p)
                 c_rho = c_edge * rho_c[up]
                 c_z = c_edge * z[up]
-                idx = np.arange(M)
-                _, _, drin_dp, dzin_dp = self.bc.inflow_state(m, t_next, p, z, eos)
-                return coo_sum(2 * M, [
+                _, _, drin_dp, dzin_dp = inflow(p)
+                # the upwind derivatives sit in column K or L of their edge
+                wp_K, wp_L = at_up(v * drdp[up])
+                wz_K, wz_L = at_up(v * drdz[up])
+                v_K, v_L = at_up(v)
+                pattern = m.pattern("pressure_jacobian", _jacobian_pattern)
+                return pattern.matrix([
                     # mass balance: d/dp through v and rho_up, d/dz through rho_up
-                    edge_pairs(m, [K, L, up, M + up],
-                               [c_rho, -c_rho, v * drdp[up], v * drdz[up]]),
+                    edge_pair_values([c_rho + wp_K, wp_L - c_rho, wz_K, wz_L]),
                     # gas-mass balance: d/dp through v, d/dz through z_up
-                    edge_pairs(m, [K, L, M + up], [c_z, -c_z, v], M),
-                    (idx, idx, vol_dt * drdp), (idx, M + idx, vol_dt * drdz),
-                    (M + idx, M + idx, np.full(M, vol_dt)),
+                    edge_pair_values([c_z, -c_z, v_K, v_L]),
+                    vol_dt * drdp, vol_dt * drdz, np.full(M, vol_dt),
                     # boundary fluxes
-                    (bK, bK, vb_out * drdp[bK]), (bK, M + bK, vb_out * drdz[bK]),
-                    (M + bK, M + bK, vb_out), (bK, bK, -vb_in * drin_dp),
-                    (M + bK, bK, -vb_in * dzin_dp),
-                ]).tocsc()
+                    vb_out * drdp[bK], vb_out * drdz[bK], vb_out,
+                    -vb_in * drin_dp, -vb_in * dzin_dp])
 
             return residual, jacobian
 
@@ -185,7 +212,7 @@ class PressureCorrector:
         if why:
             raise InvariantViolation(f"pressure correction: {why}")
 
-        rho_in, _, _, _ = self.bc.inflow_state(m, t_next, p, z, eos)
+        rho_in, _, _, _ = inflow(p)
         fluxes = upwind_fluxes(m, edge_volume_flux(p), up, split, rho, rho_in)
         res_final = np.linalg.norm(make_residual(up)[0](x), np.inf)
         return CorrectionResult(u=u_cur, p=p, z=z, rho=rho, fluxes=fluxes,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from driftflux import eos as E
-from driftflux.cases import (ManufacturedSolution, SloshingCase, build_case,
-                             sloshing_interface)
+from driftflux.cases import (GRAVITY, ManufacturedSolution, SloshingCase,
+                             _hydrostatic_pressure, build_case, sloshing_interface)
 from driftflux.config import make_config
 from driftflux.errors import ConfigurationError
 
@@ -341,6 +341,40 @@ def test_build_sloshing_initial_state():
     # discrete balance carries half the physical water-column weight
     approx = 0.5 * 1000.0 * 9.81 * 1.0
     assert drop == pytest.approx(approx, rel=0.15)
+
+
+def _hydrostatic_by_columns(mesh, eos, y_cells, g, p_top, discrete):
+    """Oracle: the column-by-column, cell-by-cell scalar integration."""
+    nx, ny = mesh.nx, mesh.ny
+    p = np.empty(mesh.n_cells)
+    factor = 0.5 if discrete else 1.0
+    for i in range(nx):
+        cells = i + nx * np.arange(ny)
+        p_above = p_top
+        rho_above = E.rho_from_py(p_top, y_cells[cells[-1]], eos)
+        p[cells[-1]] = p_top
+        for j in range(ny - 2, -1, -1):
+            k = cells[j]
+            pk = p_above
+            for _ in range(3):
+                rho_k = E.rho_from_py(pk, y_cells[k], eos)
+                pk = p_above + factor * g * mesh.dy * 0.5 * (rho_k + rho_above)
+            p[k] = pk
+            p_above = pk
+            rho_above = E.rho_from_py(pk, y_cells[k], eos)
+    return p
+
+
+@pytest.mark.parametrize("discrete", [True, False])
+@pytest.mark.parametrize("case, nx, ny", [("sloshing", 70, 90), ("bubble_column", 19, 75)])
+def test_hydrostatic_pressure_matches_column_oracle(case, nx, ny, discrete):
+    problem = build_case(make_config(case, nx=nx, ny=ny))
+    if case == "sloshing":
+        g, p_top = problem.exact.g, 1e5
+    else:
+        g, p_top = GRAVITY, problem.exact.p_ambient
+    args = (problem.mesh, problem.eos, problem.y_init, g, p_top, discrete)
+    assert np.array_equal(_hydrostatic_pressure(*args), _hydrostatic_by_columns(*args))
 
 
 def test_build_bubble_column_tags():

@@ -1,0 +1,339 @@
+"""The per-step systems fill fixed sparse patterns.
+
+Each pattern-filled matrix is compared with a COO matrix of the same
+triplets, written out here as the assembly wrote them before the patterns;
+a short run checks that every pattern is built once and that successive
+matrices share its structure but not their values.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import driftflux.driver as driver
+import driftflux.gas_fraction as gf
+import driftflux.mesh as mesh_mod
+import driftflux.momentum as momentum
+import driftflux.pressure_correction as pc
+from driftflux import eos as E
+from driftflux.boundary import BoundaryConditions, mirror_partners
+from driftflux.config import make_config
+from driftflux.eos import EosParams
+from driftflux.fields import State, face_density
+from driftflux.gas_fraction import FLUX_FUNCTIONS
+from driftflux.mesh import (build_diamond_geometry, build_uniform_mesh, inlet_split, upwind,
+                            volume_fluxes)
+from driftflux.momentum import (MomentumAssembler, ViscosityModel, assemble_dual_mass_fluxes,
+                                viscous_element_matrix)
+from driftflux.pressure_correction import PressureCorrector
+
+E51 = EosParams(5.0, 1.0)
+INLET_OUTLET = {"left": "inlet", "right": "outlet", "bottom": "slip", "top": "wall"}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _assert_same_matrix(A, oracle):
+    assert A.format == "csc" and A.shape == oracle.shape
+    scale = np.max(np.abs(oracle.toarray()))
+    assert np.max(np.abs((A - oracle).toarray())) <= 1e-14 * scale
+
+
+def _coo(n, triplets):
+    rows, cols, vals = [np.concatenate(part) for part in zip(*triplets)]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+
+
+def _pairs(mesh, col, val, row0=0):
+    """+val in row K, -val in row L of every internal edge, in column ``col``."""
+    return (np.concatenate([mesh.edge_K, mesh.edge_L]) + row0,
+            np.concatenate([col, col]), np.concatenate([val, -val]))
+
+
+# --- momentum ---------------------------------------------------------------
+
+def _constraints(mesh):
+    """Dirichlet dofs and (dof, partner) slip ties from the boundary tags."""
+    dirichlet, ties = [], []
+    partners = mirror_partners(mesh)
+    for b, tag in enumerate(mesh.boundary_tags):
+        f = mesh.n_internal + b
+        if tag != "slip":
+            dirichlet += [2 * f, 2 * f + 1]
+            continue
+        axis = int(mesh.face_axis[f])
+        dirichlet.append(2 * f + axis)
+        if partners[b] >= 0:
+            ties.append((2 * f + 1 - axis, 2 * partners[b] + 1 - axis))
+        else:
+            dirichlet.append(2 * f + 1 - axis)
+    return np.array(dirichlet), np.array(ties, dtype=int).reshape(-1, 2)
+
+
+def _momentum_oracle(mesh, geom, constant, rho_n, rho_nm1, u_n, dual, p, dt, mu,
+                     body, source, t, bc):
+    F, M = mesh.n_faces, mesh.n_cells
+    lump = geom.face_lump
+    trip = []
+    h = 0.5 * dual.corner_flux.ravel()
+    for i in (0, 1):
+        d = 2 * np.arange(F) + i
+        trip.append((d, d, lump * rho_n / dt))
+        fo = 2 * dual.out_face.ravel() + i
+        fi = 2 * dual.in_face.ravel() + i
+        trip += [(fo, fo, h), (fo, fi, h), (fi, fi, -h), (fi, fo, -h)]
+    gd = np.empty((M, 8), dtype=int)
+    gd[:, 0::2] = 2 * mesh.cell_faces
+    gd[:, 1::2] = 2 * mesh.cell_faces + 1
+    element = viscous_element_matrix(mesh.dx, mesh.dy, constant)
+    trip.append((np.repeat(gd, 8, axis=1).ravel(), np.tile(gd, (1, 8)).ravel(),
+                 (mu[:, None, None] * element).ravel()))
+    dirichlet, ties = _constraints(mesh)
+    constrained = np.zeros(2 * F, dtype=bool)
+    constrained[dirichlet] = True
+    constrained[ties[:, 0]] = True
+    trip = [(r[~constrained[r]], c[~constrained[r]], v[~constrained[r]]) for r, c, v in trip]
+    trip += [(dirichlet, dirichlet, np.ones(dirichlet.size)),
+             (ties[:, 0], ties[:, 0], np.ones(len(ties))),
+             (ties[:, 0], ties[:, 1], -np.ones(len(ties)))]
+
+    rhs = np.zeros(2 * F)
+    dp = p[mesh.edge_K] - p[mesh.edge_L]
+    sv = source(mesh.face_midpoint, t)
+    u_bnd = np.zeros((F, 2))
+    u_bnd[mesh.n_internal:] = bc.face_velocity(mesh, t)
+    for i in (0, 1):
+        d = 2 * np.arange(F) + i
+        rhs[d] += lump * rho_nm1 * u_n[:, i] / dt
+        rhs[2 * np.arange(mesh.n_internal) + i] += mesh.edge_measure * dp * mesh.edge_normal[:, i]
+        rhs[d] += lump * rho_n * body[i]
+        rhs[d] += lump * sv[:, i]
+    rhs[dirichlet] = u_bnd.ravel()[dirichlet]
+    rhs[ties[:, 0]] = 0.0
+    return _coo(2 * F, trip), rhs
+
+
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("tags", ["slip", "inlet_outlet"])
+def test_momentum_matrix_matches_coo_oracle(tags, constant):
+    rng = np.random.default_rng(7)
+    tag_map = ({s: "slip" for s in ("left", "right", "bottom", "top")}
+               if tags == "slip" else INLET_OUTLET)
+    mesh = build_uniform_mesh(5, 4, 1.0, 0.8, tags=tag_map)
+    geom = build_diamond_geometry(mesh)
+    F, M = mesh.n_faces, mesh.n_cells
+    visc = (ViscosityModel("constant", mu=0.3) if constant
+            else ViscosityModel("density_scaled", c=2.0))
+    rho_n, rho_nm1 = rng.uniform(0.5, 2.0, (2, F))
+    u_n = rng.normal(size=(F, 2))
+    p = rng.uniform(0.5, 2.0, M)
+    mu = visc.cell_viscosity(rng.uniform(0.5, 2.0, M))
+    dual = assemble_dual_mass_fluxes(mesh, geom, rng.normal(size=F))
+    assert np.all(dual.corner_flux != 0.0)
+    bc = BoundaryConditions(velocity=lambda x, t: np.column_stack([1.0 + x[:, 1], -x[:, 0] * t]))
+    body = (0.3, -9.81)
+
+    def source(x, t):
+        return np.column_stack([np.sin(x[:, 0]) * t, np.cos(x[:, 1])])
+
+    args = (rho_n, rho_nm1, u_n, dual, p, 0.05, mu)
+    kw = dict(body_accel=body, source=source, t=0.1, bc=bc)
+    oracle, rhs_oracle = _momentum_oracle(mesh, geom, constant, *args, body, source, 0.1, bc)
+    asm = MomentumAssembler(mesh, geom, visc)
+    A, rhs = asm.assemble(*args, **kw)
+    _assert_same_matrix(A, oracle)
+    assert A.nnz == oracle.nnz
+    assert np.max(np.abs(rhs - rhs_oracle)) <= 1e-14 * np.max(np.abs(rhs_oracle))
+    # a second fill of the same pattern with other values
+    A2, _ = asm.assemble(*args[:-1], 2.0 * mu, **kw)
+    oracle2, _ = _momentum_oracle(mesh, geom, constant, *args[:-1], 2.0 * mu, body, source,
+                                  0.1, bc)
+    _assert_same_matrix(A2, oracle2)
+
+
+# --- pressure Jacobian ------------------------------------------------------
+
+def _capture_newton(monkeypatch, module, run):
+    """(residual, jacobian, x0) of the first Newton solve ``run`` starts."""
+    captured = {}
+
+    def spy(residual, jacobian, x0, cfg=None, admissible=None):
+        captured.update(residual=residual, jacobian=jacobian, x0=np.array(x0))
+        raise _Captured
+
+    monkeypatch.setattr(module, "newton_solve", spy)
+    with pytest.raises(_Captured):
+        run()
+    return captured["jacobian"], captured["x0"]
+
+
+def _pressure_oracle(mesh, geom, state, u_tilde, dt, bc, eos, x):
+    M, nint = mesh.n_cells, mesh.n_internal
+    K, L = mesh.edge_K, mesh.edge_L
+    bK = mesh.face_K[nint:]
+    p_old = state.p
+    vol_dt = mesh.cell_measure / dt
+    c_edge = dt * mesh.edge_measure**2 / (geom.diamond * face_density(state.rho, geom))
+    v_all = volume_fluxes(mesh, u_tilde)
+    vb_out, vb_in = inlet_split(mesh, v_all[nint:])
+    up = upwind(mesh, v_all[:nint])[0]  # frozen at the first iterate, p = p_old
+
+    p, z = x[:M], x[M:]
+    rho_c = E.rho_from_pz(p, z, eos)
+    drdp, drdz = E.drho_dp_pz(p, z, eos), E.drho_dz_pz(p, z, eos)
+    v = v_all[:nint] + c_edge * ((p[K] - p_old[K]) - (p[L] - p_old[L]))
+    c_rho, c_z = c_edge * rho_c[up], c_edge * z[up]
+    inlet = mesh.boundary_tags == "inlet"
+    y_in = bc.inlet_mass_fraction
+    drin_dp = np.where(inlet, E.drho_dp_py(p[bK], y_in, eos), 0.0)
+    idx = np.arange(M)
+    return _coo(2 * M, [
+        _pairs(mesh, K, c_rho), _pairs(mesh, L, -c_rho), _pairs(mesh, up, v * drdp[up]),
+        _pairs(mesh, M + up, v * drdz[up]),
+        _pairs(mesh, K, c_z, M), _pairs(mesh, L, -c_z, M), _pairs(mesh, M + up, v, M),
+        (idx, idx, vol_dt * drdp), (idx, M + idx, vol_dt * drdz),
+        (M + idx, M + idx, np.full(M, vol_dt)),
+        (bK, bK, vb_out * drdp[bK]), (bK, M + bK, vb_out * drdz[bK]), (M + bK, M + bK, vb_out),
+        (bK, bK, -vb_in * drin_dp), (M + bK, bK, -vb_in * drin_dp * y_in),
+    ])
+
+
+def test_pressure_jacobian_matches_coo_oracle(monkeypatch):
+    rng = np.random.default_rng(11)
+    mesh = build_uniform_mesh(6, 5, 1.2, 1.0, tags=INLET_OUTLET)
+    geom = build_diamond_geometry(mesh)
+    M, nint = mesh.n_cells, mesh.n_internal
+    p = rng.uniform(0.5, 2.0, M)
+    y = rng.uniform(0.2, 0.6, M)
+    rho = E.rho_from_py(p, y, E51)
+    state = State(t=0.0, u=np.zeros((mesh.n_faces, 2)), p=p, rho=rho, z=rho * y, y=y,
+                  rho_prev=rho.copy(), fluxes=np.zeros(mesh.n_faces))
+    u_tilde = rng.normal(size=(mesh.n_faces, 2))
+    u_tilde[rng.permutation(nint)[: int(0.3 * nint)]] = 0.0
+    bc = BoundaryConditions(inlet_mass_fraction=0.3)
+    dt = 0.05
+    corr = PressureCorrector(mesh, geom, E51, bc)
+    jacobian, x0 = _capture_newton(
+        monkeypatch, pc, lambda: corr.step(state, u_tilde, dt, dt))
+    assert np.array_equal(x0[:M], p)
+
+    v = volume_fluxes(mesh, u_tilde)
+    assert np.mean(v[:nint] == 0.0) >= 0.25
+    assert np.any(v[:nint] > 0) and np.any(v[:nint] < 0)
+    vb_in = inlet_split(mesh, v[nint:])[1]
+    assert np.any(vb_in > 0)  # inflow through inlet faces
+
+    x1 = x0 * rng.uniform(0.95, 1.05, x0.size)
+    for x in (x0, x1):
+        _assert_same_matrix(jacobian(x), _pressure_oracle(mesh, geom, state, u_tilde, dt,
+                                                          bc, E51, x))
+
+
+# --- y-correction Jacobian --------------------------------------------------
+
+@pytest.mark.parametrize("flux", ["flux_splitting", "godunov"])
+def test_y_jacobian_matches_coo_oracle(monkeypatch, flux):
+    rng = np.random.default_rng(13)
+    mesh = build_uniform_mesh(6, 5, 1.2, 1.0)
+    M = mesh.n_cells
+    K, L = mesh.edge_K, mesh.edge_L
+    rho = rng.uniform(1.0, 4.0, M)
+    z = rho * rng.uniform(0.1, 0.9, M)
+    G = rng.normal(size=mesh.n_internal)
+    G[rng.permutation(G.size)[: G.size // 5]] = 0.0
+    diffusion, dt = 0.1, 0.05
+    flux_fn = FLUX_FUNCTIONS[flux]
+    jacobian, y0 = _capture_newton(monkeypatch, gf, lambda: gf.correct_mass_fraction(
+        mesh, E51, rho, z, G, flux_fn, diffusion, dt))
+
+    up, down = upwind(mesh, G)
+    dcoef = diffusion * mesh.edge_measure / mesh.d_sigma
+    idx = np.arange(M)
+    for y in (y0, rng.uniform(0.0, 1.0, M)):
+        d_up, d_down = flux_fn.partials(y[up], y[down])
+        oracle = _coo(M, [_pairs(mesh, up, G * d_up), _pairs(mesh, down, G * d_down),
+                          _pairs(mesh, K, dcoef), _pairs(mesh, L, -dcoef),
+                          (idx, idx, mesh.cell_measure / dt * rho)])
+        _assert_same_matrix(jacobian(y), oracle)
+
+
+# --- structure built once ---------------------------------------------------
+
+def test_patterns_built_once_and_matrices_do_not_alias(monkeypatch):
+    built = []
+    filled = {}
+    init, fill = mesh_mod.SparsePattern.__init__, mesh_mod.SparsePattern.matrix
+
+    def counting_init(self, n, blocks):
+        built.append(n)
+        init(self, n, blocks)
+
+    def recording_fill(self, blocks):
+        A = fill(self, blocks)
+        entry = (self, self.indices.copy(), self.indptr.copy(), [])
+        filled.setdefault(id(self), entry)[3].append(A)
+        return A
+
+    monkeypatch.setattr(mesh_mod.SparsePattern, "__init__", counting_init)
+    monkeypatch.setattr(mesh_mod.SparsePattern, "matrix", recording_fill)
+
+    coo_built = []
+
+    class CountingCoo(sp.coo_matrix):
+        def __init__(self, *args, **kwargs):
+            coo_built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "coo_matrix", CountingCoo)
+    for module in (momentum, pc, gf, mesh_mod):
+        if hasattr(module, "coo_matrix"):
+            monkeypatch.setattr(module, "coo_matrix", CountingCoo)
+    per_step = []
+    advance = driver.advance
+
+    def counting_advance(*args, **kwargs):
+        before = len(coo_built)
+        out = advance(*args, **kwargs)
+        per_step.append(len(coo_built) - before)
+        return out
+
+    monkeypatch.setattr(driver, "advance", counting_advance)
+
+    config = make_config("manufactured", nx=8, ny=8, dt=0.01, t_end=0.03)
+    result = driver.run_simulation(config)
+    mesh = result.problem.mesh
+
+    # momentum, pressure Jacobian and y Jacobian, each built once
+    assert sorted(built) == sorted([mesh.n_cells, 2 * mesh.n_cells, 2 * mesh.n_faces])
+    assert len(filled) == 3
+    for pattern, indices, indptr, matrices in filled.values():
+        assert len(matrices) >= 3
+        for A, B in zip(matrices, matrices[1:]):
+            assert np.shares_memory(A.indices, B.indices)
+            assert np.shares_memory(A.indptr, B.indptr)
+            assert not np.shares_memory(A.data, B.data)
+        assert np.array_equal(pattern.indices, indices)
+        assert np.array_equal(pattern.indptr, indptr)
+        assert np.array_equal(matrices[-1].indices, indices)
+    # the spy sees the one-shot density prediction, and no step after the first
+    # builds a COO matrix
+    assert len(coo_built) >= 1
+    assert len(per_step) == 3 and per_step[1:] == [0, 0]
+
+
+def test_inlet_state_evaluated_once_per_step():
+    problem = driver.build_case(make_config("manufactured", nx=6, ny=6))
+    inlet_state = problem.bc.inlet_state
+    times = []
+
+    def counted(x, t):
+        times.append(t)
+        return inlet_state(x, t)
+
+    problem.bc.inlet_state = counted
+    dt = 0.01
+    driver.simulate(problem, dt, 3 * dt)
+    # once in the density prediction, then once per pressure-correction step
+    assert times == pytest.approx([0.0, dt, 2 * dt, 3 * dt])
