@@ -174,10 +174,6 @@ class SloshingCase:
         return self.a0 / self.g * (x - self.L / 2 + np.sum(series, axis=0))
 
 
-def sloshing_interface(x, t, case):
-    return case.interface(np.atleast_1d(np.asarray(x, dtype=float)), t)
-
-
 @dataclass
 class BubbleColumnCase:
     L: float = 0.5

@@ -170,19 +170,6 @@ def manufactured_errors(result):
     return err_u, err_p, err_y
 
 
-def exact_injection_errors(n, t=0.5):
-    """Harness self-test: sample the analytic fields, expect zero errors."""
-    config = make_config("manufactured", nx=n, ny=n)
-    problem = build_case(config)
-    sol = problem.exact
-    mesh, geom = problem.mesh, problem.geom
-    rho, _, y, z, p = sol.eval(t, mesh.cell_centers)
-    state = State(t=t, u=sol.velocity(mesh.face_midpoint, t), p=p, rho=rho, z=z,
-                  y=y, rho_prev=rho, fluxes=np.zeros(mesh.n_faces))
-    fake = SimulationResult(problem=problem, state=state, reports=[])
-    return manufactured_errors(fake)
-
-
 def run_manufactured(n, dt, t_end=0.5, flux="flux_splitting"):
     config = make_config("manufactured", nx=n, ny=n, dt=dt, t_end=t_end, flux=flux)
     result = run_simulation(config)

@@ -3,10 +3,11 @@
 Drift and diffusion are discretized with a monotone two-point flux for
 phi(y) = max[y(1-y), 0], upwinded with respect to the drift mass flux, and
 balanced with the mesh's implicit upwind transport operator (the face
-incidence ``Mesh2D.incidence`` on the residual side, edge-pair blocks in a
-fixed :class:`driftflux.mesh.SparsePattern` on the Jacobian side), the same
-one the pressure correction uses.  The nonlinear cellwise system is solved
-by damped Newton with clamped one-sided derivatives at the flux kinks.
+incidence ``Mesh2D.incidence`` on the residual side, edge-pair blocks in the
+mesh's fixed :func:`driftflux.mesh.transport_pattern` on the Jacobian side),
+the same one the pressure correction uses.  The nonlinear cellwise system is
+solved by damped Newton with clamped one-sided derivatives at the flux kinks;
+its Jacobians share one held LU per call.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ import numpy as np
 from . import eos as _eos
 from .errors import InvariantViolation
 from .fields import admissibility_violation
-from .linalg import NewtonConfig, newton_solve
-from .mesh import SparsePattern, edge_pair_index, edge_pair_values, upwind
+from .linalg import HeldLU, NewtonConfig, newton_solve
+from .mesh import edge_pair_values, transport_pattern, upwind
 
 
 def _phi(s):
@@ -127,14 +128,6 @@ def drift_fluxes(mesh, eos, model, rho, p, z, v_mean):
     raise ValueError(f"unknown drift model {model.kind!r}")
 
 
-def _jacobian_pattern(mesh):
-    """Triplet positions of the y-correction Jacobian: the edge pairs of
-    columns K and L, then the diagonal."""
-    idx = np.arange(mesh.n_cells)
-    return SparsePattern(mesh.n_cells, [edge_pair_index(mesh, [mesh.edge_K, mesh.edge_L]),
-                                        (idx, idx)])
-
-
 def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None,
                           source=None, t=None, boundary_flux=None):
     """Solve the implicit y-correction; returns y in (0, 1].
@@ -183,7 +176,7 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
         # the upwind and downwind derivatives sit in columns K and L
         d_K = np.where(up_is_K, G * d_up, G * d_down)
         d_L = np.where(up_is_K, G * d_down, G * d_up)
-        pattern = mesh.pattern("y_jacobian", _jacobian_pattern)
+        pattern = mesh.pattern("transport", transport_pattern)
         return pattern.matrix([edge_pair_values([d_K + dcoef, d_L - dcoef]), vol_dt * rho])
 
     ncfg = cfg or NewtonConfig()
@@ -191,7 +184,7 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
     ncfg = NewtonConfig(abs_tol=ncfg.abs_tol * scale, rel_tol=ncfg.rel_tol,
                         max_iter=ncfg.max_iter, max_halvings=ncfg.max_halvings)
     cap = 1.0 if source is None else max(1.0, float(np.max(y0)))
-    res = newton_solve(residual, jacobian, np.clip(y0, 1e-300, cap), ncfg)
+    res = newton_solve(residual, jacobian, np.clip(y0, 1e-300, cap), ncfg, held=HeldLU())
     y = res.x
     why = admissibility_violation(rho, z, y=y, y_ceiling=y_ceiling)
     if why:

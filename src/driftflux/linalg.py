@@ -1,16 +1,22 @@
 """Sparse linear solves and the damped Newton driver.
 
-Direct factorization (scipy splu) is the workhorse at desk scale.  Every
-sparse system takes one policy: SuperLU with static diagonal pivots on the
-MMD(A^t + A) ordering, as in SuperLU_DIST (Li & Demmel, ACM TOMS 29, 2003),
-which keeps fill low on these diagonally weighted balances.  The result is
-checked a posteriori against the residual bound; when the factor breaks down
-or misses the bound, the system is refactorized with SuperLU's default
-threshold pivoting.  Newton globalization halves the step until the iterate is admissible and the
-residual norm does not grow, which is required because the state law is
-singular at p = 0.
+:func:`solve` takes the first path whose result passes one a-posteriori
+residual bound: (1) refinement x <- x + LU^-1 (b - A x) with the LU held from
+a nearby system (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989),
+so the Newton Jacobians of one pressure step or y-correction share one
+factorization (lagged Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004);
+(2) for a one-off system, Jacobi sweeps x <- x + D^-1 (b - A x), which the
+lumped inertia of the momentum matrix makes converge (Varga, *Matrix
+Iterative Analysis*, 1962); (3) SuperLU with static diagonal pivots on the
+MMD(A^t + A) ordering, as in SuperLU_DIST (Li & Demmel, ACM TOMS 29, 2003);
+(4) SuperLU's threshold pivoting.  Both iterations run until a sweep fails
+to halve the residual, so an accepted iterate is as accurate as a fresh
+factorization's.  Newton globalization halves the step until the iterate is
+admissible and the residual norm does not grow, which is required because
+the state law is singular at p = 0.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NewtonError, SolverError
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -54,9 +62,36 @@ def _residual_miss(A, x, rhs, norm_A):
     return float(np.ravel(res)[j]), float(np.ravel(bound)[j])
 
 
-def _static_pivot_solve(A, rhs):
-    """Solve with diagonal pivots on a symmetric fill-reducing ordering, or
-    None when the factorization breaks down.
+REFINE_CAP = 8
+JACOBI_CAP = 50
+
+
+def _jacobi_cap(n):
+    """Jacobi sweeps worth trying on n unknowns, or 0.  A factorization of
+    these 2D mesh systems costs O(n^1.5) against O(n) per sweep, measured at
+    sqrt(n) to 2 sqrt(n) sweeps from 80 to 25,520 unknowns; half of sqrt(n)
+    leaves room for the attempt's fixed costs."""
+    cap = min(JACOBI_CAP, int(np.sqrt(n) / 2))
+    return cap if cap >= REFINE_CAP else 0
+
+
+class HeldLU:
+    """The LU factor of a system, held by :func:`solve` (``held=``) to solve
+    the later, nearby systems of a sequence by refinement."""
+
+    def __init__(self):
+        self.lu = None
+
+    def hold(self, lu):
+        # a refinement sweep costs about as much as factorizing 3 fill entries
+        # per row (measured from 32 to 25,520 unknowns): hold a factor only
+        # when REFINE_CAP sweeps cost less than refactorizing
+        self.lu = lu if lu.nnz >= 3 * REFINE_CAP * lu.shape[0] else None
+
+
+def _static_pivot_lu(A):
+    """LU with diagonal pivots on a symmetric fill-reducing ordering, or None
+    when the factorization breaks down.
 
     The threshold is 0 because the pressure Jacobian's z-columns have
     |diagonal| / column max near 1e-3 (about the gas/liquid density ratio);
@@ -64,37 +99,97 @@ def _static_pivot_solve(A, rhs):
     fill and time several-fold.
     """
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-        x = lu.solve(rhs)
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
     except RuntimeError:
         return None
-    return x if np.all(np.isfinite(x)) else None
 
 
-def solve(matrix, rhs, check=True):
-    """Direct sparse (or dense) solve with an a-posteriori residual check.
+def _bound(norm_A, x, rhs):
+    """Scalar form of the bound of :func:`_residual_miss`."""
+    return 1e-12 * (norm_A * np.max(np.abs(x), initial=0.0) + np.max(np.abs(rhs), initial=0.0))
+
+
+def _sweep(A, rhs, x, correct, cap, norm_A):
+    """(x, sweeps) of x <- x + correct(rhs - A x), stopped at the first sweep
+    that fails to halve max|rhs - A x| (keeping the smaller residual), at
+    ``cap`` sweeps, or once the last contraction cannot reach the bound
+    within ``cap``."""
+    r = rhs - A @ x
+    norm = np.max(np.abs(r), initial=0.0)
+    target = _bound(norm_A, x, rhs)
+    sweeps = 0
+    while sweeps < cap and norm > 0.0:
+        x_new = x + correct(r)
+        r_new = rhs - A @ x_new
+        norm_new = np.max(np.abs(r_new))
+        sweeps += 1
+        if not norm_new <= 0.5 * norm:
+            return (x_new if norm_new < norm else x), sweeps
+        q = norm_new / norm
+        x, r, norm = x_new, r_new, norm_new
+        if norm > target and sweeps + np.log(target / norm) / np.log(q) > cap:
+            break
+    return x, sweeps
+
+
+def _accepted(A, x, rhs, norm_A):
+    return np.all(np.isfinite(x)) and _residual_miss(A, x, rhs, norm_A) is None
+
+
+def _sparse_solve(A, rhs, norm_A, held):
+    """(x, accepted, path) of the first path of the module's policy whose
+    result meets the bound, else of the fallback."""
+    iteration, after = None, ""
+    if held is not None and held.lu is not None:
+        iteration = "refined", held.lu.solve(rhs), held.lu.solve, REFINE_CAP
+    elif held is None and _jacobi_cap(A.shape[0]):
+        d = A.diagonal() if rhs.ndim == 1 else A.diagonal()[:, None]
+        if np.all(d != 0):
+            iteration = "Jacobi", rhs / d, lambda r: r / d, _jacobi_cap(A.shape[0])
+    if iteration:
+        name, x, correct, cap = iteration
+        x, sweeps = _sweep(A, rhs, x, correct, cap, norm_A)
+        if _accepted(A, x, rhs, norm_A):
+            return x, True, f"{name}, {sweeps} sweeps"
+        after = f" after {sweeps} {name} sweeps"
+    lu = _static_pivot_lu(A)
+    x = None if lu is None else lu.solve(rhs)
+    accepted = x is not None and _accepted(A, x, rhs, norm_A)
+    if not accepted:
+        try:
+            lu = spla.splu(A)
+        except RuntimeError as exc:  # singular factorization
+            raise SolverError(f"sparse factorization failed: {exc}") from exc
+        x = lu.solve(rhs)
+    if held is not None:
+        held.hold(lu)
+    return x, accepted, ("static LU" if accepted else "fallback") + after
+
+
+def solve(matrix, rhs, check=True, held=None):
+    """Sparse (or dense) solve with an a-posteriori residual check.
 
     ``rhs`` may be a vector or an (n, k) array of right-hand sides that share
-    one factorization.  A sparse matrix is first factorized with static
-    diagonal pivots (pivoting off the diagonal only at an exact zero); when
-    that factorization fails, yields a non-finite entry or misses the
-    residual bound, it is refactorized with SuperLU's default threshold
-    pivoting.  The fallback test runs even with ``check=False``; ``check``
-    only decides whether a miss of the final solution raises.
+    one factorization.  A sparse system takes the module's policy: refinement
+    with the LU of ``held`` (a :class:`HeldLU`, which keeps every new factor
+    worth holding), else Jacobi sweeps when there is no ``held`` and no zero
+    on the diagonal, then the two factorizations.  The bound picks the path
+    even with ``check=False``; ``check`` only decides whether a miss of the
+    fallback's solution raises.
     """
     rhs = np.asarray(rhs, dtype=float)
     if sp.issparse(matrix):
         A = matrix.tocsc()
         norm_A = float(np.max(np.bincount(A.indices, weights=np.abs(A.data),
                                           minlength=A.shape[0]), initial=0.0))
-        x = _static_pivot_solve(A, rhs)
-        if x is not None and _residual_miss(A, x, rhs, norm_A) is None:
+        x, accepted, path = _sparse_solve(A, rhs, norm_A, held)
+        if log.isEnabledFor(logging.DEBUG):
+            res = np.max(np.abs(A @ x - rhs), initial=0.0)
+            log.debug("solve n=%d: %s; residual/bound %.3g", A.shape[0], path,
+                      res / max(_bound(norm_A, x, rhs), 1e-300))
+        if accepted:
             return x
-        try:
-            x = spla.splu(A).solve(rhs)
-        except RuntimeError as exc:  # singular factorization
-            raise SolverError(f"sparse factorization failed: {exc}") from exc
     else:
         A = np.asarray(matrix, dtype=float)
         try:
@@ -147,13 +242,15 @@ def _levenberg_step(residual_fn, J, x, r, merit, admissible_fn, target):
     return None
 
 
-def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None):
+def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
+                 held=None):
     """Damped Newton iteration.
 
     Stops when ||r||_inf <= abs_tol + rel_tol * ||r(x0)||_inf.  Every accepted
     iterate satisfies ``admissible_fn``; the step is halved (up to
     ``max_halvings`` times) until it does and the residual norm has not
-    increased.
+    increased.  ``held`` (a :class:`HeldLU`) carries one LU across the
+    Jacobians of this and later Newton solves.
     """
     cfg = cfg or NewtonConfig()
     x = np.array(x0, dtype=float)
@@ -172,7 +269,7 @@ def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None):
         if norm <= target:
             return NewtonResult(x=x, iterations=it, residual_norm=norm)
         ref = max(history[-6:])
-        delta = solve(jacobian_fn(x), -r)
+        delta = solve(jacobian_fn(x), -r, held=held)
         alpha = 1.0
         accepted = False
         fallback = None

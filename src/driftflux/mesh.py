@@ -10,14 +10,17 @@ boundary face it is the outward normal of the single adjacent cell.
 Every finite-volume balance (mass, gas mass, the y-correction and the
 pressure-work check) goes through one operator: the face incidence turns face
 fluxes in the K orientation into the net outflow of each cell, and
-:func:`edge_pairs` builds the matching matrix entries.
+:func:`edge_pair_index` / :func:`edge_pair_values` give the matching matrix
+entries.
 
-The systems solved every step (the momentum matrix and both Newton
-Jacobians) keep a fixed sparsity on a mesh: each is a :class:`SparsePattern`,
-built on first use and cached by :meth:`Mesh2D.pattern`, whose CSC
-structure is filled in place with each call's values.
+Every sparse matrix the solver assembles (the momentum matrix, both Newton
+Jacobians, the renormalization system and the transport matrices) keeps a
+fixed sparsity on a mesh: each is a :class:`SparsePattern`, built on first
+use and cached by :meth:`Mesh2D.pattern`, whose CSC structure is filled with
+each call's values.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,18 +302,22 @@ def edge_pair_values(vals):
     return np.concatenate([vals, -vals], axis=1).ravel()
 
 
-def edge_pairs(mesh, cols, vals, row0=0):
-    """COO triplets (rows, cols, vals) of :func:`edge_pair_index` and
-    :func:`edge_pair_values`."""
-    return (*edge_pair_index(mesh, cols, row0), edge_pair_values(vals))
+def transport_pattern(mesh):
+    """Triplet positions of an implicit upwind transport matrix: the edge
+    pairs of columns K and L (values from :func:`edge_pair_values`), then the
+    diagonal."""
+    idx = np.arange(mesh.n_cells)
+    return SparsePattern(mesh.n_cells, [edge_pair_index(mesh, [mesh.edge_K, mesh.edge_L]),
+                                        (idx, idx)])
 
 
-def coo_sum(n, triplets):
-    """n-by-n COO matrix of the ``triplets`` (rows, cols, vals); duplicates
-    add.  For one-shot matrices; a system assembled every step goes through a
-    :class:`SparsePattern`."""
-    rows, cols, vals = [np.concatenate(parts) for parts in zip(*triplets)]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+def upwind_transport_matrix(mesh, up, v, diagonal):
+    """Matrix of x -> D (v x_up) + diagonal x on :func:`transport_pattern`:
+    the implicit upwind balance of the edge fluxes ``v`` with upstream cells
+    ``up``."""
+    up_is_K = up == mesh.edge_K
+    return mesh.pattern("transport", transport_pattern).matrix([
+        edge_pair_values([np.where(up_is_K, v, 0.0), np.where(up_is_K, 0.0, v)]), diagonal])
 
 
 class SparsePattern:
@@ -319,8 +326,8 @@ class SparsePattern:
     Built once from the (rows, cols) blocks of every triplet an assembly
     writes, in the order it writes them; triplets in a negative row are
     dropped.  Each :meth:`matrix` call then sums the matching value blocks
-    into their slots, so duplicates add as in :func:`coo_sum`, and every
-    matrix shares ``indices`` and ``indptr`` (sorted, read-only) but owns its
+    into their slots, so duplicates add as in a COO matrix, and every matrix
+    shares ``indices`` and ``indptr`` (sorted, read-only) but owns its
     ``data``.
     """
 
@@ -328,7 +335,6 @@ class SparsePattern:
         rows, cols = [np.concatenate(part) for part in zip(*blocks)]
         keep = rows >= 0
         keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-        self.n = n
         self.nnz = keys.size
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.concatenate(
@@ -337,12 +343,17 @@ class SparsePattern:
         # dropped triplets go to a trailing bin that matrix() cuts off
         self._slot = np.full(rows.size, self.nnz, dtype=np.int32)
         self._slot[keep] = slot
+        # validated once here; matrix() shallow-copies it, which skips scipy's
+        # per-construction index checks and keeps indices/indptr shared
+        self._template = sp.csc_matrix((np.zeros(self.nnz), self.indices, self.indptr),
+                                       shape=(n, n))
 
     def matrix(self, blocks):
         """The CSC matrix whose entries are the slot sums of the value blocks."""
-        data = np.bincount(self._slot, np.concatenate(blocks), minlength=self.nnz + 1)
-        data = data[: self.nnz]
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        A = copy.copy(self._template)
+        A.data = np.bincount(self._slot, np.concatenate(blocks),
+                             minlength=self.nnz + 1)[: self.nnz]
+        return A
 
 
 # corner order: NE, NW, SW, SE.  For the sub-edge from the cell center to

@@ -17,8 +17,8 @@ from .boundary import mirror_partners
 from .errors import InvariantViolation
 from .fields import face_density_all
 from .linalg import solve
-from .mesh import (SLIP, SparsePattern, coo_sum, dual_corner_fluxes, edge_pairs, inlet_split,
-                   upwind, upwind_fluxes, volume_fluxes, _CORNER_IN, _CORNER_OUT)
+from .mesh import (SLIP, SparsePattern, dual_corner_fluxes, inlet_split, upwind,
+                   upwind_fluxes, upwind_transport_matrix, volume_fluxes, _CORNER_IN, _CORNER_OUT)
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -255,7 +255,6 @@ def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt,
     the density fluxes establish the compatibility condition for the first
     momentum step.
     """
-    M = mesh.n_cells
     nint = mesh.n_internal
     v_all = volume_fluxes(mesh, u_init)
     v = v_all[:nint]
@@ -266,9 +265,7 @@ def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt,
     # boundary faces: the outflow weight joins the diagonal, the inflow the rhs
     bnd = mesh.incidence @ np.concatenate([
         np.zeros((nint, 3)), np.column_stack([vb_out, vb_in * rho_in, vb_in * z_in])])
-    idx = np.arange(M)
-    A = coo_sum(M, [edge_pairs(mesh, [up], [v]),
-                    (idx, idx, mesh.cell_measure / dt + bnd[:, 0])]).tocsc()
+    A = upwind_transport_matrix(mesh, up, v, mesh.cell_measure / dt + bnd[:, 0])
     rhs = mesh.cell_measure / dt * np.column_stack([rho_init, z_init]) + bnd[:, 1:]
     rho0, z0 = solve(A, rhs).T.copy()
     if np.any(rho0 <= 0) or np.any(z0 <= 0):

@@ -11,20 +11,21 @@ prescribed inflow state is evaluated once per step.  The upwind pattern is
 frozen from the latest velocity iterate, the system is solved by the damped
 Newton of :mod:`driftflux.linalg` with the analytic Jacobian of the state
 law, the velocity is updated, and the loop repeats until the pattern is
-stationary and the velocity increment negligible.
+stationary and the velocity increment negligible.  All Newton iterations and
+outer passes of a step share one held LU; the renormalization system fills a
+bordered pattern of the elliptic operator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import eos as _eos
 from .errors import InvariantViolation, OuterLoopError
 from .fields import admissibility_violation, face_density
-from .linalg import NewtonConfig, newton_solve, solve
-from .mesh import (SparsePattern, coo_sum, edge_pair_index, edge_pair_values, edge_pairs,
-                   inlet_split, upwind, upwind_fluxes, volume_fluxes)
+from .linalg import HeldLU, NewtonConfig, newton_solve, solve
+from .mesh import (SparsePattern, edge_pair_index, edge_pair_values, inlet_split, upwind,
+                   upwind_fluxes, volume_fluxes)
 
 
 @dataclass
@@ -39,13 +40,25 @@ class CorrectionResult:
     residual: float
 
 
-def assemble_pressure_operator(mesh, geom, rho_face, rho_upwind):
-    """Elliptic operator (L q)_K = sum (rho_up/rho_sigma)(|s|^2/|D_s|)(q_K - q_L)."""
+def _bordered_pattern(m):
+    """Triplet positions of [[L, b], [b^t, 0]]: the edge pairs of the
+    elliptic operator L, then the border column and row."""
+    M = m.n_cells
+    idx, border = np.arange(M), np.full(M, M)
+    return SparsePattern(M + 1, [edge_pair_index(m, [m.edge_K, m.edge_L]),
+                                 (idx, border), (border, idx)])
+
+
+def assemble_pressure_operator(mesh, geom, rho_face, rho_upwind, border=0.0):
+    """The elliptic operator (L q)_K = sum (rho_up/rho_sigma)(|s|^2/|D_s|)(q_K - q_L),
+    bordered by the mean-value row and column: the (M+1)-square matrix
+    [[L, b], [b^t, 0]] with b = ``border`` in every cell."""
     if np.any(np.asarray(rho_face) <= 0):
         raise InvariantViolation("pressure operator: nonpositive face density")
     w = np.asarray(rho_upwind) / np.asarray(rho_face) * mesh.edge_measure**2 / geom.diamond
-    pairs = edge_pairs(mesh, [mesh.edge_K, mesh.edge_L], [w, -w])
-    return coo_sum(mesh.n_cells, [pairs]).tocsr()
+    b = np.full(mesh.n_cells, float(border))
+    return mesh.pattern("bordered_pressure_operator", _bordered_pattern).matrix(
+        [edge_pair_values([w, -w]), b, b])
 
 
 def renormalize_pressure(mesh, geom, p_n, rho_face_n, rho_face_nm1):
@@ -54,15 +67,13 @@ def renormalize_pressure(mesh, geom, p_n, rho_face_n, rho_face_nm1):
     mode is fixed by preserving the volume-weighted mean of p^n.
     """
     M = mesh.n_cells
-    ones = np.ones(mesh.n_internal)
-    L = assemble_pressure_operator(mesh, geom, np.asarray(rho_face_n), ones)
+    p_n = np.asarray(p_n, dtype=float)
     g = np.sqrt(np.asarray(rho_face_n) * np.asarray(rho_face_nm1))
-    Lg = assemble_pressure_operator(mesh, geom, g, ones)
-    rhs = Lg @ np.asarray(p_n, dtype=float)
-    w = np.full(M, mesh.cell_measure)
-    kkt = sp.bmat([[L, w[:, None]], [w[None, :], None]], format="csc")
-    sol = solve(kkt, np.concatenate([rhs, [w @ np.asarray(p_n)]]))
-    return sol[:M]
+    # the zero border leaves row M of the right-hand side free for the mean
+    rhs = assemble_pressure_operator(mesh, geom, g, 1.0) @ np.append(p_n, 0.0)
+    rhs[M] = np.full(M, mesh.cell_measure) @ p_n
+    kkt = assemble_pressure_operator(mesh, geom, rho_face_n, 1.0, border=mesh.cell_measure)
+    return solve(kkt, rhs)[:M]
 
 
 def _jacobian_pattern(m):
@@ -184,9 +195,10 @@ class PressureCorrector:
         scale_u = max(1.0, float(np.max(np.abs(u_tilde))))
         total_newton = 0
         trace = []
+        held = HeldLU()
         for outer in range(1, self.max_outer + 1):
             residual, jacobian = make_residual(up)
-            res = newton_solve(residual, jacobian, x, ncfg, admissible)
+            res = newton_solve(residual, jacobian, x, ncfg, admissible, held=held)
             x = res.x
             total_newton += res.iterations
             p_new = x[:M]

@@ -15,7 +15,7 @@ from .driver import simulate
 from .eos import EosParams
 from .gas_fraction import FLUX_FUNCTIONS, DriftModel, correct_mass_fraction, drift_fluxes, _phi
 from .linalg import NewtonConfig, solve
-from .mesh import build_diamond_geometry, build_uniform_mesh, coo_sum, edge_pairs, upwind
+from .mesh import build_diamond_geometry, build_uniform_mesh, upwind, upwind_transport_matrix
 from .momentum import ViscosityModel
 
 
@@ -69,9 +69,8 @@ def pressure_work_instance(rng, eos, dt=0.1):
         M = mesh.n_cells
         _, _, rho_star, z_star = _random_admissible(rng, M, eos)
         v = rng.uniform(-0.4, 0.4, mesh.n_internal) * mesh.cell_measure / dt
-        idx = np.arange(M)
-        A = coo_sum(M, [edge_pairs(mesh, [upwind(mesh, v)[0]], [v]),
-                        (idx, idx, np.full(M, mesh.cell_measure / dt))]).tocsc()
+        A = upwind_transport_matrix(mesh, upwind(mesh, v)[0], v,
+                                    np.full(M, mesh.cell_measure / dt))
         rho, z = solve(A, mesh.cell_measure / dt * np.column_stack([rho_star, z_star])).T
         ok = (np.all(rho > 0) and np.all(z > 0)
               and np.all(z - rho + eos.rho_l > 0)

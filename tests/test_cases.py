@@ -7,9 +7,13 @@ import pytest
 
 from driftflux import eos as E
 from driftflux.cases import (GRAVITY, ManufacturedSolution, SloshingCase,
-                             _hydrostatic_pressure, build_case, sloshing_interface)
+                             _hydrostatic_pressure, build_case)
 from driftflux.config import make_config
 from driftflux.errors import ConfigurationError
+
+
+def sloshing_interface(x, t, case):
+    return case.interface(np.atleast_1d(np.asarray(x, dtype=float)), t)
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from driftflux.config import load_config, make_config
-from driftflux.driver import (exact_injection_errors, manufactured_errors,
+from driftflux.driver import (SimulationResult, build_case, manufactured_errors,
                               run_simulation, simulate)
 from driftflux.errors import ConfigurationError, OuterLoopError, SimulationError
+from driftflux.fields import State
+
+
+def exact_injection_errors(n, t=0.5):
+    """Harness self-test: sample the analytic fields, expect zero errors."""
+    problem = build_case(make_config("manufactured", nx=n, ny=n))
+    sol = problem.exact
+    mesh = problem.mesh
+    rho, _, y, z, p = sol.eval(t, mesh.cell_centers)
+    state = State(t=t, u=sol.velocity(mesh.face_midpoint, t), p=p, rho=rho, z=z,
+                  y=y, rho_prev=rho, fluxes=np.zeros(mesh.n_faces))
+    return manufactured_errors(SimulationResult(problem=problem, state=state, reports=[]))
 
 
 def test_quiescent_uniform_static():

@@ -156,3 +156,160 @@ def test_newton_config_validation():
         NewtonConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iter=0)
+
+
+# --- the iterative paths of solve -------------------------------------------
+
+def _solves(caplog):
+    """(n, path, sweeps) of every solve's debug line, such as (60, 'refined',
+    3) or (1600, 'static LU after 2 Jacobi sweeps', 0)."""
+    out = []
+    for r in caplog.records:
+        if r.name == "driftflux.linalg":
+            n, path = r.getMessage()[len("solve n="):].split(";")[0].split(": ")
+            path, _, sweeps = path.partition(", ")
+            out.append((int(n), path, int(sweeps.split()[0]) if sweeps else 0))
+    return out
+
+
+def _paths(caplog):
+    return [path for _, path, _ in _solves(caplog)]
+
+
+def _held_sized(rng, n=60):
+    """A system whose LU has enough fill (nearly dense) to be held."""
+    A = sp.random(n, n, density=0.3, random_state=rng, format="csc") + 4 * sp.eye(n)
+    return A.tocsc(), rng.normal(size=n)
+
+
+def _relerr(x, A, b):
+    x_dense = np.linalg.solve(A.toarray(), b)
+    return np.max(np.abs(x - x_dense)) / np.max(np.abs(x_dense))
+
+
+def test_held_lu_refines_a_nearby_system(splu_calls, caplog):
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    rng = np.random.default_rng(12)
+    A, b = _held_sized(rng)
+    held = linalg.HeldLU()
+    solve(A, b, held=held)
+    lu = held.lu
+    assert lu is not None
+    A2 = A.copy()
+    A2.data *= 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, A2.nnz)
+    x = solve(A2, b, held=held)
+    assert splu_calls == [(60, True)]
+    assert held.lu is lu
+    assert _paths(caplog) == ["static LU", "refined"]
+    assert _relerr(x, A2, b) < 1e-12
+
+
+def test_refinement_that_misses_refactorizes(splu_calls, caplog):
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    rng = np.random.default_rng(13)
+    A, b = _held_sized(rng)
+    held = linalg.HeldLU()
+    solve(A, b, held=held)
+    lu = held.lu
+    # the same pattern with unrelated values: the held LU is no preconditioner
+    A2 = A.copy()
+    A2.data = rng.uniform(-1.0, 1.0, A2.nnz)
+    A2 = (A2 + 4 * sp.eye(60)).tocsc()
+    x = solve(A2, b, held=held)
+    assert splu_calls == [(60, True), (60, True)]
+    assert held.lu is not lu
+    first, second = _paths(caplog)
+    assert second.startswith("static LU after") and second.endswith("refined sweeps")
+    assert _relerr(x, A2, b) < 1e-12
+
+
+def test_factor_with_little_fill_is_not_held():
+    held = linalg.HeldLU()
+    solve(sp.diags([2.0, 4.0, 8.0]).tocsc(), np.ones(3), held=held)
+    assert held.lu is None
+
+
+def _tridiagonal(n, diag, off):
+    return sp.diags([np.full(n, diag), np.full(n - 1, off), np.full(n - 1, off)],
+                    [0, 1, -1], format="csc")
+
+
+def test_jacobi_solves_a_diagonally_dominant_system(splu_calls, caplog):
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    A = _tridiagonal(1600, 20.0, -1.0)
+    b = np.random.default_rng(14).normal(size=1600)
+    x = solve(A, b)
+    assert splu_calls == []
+    [(_, path, sweeps)] = _solves(caplog)
+    # stopped where a sweep no longer halves the residual, before the cap
+    assert path == "Jacobi" and sweeps < linalg._jacobi_cap(1600)
+    assert np.max(np.abs(x - spla.spsolve(A, b))) < 1e-13 * np.max(np.abs(x))
+
+
+def test_jacobi_that_does_not_contract_hands_over_to_the_lu(splu_calls, caplog):
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    A = _tridiagonal(1600, 2.05, -1.0)
+    b = np.random.default_rng(15).normal(size=1600)
+    x = solve(A, b)
+    assert splu_calls == [(1600, True)]
+    assert _paths(caplog) == ["static LU after 1 Jacobi sweeps"]
+    assert np.max(np.abs(A @ x - b)) < 1e-12 * np.max(np.abs(b))
+
+
+def test_jacobi_too_slow_for_its_cap_is_abandoned_after_one_sweep(splu_calls, caplog):
+    """Contraction 0.4 halves the residual every sweep but needs about 30
+    sweeps to the bound, more than the cap of 20 at 1600 unknowns."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    A = _tridiagonal(1600, 5.0, -1.0)
+    b = np.random.default_rng(16).normal(size=1600)
+    solve(A, b)
+    assert splu_calls == [(1600, True)]
+    assert _paths(caplog) == ["static LU after 1 Jacobi sweeps"]
+
+
+def test_jacobi_that_stagnates_above_the_bound_goes_to_the_lu(splu_calls, caplog):
+    """Fast rows make the first sweep halve the residual; a slow 2x2 block
+    (Jacobi contraction 0.9) then stalls it far above the bound."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    n = 1600
+    A = _tridiagonal(n, 1.0, 0.005).tolil()
+    A[n - 3, n - 2] = A[n - 2, n - 3] = 0.0
+    A[n - 2, n - 1] = A[n - 1, n - 2] = -0.9
+    A = A.tocsc()
+    b = np.ones(n)
+    b[-2:] = 1e-3
+    x = solve(A, b)
+    assert splu_calls == [(n, True)]
+    assert _paths(caplog) == ["static LU after 2 Jacobi sweeps"]
+    assert _relerr(x, A, b) < 1e-12
+
+
+def test_zero_diagonal_skips_jacobi(splu_calls, caplog):
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    A = _tridiagonal(400, 20.0, -1.0).tolil()
+    A[7, 7] = 0.0
+    A = A.tocsc()
+    b = np.ones(400)
+    x = solve(A, b)
+    assert splu_calls == [(400, True)]
+    assert _paths(caplog) == ["static LU"]
+    assert _relerr(x, A, b) < 1e-12
+
+
+@pytest.mark.parametrize("name, kw, totals", [
+    ("sloshing", dict(nx=14, ny=18, dt=0.01, t_end=0.02), (8, 6)),
+    ("manufactured", dict(nx=8, ny=8, dt=0.0125, t_end=0.0125 * 6), (18, 12)),
+])
+def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
+    """The totals of a run whose pressure Jacobians are factorized once per
+    step and refined: equal to those of a factorization per Newton
+    iteration."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    result = run_simulation(make_config(name, **kw))
+    reports = result.reports
+    assert (sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)) == totals
+    if name == "sloshing":
+        # one factorization per step, held across its outer passes
+        pressure = [path for n, path, _ in _solves(caplog) if n == 2 * result.problem.mesh.n_cells]
+        assert pressure.count("static LU") == len(reports) - 1
+        assert pressure.count("refined") == totals[0] - pressure.count("static LU")

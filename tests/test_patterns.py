@@ -9,6 +9,7 @@ matrices share its structure but not their values.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import driftflux.driver as driver
 import driftflux.gas_fraction as gf
@@ -21,8 +22,8 @@ from driftflux.config import make_config
 from driftflux.eos import EosParams
 from driftflux.fields import State, face_density
 from driftflux.gas_fraction import FLUX_FUNCTIONS
-from driftflux.mesh import (build_diamond_geometry, build_uniform_mesh, inlet_split, upwind,
-                            volume_fluxes)
+from driftflux.mesh import (SparsePattern, build_diamond_geometry, build_uniform_mesh,
+                            inlet_split, upwind, volume_fluxes)
 from driftflux.momentum import (MomentumAssembler, ViscosityModel, assemble_dual_mass_fluxes,
                                 viscous_element_matrix)
 from driftflux.pressure_correction import PressureCorrector
@@ -159,7 +160,7 @@ def _capture_newton(monkeypatch, module, run):
     """(residual, jacobian, x0) of the first Newton solve ``run`` starts."""
     captured = {}
 
-    def spy(residual, jacobian, x0, cfg=None, admissible=None):
+    def spy(residual, jacobian, x0, cfg=None, admissible=None, held=None):
         captured.update(residual=residual, jacobian=jacobian, x0=np.array(x0))
         raise _Captured
 
@@ -259,6 +260,47 @@ def test_y_jacobian_matches_coo_oracle(monkeypatch, flux):
         _assert_same_matrix(jacobian(y), oracle)
 
 
+# --- pressure renormalization ----------------------------------------------
+
+def test_renormalization_system_matches_bmat_oracle():
+    """The bordered operator against the COO operator bordered by sp.bmat, as
+    renormalize_pressure built it before the pattern, and the renormalized
+    pressure against that system's solution."""
+    rng = np.random.default_rng(17)
+    mesh = build_uniform_mesh(5, 4, 1.0, 0.8)
+    geom = build_diamond_geometry(mesh)
+    M, K, L = mesh.n_cells, mesh.edge_K, mesh.edge_L
+    rho_n, rho_nm1 = rng.uniform(0.5, 2.0, (2, mesh.n_internal))
+    p = rng.uniform(0.5, 2.0, M)
+
+    def operator(rho_face):
+        w = mesh.edge_measure**2 / geom.diamond / rho_face
+        return _coo(M, [_pairs(mesh, K, w), _pairs(mesh, L, -w)])
+
+    vol = np.full(M, mesh.cell_measure)
+    kkt = sp.bmat([[operator(rho_n), vol[:, None]], [vol[None, :], None]], format="csc")
+    _assert_same_matrix(pc.assemble_pressure_operator(mesh, geom, rho_n, 1.0,
+                                                      border=mesh.cell_measure), kkt)
+    expected = spla.spsolve(kkt, np.append(operator(np.sqrt(rho_n * rho_nm1)) @ p,
+                                           vol @ p))[:M]
+    got = pc.renormalize_pressure(mesh, geom, p, rho_n, rho_nm1)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_successive_fills_own_their_data():
+    pattern = SparsePattern(3, [(np.array([0, 1, 2, 0, -1]), np.array([0, 1, 2, 2, 0])),
+                                (np.array([0]), np.array([0]))])
+    A = pattern.matrix([np.array([1.0, 2.0, 3.0, 4.0, 9.0]), np.array([0.5])])
+    B = pattern.matrix([np.array([5.0, 6.0, 7.0, 8.0, 9.0]), np.array([0.5])])
+    assert A.format == "csc" and A.has_canonical_format
+    assert np.shares_memory(A.indices, B.indices) and np.shares_memory(A.indptr, B.indptr)
+    assert not np.shares_memory(A.data, B.data)
+    B.data[:] = 0.0
+    assert np.array_equal(A.toarray(), [[1.5, 0.0, 4.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    C = pattern.matrix([np.array([1.0, 1.0, 1.0, 1.0, 9.0]), np.array([1.0])])
+    assert np.array_equal(C.toarray(), [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
 # --- structure built once ---------------------------------------------------
 
 def test_patterns_built_once_and_matrices_do_not_alias(monkeypatch):
@@ -301,11 +343,13 @@ def test_patterns_built_once_and_matrices_do_not_alias(monkeypatch):
 
     monkeypatch.setattr(driver, "advance", counting_advance)
 
+    sp.coo_matrix((1, 1))  # the spy is in place
     config = make_config("manufactured", nx=8, ny=8, dt=0.01, t_end=0.03)
     result = driver.run_simulation(config)
     mesh = result.problem.mesh
 
-    # momentum, pressure Jacobian and y Jacobian, each built once
+    # momentum, pressure Jacobian and the transport pattern that the density
+    # prediction and the y Jacobian share, each built once
     assert sorted(built) == sorted([mesh.n_cells, 2 * mesh.n_cells, 2 * mesh.n_faces])
     assert len(filled) == 3
     for pattern, indices, indptr, matrices in filled.values():
@@ -317,10 +361,10 @@ def test_patterns_built_once_and_matrices_do_not_alias(monkeypatch):
         assert np.array_equal(pattern.indices, indices)
         assert np.array_equal(pattern.indptr, indptr)
         assert np.array_equal(matrices[-1].indices, indices)
-    # the spy sees the one-shot density prediction, and no step after the first
-    # builds a COO matrix
-    assert len(coo_built) >= 1
-    assert len(per_step) == 3 and per_step[1:] == [0, 0]
+    # neither the set-up (the density prediction) nor any step builds a COO
+    # matrix
+    assert len(coo_built) == 1
+    assert per_step == [0, 0, 0]
 
 
 def test_inlet_state_evaluated_once_per_step():

@@ -6,12 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from driftflux.mesh import build_uniform_mesh, coo_sum, edge_pairs, upwind, upwind_fluxes
+import scipy.sparse as sp
+
+from driftflux.mesh import (build_uniform_mesh, edge_pair_index, edge_pair_values, upwind,
+                            upwind_fluxes, upwind_transport_matrix)
 
 
 @pytest.fixture
 def mesh53():
     return build_uniform_mesh(5, 3, 1.3, 0.7)
+
+
+def _edge_pair_matrix(mesh, cols, vals):
+    """COO sum of the edge-pair entries: +vals[j] in row K, -vals[j] in row L,
+    in column cols[j]."""
+    rows, columns = edge_pair_index(mesh, cols)
+    return sp.coo_matrix((edge_pair_values(vals), (rows, columns)),
+                         shape=(mesh.n_cells, mesh.n_cells))
 
 
 def _scatter(mesh, f_int, f_bnd=None):
@@ -61,15 +72,15 @@ def test_edge_pairs_equal_central_difference_jacobian(mesh53, zero_share):
         return D @ ((v + c * (x[K] - x[L])) * x[up])
 
     x = rng.uniform(0.5, 2.0, m.n_cells)
-    pairs = edge_pairs(m, [K, L, up], [c * x[up], -c * x[up], v + c * (x[K] - x[L])])
-    J = coo_sum(m.n_cells, [pairs]).toarray()
+    J = _edge_pair_matrix(m, [K, L, up],
+                          [c * x[up], -c * x[up], v + c * (x[K] - x[L])]).toarray()
     h = 1e-6
     fd = np.column_stack([(balance(x + h * e) - balance(x - h * e)) / (2 * h)
                           for e in np.eye(m.n_cells)])
     assert J == pytest.approx(fd, abs=1e-8)
 
     # the linear upwind balance, and no explicit zeros from an unused side
-    A = coo_sum(m.n_cells, [edge_pairs(m, [up], [v])]).tocsc()
+    A = _edge_pair_matrix(m, [up], [v]).tocsc()
     assert A @ x == pytest.approx(D @ (v * x[up]), rel=1e-14, abs=1e-14)
     if zero_share == 0.0:
         assert A.nnz == np.count_nonzero(A.toarray())
@@ -85,5 +96,23 @@ def test_single_edge_upwind_flux_identity(v, a_K, a_L):
     f = upwind_fluxes(m, vv, up, (np.zeros(m.n_boundary),) * 2, a, 0.0)
     vp, vm = max(v, 0.0), -min(v, 0.0)
     assert f[0] == pytest.approx(vp * a_K - vm * a_L)
-    A = coo_sum(2, [edge_pairs(m, [up], [vv])]).toarray()
+    A = _edge_pair_matrix(m, [up], [vv]).toarray()
     assert A @ a == pytest.approx(m.incidence @ f)
+
+
+def test_upwind_transport_matrix_applies_the_balance(mesh53):
+    """x -> D (v x_up) + diag x, with v = 0 edges upwinded from K; a second
+    fill leaves the first matrix untouched."""
+    m = mesh53
+    rng = np.random.default_rng(6)
+    v = rng.uniform(-1.0, 1.0, m.n_internal)
+    v[rng.uniform(size=m.n_internal) < 0.3] = 0.0
+    diag = rng.uniform(1.0, 2.0, m.n_cells)
+    x = rng.uniform(0.5, 2.0, m.n_cells)
+    D = m.incidence[:, : m.n_internal]
+    A = upwind_transport_matrix(m, upwind(m, v)[0], v, diag)
+    ref = D @ (v * x[upwind(m, v)[0]]) + diag * x
+    assert A @ x == pytest.approx(ref, rel=1e-14, abs=1e-14)
+    B = upwind_transport_matrix(m, upwind(m, -v)[0], -v, 2.0 * diag)
+    assert not np.shares_memory(A.data, B.data)
+    assert A @ x == pytest.approx(ref, rel=1e-14, abs=1e-14)
