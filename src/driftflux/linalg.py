@@ -1,22 +1,27 @@
 """Sparse linear solves and the damped Newton driver.
 
 :func:`solve` takes the first path whose result passes one a-posteriori
-residual bound: (1) refinement x <- x + LU^-1 (b - A x) with the LU held from
-a nearby system (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989),
-so the Newton Jacobians of one pressure step or y-correction share one
-factorization (lagged Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004);
-(2) for a one-off system, Jacobi sweeps x <- x + D^-1 (b - A x), which the
-lumped inertia of the momentum matrix makes converge (Varga, *Matrix
-Iterative Analysis*, 1962); (3) SuperLU with static diagonal pivots on the
-MMD(A^t + A) ordering, as in SuperLU_DIST (Li & Demmel, ACM TOMS 29, 2003);
-(4) SuperLU's threshold pivoting.  Both iterations run until a sweep fails
-to halve the residual, so an accepted iterate is as accurate as a fresh
-factorization's.  Newton globalization halves the step until the iterate is
-admissible and the residual norm does not grow, which is required because
-the state law is singular at p = 0.
+residual bound: (1) a system of at most ``DENSE_MAX`` unknowns is solved by
+LAPACK's partially pivoted LU, which is backward stable (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2002) and, at these sizes, cheaper
+than the fixed per-call cost of the sparse paths; (2) refinement
+x <- x + LU^-1 (b - A x) with the LU held from a nearby system (Arioli,
+Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989), so the Newton Jacobians
+of one pressure step or y-correction share one factorization (lagged
+Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004); (3) for a one-off
+system, Jacobi sweeps x <- x + D^-1 (b - A x), which the lumped inertia of
+the momentum matrix makes converge (Varga, *Matrix Iterative Analysis*,
+1962); (4) SuperLU with static diagonal pivots on the MMD(A^t + A) ordering,
+as in SuperLU_DIST (Li & Demmel, ACM TOMS 29, 2003); (5) SuperLU's threshold
+pivoting.  Both iterations run until a sweep fails to halve the residual, so
+an accepted iterate is as accurate as a fresh factorization's.  Newton
+globalization halves the step until the iterate is admissible and the
+residual norm does not grow, which is required because the state law is
+singular at p = 0.
 """
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +56,14 @@ class NewtonResult:
 def _residual_miss(A, x, rhs, norm_A):
     """(residual, bound) of the worst column that misses the a-posteriori
     bound, or None.  Norms are max|.| per column, so an (n, k) rhs is checked
-    column by column."""
+    column by column; a vector rhs takes the same formula on scalars."""
+    if rhs.ndim == 1:
+        res = np.abs(A @ x - rhs).max(initial=0.0)
+        norm_b = np.abs(rhs).max(initial=0.0)
+        bound = _bound(norm_A, x, rhs)
+        if res > max(bound, 1e-300) and res > 1e-8 * max(norm_b, 1.0):
+            return float(res), float(bound)
+        return None
     res = np.max(np.abs(A @ x - rhs), axis=0)
     norm_b = np.max(np.abs(rhs), axis=0)
     bound = 1e-12 * (norm_A * np.max(np.abs(x), axis=0) + norm_b)
@@ -62,6 +74,10 @@ def _residual_miss(A, x, rhs, norm_A):
     return float(np.ravel(res)[j]), float(np.ravel(bound)[j])
 
 
+# systems of at most DENSE_MAX unknowns are solved dense: measured on the
+# captured Jacobians and momentum systems of 3x3 to 10x10 boxes, dense wins
+# about 2x up to 80 unknowns, 1.2-1.5x from 120 to 200 and loses from 224
+DENSE_MAX = 128
 REFINE_CAP = 8
 JACOBI_CAP = 50
 
@@ -107,7 +123,7 @@ def _static_pivot_lu(A):
 
 def _bound(norm_A, x, rhs):
     """Scalar form of the bound of :func:`_residual_miss`."""
-    return 1e-12 * (norm_A * np.max(np.abs(x), initial=0.0) + np.max(np.abs(rhs), initial=0.0))
+    return 1e-12 * (norm_A * np.abs(x).max(initial=0.0) + np.abs(rhs).max(initial=0.0))
 
 
 def _sweep(A, rhs, x, correct, cap, norm_A):
@@ -171,32 +187,39 @@ def solve(matrix, rhs, check=True, held=None):
     """Sparse (or dense) solve with an a-posteriori residual check.
 
     ``rhs`` may be a vector or an (n, k) array of right-hand sides that share
-    one factorization.  A sparse system takes the module's policy: refinement
+    one factorization.  A dense matrix, or a sparse one of at most
+    ``DENSE_MAX`` unknowns, is solved by a dense LU and leaves ``held``
+    untouched.  A larger sparse system takes the module's policy: refinement
     with the LU of ``held`` (a :class:`HeldLU`, which keeps every new factor
     worth holding), else Jacobi sweeps when there is no ``held`` and no zero
-    on the diagonal, then the two factorizations.  The bound picks the path
-    even with ``check=False``; ``check`` only decides whether a miss of the
-    fallback's solution raises.
+    on the diagonal, then the two factorizations.  The bound picks the sparse
+    path even with ``check=False``; ``check`` only decides whether a miss of
+    the final solution raises.
     """
+    start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
-    if sp.issparse(matrix):
+    accepted = False
+    if sp.issparse(matrix) and matrix.shape[0] > DENSE_MAX:
         A = matrix.tocsc()
         norm_A = float(np.max(np.bincount(A.indices, weights=np.abs(A.data),
                                           minlength=A.shape[0]), initial=0.0))
         x, accepted, path = _sparse_solve(A, rhs, norm_A, held)
-        if log.isEnabledFor(logging.DEBUG):
-            res = np.max(np.abs(A @ x - rhs), initial=0.0)
-            log.debug("solve n=%d: %s; residual/bound %.3g", A.shape[0], path,
-                      res / max(_bound(norm_A, x, rhs), 1e-300))
-        if accepted:
-            return x
     else:
-        A = np.asarray(matrix, dtype=float)
+        A = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
         try:
             x = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"dense solve failed: {exc}") from exc
         norm_A = np.linalg.norm(A, np.inf)
+        path = "dense LU"
+    if log.isEnabledFor(logging.DEBUG):
+        res = np.max(np.abs(A @ x - rhs), initial=0.0)
+        nnz = matrix.nnz if sp.issparse(matrix) else np.count_nonzero(A)
+        log.debug("solve n=%d: %s; nnz %d, %.3g s, residual/bound %.3g", A.shape[0],
+                  path, nnz, time.perf_counter() - start,
+                  res / max(_bound(norm_A, x, rhs), 1e-300))
+    if accepted:
+        return x
     if not np.all(np.isfinite(x)):
         raise SolverError("linear solve produced non-finite entries")
     if check:
