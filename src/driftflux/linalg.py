@@ -56,22 +56,17 @@ class NewtonResult:
 def _residual_miss(A, x, rhs, norm_A):
     """(residual, bound) of the worst column that misses the a-posteriori
     bound, or None.  Norms are max|.| per column, so an (n, k) rhs is checked
-    column by column; a vector rhs takes the same formula on scalars."""
-    if rhs.ndim == 1:
-        res = np.abs(A @ x - rhs).max(initial=0.0)
-        norm_b = np.abs(rhs).max(initial=0.0)
-        bound = _bound(norm_A, x, rhs)
-        if res > max(bound, 1e-300) and res > 1e-8 * max(norm_b, 1.0):
-            return float(res), float(bound)
-        return None
-    res = np.max(np.abs(A @ x - rhs), axis=0)
-    norm_b = np.max(np.abs(rhs), axis=0)
-    bound = 1e-12 * (norm_A * np.max(np.abs(x), axis=0) + norm_b)
-    miss = (res > np.maximum(bound, 1e-300)) & (res > 1e-8 * np.maximum(1.0, norm_b))
-    if not np.any(miss):
-        return None
-    j = np.argmax(np.where(miss, res, -np.inf))
-    return float(np.ravel(res)[j]), float(np.ravel(bound)[j])
+    column by column."""
+    r = A @ x - rhs
+    worst = None
+    for r_j, x_j, b_j in [(r, x, rhs)] if rhs.ndim == 1 else zip(r.T, x.T, rhs.T):
+        res = np.abs(r_j).max(initial=0.0)
+        norm_b = np.abs(b_j).max(initial=0.0)
+        bound = _bound(norm_A, x_j, norm_b)
+        if (res > max(bound, 1e-300) and res > 1e-8 * max(norm_b, 1.0)
+                and (worst is None or res > worst[0])):
+            worst = float(res), float(bound)
+    return worst
 
 
 # systems of at most DENSE_MAX unknowns are solved dense: measured on the
@@ -121,9 +116,9 @@ def _static_pivot_lu(A):
         return None
 
 
-def _bound(norm_A, x, rhs):
-    """Scalar form of the bound of :func:`_residual_miss`."""
-    return 1e-12 * (norm_A * np.abs(x).max(initial=0.0) + np.abs(rhs).max(initial=0.0))
+def _bound(norm_A, x, norm_b):
+    """The bound 1e-12 (|A| |x| + |b|) of :func:`_residual_miss`, in max norms."""
+    return 1e-12 * (norm_A * np.abs(x).max(initial=0.0) + norm_b)
 
 
 def _sweep(A, rhs, x, correct, cap, norm_A):
@@ -133,7 +128,7 @@ def _sweep(A, rhs, x, correct, cap, norm_A):
     within ``cap``."""
     r = rhs - A @ x
     norm = np.max(np.abs(r), initial=0.0)
-    target = _bound(norm_A, x, rhs)
+    target = _bound(norm_A, x, np.abs(rhs).max(initial=0.0))
     sweeps = 0
     while sweeps < cap and norm > 0.0:
         x_new = x + correct(r)
@@ -217,7 +212,7 @@ def solve(matrix, rhs, check=True, held=None):
         nnz = matrix.nnz if sp.issparse(matrix) else np.count_nonzero(A)
         log.debug("solve n=%d: %s; nnz %d, %.3g s, residual/bound %.3g", A.shape[0],
                   path, nnz, time.perf_counter() - start,
-                  res / max(_bound(norm_A, x, rhs), 1e-300))
+                  res / max(_bound(norm_A, x, np.abs(rhs).max(initial=0.0)), 1e-300))
     if accepted:
         return x
     if not np.all(np.isfinite(x)):

@@ -67,7 +67,8 @@ def test_solve_two_right_hand_sides_share_one_factorization(splu_calls):
 
 
 def _column_miss(A, x, rhs, norm_A):
-    """The column-by-column form of the bound, applied to every rhs."""
+    """The bound vectorized over the columns of an (n, k) rhs: the oracle of
+    the per-column check."""
     res = np.max(np.abs(A @ x - rhs), axis=0)
     norm_b = np.max(np.abs(rhs), axis=0)
     bound = 1e-12 * (norm_A * np.max(np.abs(x), axis=0) + norm_b)
@@ -95,6 +96,27 @@ def test_residual_check_of_a_vector_matches_the_column_form(dense, scale, error)
     assert (expected is None) == (error < 1e-12 or scale < 1e-8)
     assert linalg._residual_miss(A, x, b, norm_A) == expected
     assert linalg._residual_miss(A, x[:, None], b[:, None], norm_A) == expected
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_residual_check_of_several_columns_matches_the_column_form(dense):
+    """The worst missing column, or None, bit for bit: one column per
+    (scale, error) pair of the vector test, largest first so that the worst
+    miss is not the last one, then only the passing columns."""
+    rng = np.random.default_rng(11)
+    A = sp.random(40, 40, density=0.1, random_state=rng, format="csc") + 3 * sp.eye(40)
+    norm_A = float(np.max(np.sum(np.abs(A.toarray()), axis=1)))
+    cases = [(scale, error) for scale in (1e6, 1.0, 1e-12) for error in (1e-3, 1e-6, 1e-16, 0.0)]
+    B = np.column_stack([scale * rng.normal(size=40) for scale, _ in cases])
+    X = spla.spsolve(A, B)
+    X = X + np.array([e for _, e in cases]) * np.max(np.abs(X), axis=0) * rng.normal(size=X.shape)
+    A = A.toarray() if dense else A
+    expected = _column_miss(A, X, B, norm_A)
+    assert expected is not None
+    assert linalg._residual_miss(A, X, B, norm_A) == expected
+    passing = [j for j, (scale, error) in enumerate(cases) if error < 1e-12 or scale < 1e-8]
+    assert _column_miss(A, X[:, passing], B[:, passing], norm_A) is None
+    assert linalg._residual_miss(A, X[:, passing], B[:, passing], norm_A) is None
 
 
 def test_residual_check_is_column_by_column():
@@ -166,10 +188,16 @@ def test_sloshing_systems_never_take_the_fallback(splu_calls):
     assert all(static for _, static in splu_calls)
 
 
-def test_solve_singular_raises():
-    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SolverError):
-        solve(A, np.array([1.0, 0.0]))
+def test_solve_singular_raises(splu_calls):
+    # an exactly singular 2x2 block lifted above the dense limit: both
+    # factorizations break down
+    n = N_SPARSE
+    A = sp.block_diag([[[1.0, 1.0], [1.0, 1.0]], _tridiagonal(n - 2, 4.0, -1.0)], format="csr")
+    b = np.zeros(n)
+    b[0] = 1.0
+    with pytest.raises(SolverError, match="sparse factorization failed"):
+        solve(A, b)
+    assert splu_calls == [(n, True), (n, False)]
 
 
 # --- the dense branch -------------------------------------------------------
@@ -335,10 +363,16 @@ def test_refinement_that_misses_refactorizes(splu_calls, caplog):
     assert _relerr(x, A2, b) < 1e-12
 
 
-def test_factor_with_little_fill_is_not_held():
+def test_factor_with_little_fill_is_not_held(splu_calls, caplog):
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
     held = linalg.HeldLU()
-    solve(sp.diags([2.0, 4.0, 8.0]).tocsc(), np.ones(3), held=held)
+    A = _tridiagonal(N_SPARSE, 4.0, -1.0)
+    b = np.ones(N_SPARSE)
+    x = solve(A, b, held=held)
     assert held.lu is None
+    assert splu_calls == [(N_SPARSE, True)]
+    assert _paths(caplog) == ["static LU"]
+    assert _relerr(x, A, b) < 1e-12
 
 
 def test_jacobi_solves_a_diagonally_dominant_system(splu_calls, caplog):
