@@ -66,29 +66,29 @@ def bounds_ok(state, y_floor=0.0, y_ceiling=True):
                                    y_floor, ceiling_slack=0.0) is None
 
 
-def build_step_report(step, mesh, geom, eos, state_old, state_new, u_tilde, dt,
-                      p_used, mu_cells, constant_visc, newton_iters, outer_iters,
-                      y_floor=0.0, y_ceiling=True):
+def build_step_report(step, previous, state_new, u_tilde, dt, p_used, assembler, eos,
+                      newton_iters, outer_iters, y_floor=0.0, y_ceiling=True):
     """Evaluate every term of the per-step entropy estimate and the totals.
 
-    ``p_used`` is the pressure the step actually used for the increment (the
-    renormalized one when that option is on).
+    The old energies are the ``kinetic`` and ``free_energy`` of ``previous``,
+    the report of the state the step started from, whose density is
+    ``state_new.rho_prev``.  ``p_used`` is the pressure the step actually
+    used for the increment (the renormalized one when that option is on).
+    The viscous term is the :class:`driftflux.momentum.MomentumAssembler`'s
+    form at the old density's viscosity.
     """
-    from .momentum import viscous_form  # local import to avoid a cycle
-
-    rho_face_old = face_density(state_old.rho, geom)
+    mesh, geom = assembler.mesh, assembler.geom
+    rho_face_old = face_density(state_new.rho_prev, geom)
     mass, gas_mass, mom = conservation_report(state_new, mesh, geom)
     kinetic = 0.5 * weighted_kinetic_norm(state_new.u, rho_face_old, geom)
     fe_post = free_energy_integral(state_new.rho, state_new.rho * state_new.y, mesh, eos)
     fe_z = free_energy_integral(state_new.rho, state_new.z, mesh, eos)
-    visc = dt * viscous_form(u_tilde, u_tilde, mesh, mu_cells, constant_visc)
+    mu_cells = assembler.viscosity.cell_viscosity(state_new.rho_prev)
+    visc = dt * assembler.viscous_form(u_tilde, u_tilde, mu_cells)
     p_term_new = 0.5 * dt**2 * pressure_seminorm(state_new.p, rho_face_old, geom)
     p_term_old = 0.5 * dt**2 * pressure_seminorm(p_used, rho_face_old, geom)
-    rho_face_prev = face_density(state_old.rho_prev, geom)
-    kinetic_old = 0.5 * weighted_kinetic_norm(state_old.u, rho_face_prev, geom)
-    fe_old = free_energy_integral(state_old.rho, state_old.rho * state_old.y, mesh, eos)
     lhs = kinetic + fe_z + visc + p_term_new
-    rhs = kinetic_old + fe_old + p_term_old
+    rhs = previous.kinetic + previous.free_energy + p_term_old
     return StepReport(
         step=step, time=state_new.t, mass=mass, gas_mass=gas_mass,
         mom_x=float(mom[0]), mom_y=float(mom[1]), kinetic=kinetic,

@@ -67,7 +67,7 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
     u_tilde = predict_velocity(work, dt, assembler, problem.bc, t_next,
                                body_accel=problem.body_accel,
                                source=problem.momentum_source)
-    corr = corrector.step(work, u_tilde, dt, t_next, ncfg, p_old=p_used,
+    corr = corrector.step(work, u_tilde, dt, t_next, ncfg,
                           enforce_y_bound=problem.y_ceiling_guard)
     v_mean = volume_fluxes(problem.mesh, corr.u)[: problem.mesh.n_internal]
     G = drift_fluxes(problem.mesh, problem.eos, problem.drift,
@@ -95,10 +95,9 @@ def _guard(state, problem):
 
 
 def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
-             dump_interval=0, y_floor=None, max_outer=20):
+             dump_interval=0, max_outer=20):
     """Run the three-step scheme from t = 0 to t_end with constant dt."""
     ncfg = ncfg or NewtonConfig()
-    y_floor = problem.y_floor if y_floor is None else y_floor
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         log.warning("t_end %.6g is not a multiple of dt %.6g; running %d steps",
@@ -111,7 +110,7 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
     except DriftFluxError as exc:
         raise SimulationError(f"initialization failed: {exc}", step=0) from exc
     reports = [initial_step_report(problem.mesh, problem.geom, problem.eos, state,
-                                   dt, y_floor, problem.y_ceiling_guard)]
+                                   dt, problem.y_floor, problem.y_ceiling_guard)]
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         if dump_interval:
@@ -123,11 +122,9 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
             state_new, u_tilde, corr, p_used = advance(
                 problem, state, dt, t_next, assembler, corrector, ncfg, renormalize)
             _guard(state_new, problem)
-            mu_cells = problem.viscosity.cell_viscosity(state.rho)
             reports.append(build_step_report(
-                n, problem.mesh, problem.geom, problem.eos, state, state_new,
-                u_tilde, dt, p_used, mu_cells, problem.viscosity.constant_form,
-                corr.newton_iters, corr.outer_iters, y_floor,
+                n, reports[-1], state_new, u_tilde, dt, p_used, assembler, problem.eos,
+                corr.newton_iters, corr.outer_iters, problem.y_floor,
                 problem.y_ceiling_guard))
             state = state_new
             if out_dir and dump_interval and n % dump_interval == 0:

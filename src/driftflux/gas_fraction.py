@@ -10,7 +10,7 @@ solved by damped Newton with clamped one-sided derivatives at the flux kinks;
 its Jacobians share one held LU per call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,10 +179,9 @@ def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None
         pattern = mesh.pattern("transport", transport_pattern)
         return pattern.matrix([edge_pair_values([d_K + dcoef, d_L - dcoef]), vol_dt * rho])
 
-    ncfg = cfg or NewtonConfig()
+    cfg = cfg or NewtonConfig()
     scale = max(1.0, float(np.max(vol_dt * rho)))
-    ncfg = NewtonConfig(abs_tol=ncfg.abs_tol * scale, rel_tol=ncfg.rel_tol,
-                        max_iter=ncfg.max_iter, max_halvings=ncfg.max_halvings)
+    ncfg = replace(cfg, abs_tol=cfg.abs_tol * scale)
     cap = 1.0 if source is None else max(1.0, float(np.max(y0)))
     res = newton_solve(residual, jacobian, np.clip(y0, 1e-300, cap), ncfg, held=HeldLU())
     y = res.x

@@ -14,10 +14,14 @@ the momentum matrix makes converge (Varga, *Matrix Iterative Analysis*,
 1962); (4) SuperLU with static diagonal pivots on the MMD(A^t + A) ordering,
 as in SuperLU_DIST (Li & Demmel, ACM TOMS 29, 2003); (5) SuperLU's threshold
 pivoting.  Both iterations run until a sweep fails to halve the residual, so
-an accepted iterate is as accurate as a fresh factorization's.  Newton
-globalization halves the step until the iterate is admissible and the
-residual norm does not grow, which is required because the state law is
-singular at p = 0.
+an accepted iterate is as accurate as a fresh factorization's.
+
+:func:`newton_solve` has one globalization rule: halve the step until the
+iterate is admissible, which is required because the state law is singular
+at p = 0, and either the max-norm residual has not grown or the merit
+||r||_2^2 lies below the worst of the last six, the nonmonotone test of
+Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986).  A step that
+no halving makes acceptable raises.
 """
 
 import logging
@@ -38,8 +42,6 @@ class NewtonConfig:
     abs_tol: float = 1e-11
     rel_tol: float = 1e-10
     max_iter: int = 50
-    max_halvings: int = 30
-    max_nonmonotone: int = 8
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0 or self.max_iter < 1:
@@ -75,6 +77,7 @@ def _residual_miss(A, x, rhs, norm_A):
 DENSE_MAX = 128
 REFINE_CAP = 8
 JACOBI_CAP = 50
+MAX_HALVINGS = 30
 
 
 def _jacobi_cap(n):
@@ -178,7 +181,7 @@ def _sparse_solve(A, rhs, norm_A, held):
     return x, accepted, ("static LU" if accepted else "fallback") + after
 
 
-def solve(matrix, rhs, check=True, held=None):
+def solve(matrix, rhs, held=None):
     """Sparse (or dense) solve with an a-posteriori residual check.
 
     ``rhs`` may be a vector or an (n, k) array of right-hand sides that share
@@ -187,9 +190,8 @@ def solve(matrix, rhs, check=True, held=None):
     untouched.  A larger sparse system takes the module's policy: refinement
     with the LU of ``held`` (a :class:`HeldLU`, which keeps every new factor
     worth holding), else Jacobi sweeps when there is no ``held`` and no zero
-    on the diagonal, then the two factorizations.  The bound picks the sparse
-    path even with ``check=False``; ``check`` only decides whether a miss of
-    the final solution raises.
+    on the diagonal, then the two factorizations.  A final solution that
+    misses the bound raises :class:`SolverError`.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -217,58 +219,26 @@ def solve(matrix, rhs, check=True, held=None):
         return x
     if not np.all(np.isfinite(x)):
         raise SolverError("linear solve produced non-finite entries")
-    if check:
-        miss = _residual_miss(A, x, rhs, norm_A)
-        if miss is not None:
-            res, bound = miss
-            raise SolverError(f"linear solve residual {res:.3e} exceeds bound {bound:.3e}",
-                              residual=res)
+    miss = _residual_miss(A, x, rhs, norm_A)
+    if miss is not None:
+        res, bound = miss
+        raise SolverError(f"linear solve residual {res:.3e} exceeds bound {bound:.3e}",
+                          residual=res)
     return x
-
-
-def _levenberg_step(residual_fn, J, x, r, merit, admissible_fn, target):
-    """Regularized Gauss-Newton step for nearly singular Jacobians.
-
-    Solves (J^t J + lam D) d = -J^t r with growing lam; for large lam this is
-    a scaled gradient step on |r|_2^2, so an admissible decreasing step exists
-    unless the iterate is a stationary point of the merit.
-    """
-    if not sp.issparse(J):
-        J = sp.csr_matrix(J)
-    Jt = J.T.tocsr()
-    g = Jt @ r
-    JtJ = (Jt @ J).tocsr()
-    dvals = np.maximum(JtJ.diagonal(), 1e-12 * float(np.max(JtJ.diagonal())) + 1e-300)
-    lam = 1e-6
-    for _ in range(18):
-        try:
-            d = solve(JtJ + sp.diags(lam * dvals), -g, check=False)
-        except SolverError:
-            lam *= 10.0
-            continue
-        alpha = 1.0
-        for _ in range(12):
-            x_new = x + alpha * d
-            if admissible_fn is None or admissible_fn(x_new):
-                r_new = np.asarray(residual_fn(x_new), dtype=float)
-                merit_new = float(r_new @ r_new)
-                norm_new = float(np.linalg.norm(r_new, np.inf))
-                if merit_new <= merit * (1.0 - 1e-6 * alpha) or norm_new <= target:
-                    return x_new, r_new, norm_new, merit_new
-            alpha *= 0.5
-        lam *= 10.0
-    return None
 
 
 def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
                  held=None):
     """Damped Newton iteration.
 
-    Stops when ||r||_inf <= abs_tol + rel_tol * ||r(x0)||_inf.  Every accepted
-    iterate satisfies ``admissible_fn``; the step is halved (up to
-    ``max_halvings`` times) until it does and the residual norm has not
-    increased.  ``held`` (a :class:`HeldLU`) carries one LU across the
-    Jacobians of this and later Newton solves.
+    Stops when ||r||_inf <= abs_tol + rel_tol * ||r(x0)||_inf.  The step is
+    halved, at most ``MAX_HALVINGS`` times, until the iterate satisfies
+    ``admissible_fn`` and either ||r||_inf has not grown or ||r||_2^2 lies
+    below the worst of the last six merits (Grippo, Lampariello & Lucidi,
+    SIAM J. Numer. Anal. 23, 1986), so a stiff step may overshoot briefly
+    while global progress is still enforced.  A step that no halving makes
+    acceptable raises :class:`NewtonError`.  ``held`` (a :class:`HeldLU`)
+    carries one LU across the Jacobians of this and later Newton solves.
     """
     cfg = cfg or NewtonConfig()
     x = np.array(x0, dtype=float)
@@ -276,53 +246,27 @@ def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
         raise NewtonError("initial Newton iterate is inadmissible")
     r = np.asarray(residual_fn(x), dtype=float)
     norm = float(np.linalg.norm(r, np.inf))
-    merit = float(r @ r)
     target = cfg.abs_tol + cfg.rel_tol * norm
-    # Grippo-style nonmonotone line search on |r|_2^2: accept against the
-    # worst of the recent merits, so stiff steps may overshoot briefly while
-    # global progress is still enforced
-    history = [merit]
-    nonmono = 0
+    merits = [float(r @ r)]
     for it in range(cfg.max_iter):
         if norm <= target:
             return NewtonResult(x=x, iterations=it, residual_norm=norm)
-        ref = max(history[-6:])
+        ref = max(merits[-6:])
         delta = solve(jacobian_fn(x), -r, held=held)
         alpha = 1.0
-        accepted = False
-        fallback = None
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             x_new = x + alpha * delta
             if admissible_fn is None or admissible_fn(x_new):
                 r_new = np.asarray(residual_fn(x_new), dtype=float)
                 norm_new = float(np.linalg.norm(r_new, np.inf))
                 merit_new = float(r_new @ r_new)
-                if (merit_new <= ref * (1.0 - 1e-4 * alpha)
-                        or norm_new <= norm * (1.0 + 1e-12)
-                        or norm_new <= target):
-                    accepted = True
+                if merit_new <= ref * (1.0 - 1e-4 * alpha) or norm_new <= norm * (1.0 + 1e-12):
                     break
-                if fallback is None and np.isfinite(merit_new):
-                    fallback = (x_new, r_new, norm_new, merit_new)
             alpha *= 0.5
-        if not accepted:
-            lm = _levenberg_step(residual_fn, jacobian_fn(x), x, r, merit,
-                                 admissible_fn, target)
-            if lm is not None:
-                x_new, r_new, norm_new, merit_new = lm
-                accepted = True
-        if not accepted:
-            # with piecewise flux kinks the residual can jump across a
-            # discontinuity however small the step; accept the admissible
-            # full step a bounded number of times and trust local Newton
-            if fallback is not None and nonmono < cfg.max_nonmonotone:
-                nonmono += 1
-                x_new, r_new, norm_new, merit_new = fallback
-            else:
-                raise NewtonError("Newton damping exhausted", residual_norm=norm,
-                                  iterations=it)
-        x, r, norm, merit = x_new, r_new, norm_new, merit_new
-        history.append(merit)
+        else:
+            raise NewtonError("Newton damping exhausted", residual_norm=norm, iterations=it)
+        x, r, norm = x_new, r_new, norm_new
+        merits.append(merit_new)
     if norm <= target:
         return NewtonResult(x=x, iterations=cfg.max_iter, residual_norm=norm)
     raise NewtonError(f"Newton did not converge in {cfg.max_iter} iterations "

@@ -125,17 +125,6 @@ def assemble_dual_mass_fluxes(mesh, geom, primal_fluxes):
     )
 
 
-def viscous_form(u, w, mesh, mu_cells, constant_model):
-    """a_d(u, w) evaluated on full (F,2) dof arrays."""
-    E = viscous_element_matrix(mesh.dx, mesh.dy, constant_model)
-    gd = np.empty((mesh.n_cells, 8), dtype=np.int64)
-    gd[:, 0::2] = 2 * mesh.cell_faces
-    gd[:, 1::2] = 2 * mesh.cell_faces + 1
-    ue = np.asarray(u).reshape(-1)[gd]
-    we = np.asarray(w).reshape(-1)[gd]
-    return float(np.sum(np.asarray(mu_cells) * np.einsum("ca,ab,cb->c", we, E, ue)))
-
-
 class MomentumAssembler:
     """Constrained dofs of a mesh and the prediction-step assembly.
 
@@ -149,6 +138,8 @@ class MomentumAssembler:
         self.viscosity = viscosity
         self.ndof = 2 * mesh.n_faces
         self._element = viscous_element_matrix(mesh.dx, mesh.dy, viscosity.constant_form)
+        # local dof 2*face + component of each cell's 8 velocity dofs
+        self._cell_dofs = (2 * mesh.cell_faces[:, :, None] + np.arange(2)).reshape(-1, 8)
 
         # constrained dofs
         bidx = np.arange(mesh.n_boundary)
@@ -177,7 +168,7 @@ class MomentumAssembler:
         dof = np.arange(ndof).reshape(-1, 2)
         fo = dof[mesh.cell_faces[:, _CORNER_OUT].ravel()]  # (4M, 2)
         fi = dof[mesh.cell_faces[:, _CORNER_IN].ravel()]
-        gd = dof[mesh.cell_faces].reshape(-1, 8)           # local dof 2*face + comp
+        gd = self._cell_dofs
         rows = np.concatenate([dof.ravel(), fo.ravel(), fo.ravel(), fi.ravel(), fi.ravel(),
                                np.repeat(gd, 8, axis=1).ravel()])
         cols = np.concatenate([dof.ravel(), fo.ravel(), fi.ravel(), fi.ravel(), fo.ravel(),
@@ -188,6 +179,13 @@ class MomentumAssembler:
         rows[constrained[rows]] = -1
         dd, td = self._dirichlet_dofs, self._tie_dofs
         return SparsePattern(ndof, [(rows, cols), (dd, dd), (td, td), (td, self._tie_partners)])
+
+    def viscous_form(self, u, w, mu_cells):
+        """a_d(u, w) evaluated on full (F,2) dof arrays."""
+        ue = np.asarray(u).reshape(-1)[self._cell_dofs]
+        we = np.asarray(w).reshape(-1)[self._cell_dofs]
+        return float(np.sum(np.asarray(mu_cells)
+                            * np.einsum("ca,ab,cb->c", we, self._element, ue)))
 
     def assemble(self, rho_face_n, rho_face_nm1, u_n, dual, p_n, dt, mu_cells,
                  body_accel=None, source=None, t=None, bc=None):
@@ -246,7 +244,7 @@ def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=N
     return x.reshape(-1, 2)
 
 
-def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt, t0=0.0):
+def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt):
     """Implicit upwind mass balance that initializes (rho^0, z^0, F^0).
 
     Solves |K|/dt (x0 - x_init) + div_upwind(x0 u_init) = 0 for both the
@@ -260,7 +258,7 @@ def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt,
     v = v_all[:nint]
     up, _ = upwind(mesh, v)
     split = vb_out, vb_in = inlet_split(mesh, v_all[nint:])
-    rho_in, z_in, _, _ = bc.inflow(mesh, t0, eos)(np.asarray(p_init))
+    rho_in, z_in, _, _ = bc.inflow(mesh, 0.0, eos)(np.asarray(p_init))
 
     # boundary faces: the outflow weight joins the diagonal, the inflow the rhs
     bnd = mesh.incidence @ np.concatenate([

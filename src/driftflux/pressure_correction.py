@@ -16,7 +16,7 @@ outer passes of a step share one held LU; the renormalization system fills a
 bordered pattern of the elliptic operator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,8 +101,7 @@ class PressureCorrector:
         self.max_outer = max_outer
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
-    def step(self, state, u_tilde, dt, t_next, cfg=None, p_old=None,
-             enforce_y_bound=True):
+    def step(self, state, u_tilde, dt, t_next, cfg=None, enforce_y_bound=True):
         """One pressure correction step; returns the end-of-step unknowns.
 
         ``enforce_y_bound=False`` drops the z/rho <= 1 validation, needed when
@@ -116,7 +115,7 @@ class PressureCorrector:
         K, L = m.edge_K, m.edge_L
         bK = m.face_K[nint:]
 
-        p_old = np.asarray(state.p if p_old is None else p_old, dtype=float)
+        p_old = np.asarray(state.p, dtype=float)
         rho_n = np.asarray(state.rho, dtype=float)
         rhoy_n = rho_n * np.asarray(state.y, dtype=float)
         rho_face_n = face_density(rho_n, self.geom)
@@ -128,8 +127,7 @@ class PressureCorrector:
         inflow = self.bc.inflow(m, t_next, eos)
 
         r_scale = max(1.0, float(vol_dt * np.max(rho_n)))
-        ncfg = NewtonConfig(abs_tol=cfg.abs_tol * r_scale, rel_tol=cfg.rel_tol,
-                            max_iter=cfg.max_iter, max_halvings=cfg.max_halvings)
+        ncfg = replace(cfg, abs_tol=cfg.abs_tol * r_scale)
 
         def admissible(x):
             return bool(np.all(x[:M] > self._p_floor))

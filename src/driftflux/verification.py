@@ -286,7 +286,7 @@ def suite_bounds(seed=0, manufactured_steps=20, sloshing_steps=20):
                  f"y in [{ymin:.3e}, {ymax:.6f}]")
     ok = ok and mok and ymax <= 1.0
     cfg2 = make_config("sloshing", nx=14, ny=18, dt=0.02, t_end=sloshing_steps * 0.02)
-    res2 = simulate(build_case(cfg2), cfg2.dt, cfg2.t_end, y_floor=cfg2.y_floor)
+    res2 = simulate(build_case(cfg2), cfg2.dt, cfg2.t_end)
     sok = all(r.bounds_ok for r in res2.reports)
     ymin2 = min(r.y_min for r in res2.reports)
     lines.append(f"sloshing {sloshing_steps} steps: bounds_ok={sok}, y_min={ymin2:.3e} "

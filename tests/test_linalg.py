@@ -134,15 +134,14 @@ def test_residual_check_is_column_by_column():
 TINY_PIVOT = np.array([[1e-20, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
 
 
-@pytest.mark.parametrize("check", [True, False])
-def test_solve_falls_back_when_static_pivots_miss_the_bound(splu_calls, check):
+def test_solve_falls_back_when_static_pivots_miss_the_bound(splu_calls):
     # the tiny diagonal pivot makes the static-pivot factor grow by 1e20; a
     # well-conditioned block lifts the system above the dense limit
     n = N_SPARSE
     A = sp.block_diag([TINY_PIVOT, _tridiagonal(n - 3, 4.0, -1.0)], format="csr")
     b = np.random.default_rng(3).normal(size=n)
     x_dense = np.linalg.solve(A.toarray(), b)
-    x = solve(A, b, check=check)
+    x = solve(A, b)
     assert np.max(np.abs(x - x_dense)) < 1e-12 * np.max(np.abs(x_dense))
     assert splu_calls == [(n, True), (n, False)]
 
@@ -222,21 +221,19 @@ def test_small_systems_never_reach_splu(splu_calls, caplog):
     assert set(_paths(caplog)) == {"dense LU"}
 
 
-@pytest.mark.parametrize("check", [True, False])
-def test_dense_branch_solves_the_tiny_pivot_system(splu_calls, check):
+def test_dense_branch_solves_the_tiny_pivot_system(splu_calls):
     A = sp.csr_matrix(TINY_PIVOT)
     b = np.random.default_rng(3).normal(size=3)
     x_dense = np.linalg.solve(TINY_PIVOT, b)
-    x = solve(A, b, check=check)
+    x = solve(A, b)
     assert np.max(np.abs(x - x_dense)) < 1e-12 * np.max(np.abs(x_dense))
     assert splu_calls == []
 
 
-@pytest.mark.parametrize("check", [True, False])
-def test_small_singular_system_raises(check):
+def test_small_singular_system_raises():
     b = np.random.default_rng(9).normal(size=12)
     with pytest.raises(SolverError):
-        solve(_laplacian(12).tocsc(), b - b.mean(), check=check)
+        solve(_laplacian(12).tocsc(), b - b.mean())
 
 
 def test_dense_solve_leaves_held_untouched(caplog):
@@ -282,6 +279,38 @@ def test_newton_nonconvergence_raises():
         newton_solve(lambda x: np.array([np.arctan(x[0])]),
                      lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
                      np.array([1e8]), cfg)
+
+
+def _counted(residual_fn):
+    """residual_fn and the list that records each point it is evaluated at."""
+    seen = []
+
+    def counting(x):
+        seen.append(x.copy())
+        return residual_fn(x)
+
+    return counting, seen
+
+
+def test_newton_merit_clause_accepts_a_step_that_grows_the_max_norm():
+    # the full first step takes ||r||_inf from 1 to 1.01 but ||r||_2^2 from
+    # 1.98 to 1.02; halving it instead costs 2 more iterations
+    residual, seen = _counted(lambda x: np.array([x[0], x[1] + 1.01 * x[0]]))
+    res = newton_solve(residual, lambda x: np.eye(2), np.array([1.0, -0.02]))
+    assert res.iterations == 2
+    assert len(seen) == 3
+    assert seen[1] == pytest.approx([0.0, -1.01])
+    assert res.residual_norm == 0.0
+
+
+def test_newton_ascent_direction_exhausts_the_damping():
+    # a Jacobian of the wrong sign: every halving of the step climbs
+    residual, seen = _counted(lambda x: (x - 1.0) ** 2 + 1.0)
+    with pytest.raises(NewtonError, match="damping exhausted") as info:
+        newton_solve(residual, lambda x: np.array([[-2.0 * (x[0] - 1.0)]]), np.array([2.0]))
+    assert info.value.iterations == 0
+    assert len(seen) == linalg.MAX_HALVINGS + 2
+    assert all(x[0] > 2.0 for x in seen[1:])
 
 
 def test_newton_inadmissible_start_raises():

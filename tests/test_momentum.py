@@ -11,8 +11,7 @@ from driftflux.fields import State, face_density, face_density_all
 from driftflux.mesh import build_diamond_geometry, build_uniform_mesh
 from driftflux.momentum import (MomentumAssembler, ViscosityModel,
                                 assemble_dual_mass_fluxes,
-                                init_density_prediction, predict_velocity,
-                                viscous_form)
+                                init_density_prediction, predict_velocity)
 
 E51 = EosParams(5.0, 1.0)
 
@@ -103,21 +102,24 @@ def test_dual_flux_antisymmetry_structure():
 @pytest.mark.parametrize("constant", [True, False])
 def test_viscous_form_properties(constant):
     m = build_uniform_mesh(4, 3, 1.0, 1.0)
+    model = ViscosityModel("constant" if constant else "density_scaled")
+    viscous_form = MomentumAssembler(m, build_diamond_geometry(m), model).viscous_form
+    assert model.constant_form == constant
     mu = np.full(m.n_cells, 0.7)
     rng = np.random.default_rng(6)
     w = rng.normal(size=(m.n_faces, 2))
-    assert viscous_form(np.zeros_like(w), w, m, mu, constant) == 0.0
+    assert viscous_form(np.zeros_like(w), w, mu) == 0.0
     for _ in range(100):
         v = rng.normal(size=(m.n_faces, 2))
-        assert viscous_form(v, v, m, mu, constant) >= -1e-14
+        assert viscous_form(v, v, mu) >= -1e-14
     # rigid translation: gradients vanish elementwise
     const = np.tile(np.array([1.3, -0.4]), (m.n_faces, 1))
-    assert abs(viscous_form(const, const, m, mu, constant)) < 1e-12
+    assert abs(viscous_form(const, const, mu)) < 1e-12
     # bilinearity
     a = rng.normal(size=(m.n_faces, 2))
     b = rng.normal(size=(m.n_faces, 2))
-    lhs = viscous_form(a + 2 * b, w, m, mu, constant)
-    rhs = viscous_form(a, w, m, mu, constant) + 2 * viscous_form(b, w, m, mu, constant)
+    lhs = viscous_form(a + 2 * b, w, mu)
+    rhs = viscous_form(a, w, mu) + 2 * viscous_form(b, w, mu)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
