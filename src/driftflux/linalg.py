@@ -8,13 +8,16 @@ than the fixed per-call cost of the sparse paths; (2) refinement
 x <- x + LU^-1 (b - A x) with the LU held from a nearby system (Arioli,
 Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989), so the Newton Jacobians
 of one pressure step or y-correction share one factorization (lagged
-Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004); (3) for a one-off
-system, Jacobi sweeps x <- x + D^-1 (b - A x), which the lumped inertia of
-the momentum matrix makes converge (Varga, *Matrix Iterative Analysis*,
-1962); (4) SuperLU with static diagonal pivots on the MMD(A^t + A) ordering,
-as in SuperLU_DIST (Li & Demmel, ACM TOMS 29, 2003); (5) SuperLU's threshold
-pivoting.  Both iterations run until a sweep fails to halve the residual, so
-an accepted iterate is as accurate as a fresh factorization's.
+Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004); (3) when no LU is in
+hand, for a one-off system or the first of a sequence, Jacobi sweeps
+x <- x + D^-1 (b - A x), which the lumped inertia of the momentum matrix and
+the vol/dt d(rho)/dp diagonal of the pressure Jacobian make converge (Varga,
+*Matrix Iterative Analysis*, 1962); (4) SuperLU with static diagonal pivots
+on the MMD(A^t + A) ordering, as in SuperLU_DIST (Li & Demmel, ACM TOMS 29,
+2003); (5) SuperLU's threshold pivoting.  Both iterations run until a sweep
+fails to halve the residual, so an accepted iterate is as accurate as a
+fresh factorization's, and an iterate must meet the bound itself, without
+the floor relative to ||b|| that a factorization's result may use.
 
 :func:`newton_solve` has one globalization rule: halve the step until the
 iterate is admissible, which is required because the state law is singular
@@ -55,17 +58,17 @@ class NewtonResult:
     residual_norm: float
 
 
-def _residual_miss(A, x, rhs, norm_A):
+def _residual_miss(A, x, rhs, norm_A, floor=1e-8):
     """(residual, bound) of the worst column that misses the a-posteriori
-    bound, or None.  Norms are max|.| per column, so an (n, k) rhs is checked
-    column by column."""
+    bound and the ``floor`` relative to max(||b||, 1), or None.  Norms are
+    max|.| per column, so an (n, k) rhs is checked column by column."""
     r = A @ x - rhs
     worst = None
     for r_j, x_j, b_j in [(r, x, rhs)] if rhs.ndim == 1 else zip(r.T, x.T, rhs.T):
         res = np.abs(r_j).max(initial=0.0)
         norm_b = np.abs(b_j).max(initial=0.0)
         bound = _bound(norm_A, x_j, norm_b)
-        if (res > max(bound, 1e-300) and res > 1e-8 * max(norm_b, 1.0)
+        if (res > max(bound, 1e-300) and res > floor * max(norm_b, 1.0)
                 and (worst is None or res > worst[0])):
             worst = float(res), float(bound)
     return worst
@@ -147,8 +150,8 @@ def _sweep(A, rhs, x, correct, cap, norm_A):
     return x, sweeps
 
 
-def _accepted(A, x, rhs, norm_A):
-    return np.all(np.isfinite(x)) and _residual_miss(A, x, rhs, norm_A) is None
+def _accepted(A, x, rhs, norm_A, floor=1e-8):
+    return np.all(np.isfinite(x)) and _residual_miss(A, x, rhs, norm_A, floor) is None
 
 
 def _sparse_solve(A, rhs, norm_A, held):
@@ -157,14 +160,16 @@ def _sparse_solve(A, rhs, norm_A, held):
     iteration, after = None, ""
     if held is not None and held.lu is not None:
         iteration = "refined", held.lu.solve(rhs), held.lu.solve, REFINE_CAP
-    elif held is None and _jacobi_cap(A.shape[0]):
+    elif _jacobi_cap(A.shape[0]):
         d = A.diagonal() if rhs.ndim == 1 else A.diagonal()[:, None]
         if np.all(d != 0):
             iteration = "Jacobi", rhs / d, lambda r: r / d, _jacobi_cap(A.shape[0])
     if iteration:
         name, x, correct, cap = iteration
         x, sweeps = _sweep(A, rhs, x, correct, cap, norm_A)
-        if _accepted(A, x, rhs, norm_A):
+        # an iterate meets the strict bound: with a tiny rhs the floor alone
+        # passes a start such as rhs / d that never contracted
+        if _accepted(A, x, rhs, norm_A, floor=0.0):
             return x, True, f"{name}, {sweeps} sweeps"
         after = f" after {sweeps} {name} sweeps"
     lu = _static_pivot_lu(A)
@@ -189,9 +194,9 @@ def solve(matrix, rhs, held=None):
     ``DENSE_MAX`` unknowns, is solved by a dense LU and leaves ``held``
     untouched.  A larger sparse system takes the module's policy: refinement
     with the LU of ``held`` (a :class:`HeldLU`, which keeps every new factor
-    worth holding), else Jacobi sweeps when there is no ``held`` and no zero
-    on the diagonal, then the two factorizations.  A final solution that
-    misses the bound raises :class:`SolverError`.
+    worth holding), else, with no LU in hand, Jacobi sweeps when the diagonal
+    has no zero, then the two factorizations.  A final solution that misses
+    the bound raises :class:`SolverError`.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)

@@ -466,6 +466,63 @@ def test_zero_diagonal_skips_jacobi(splu_calls, caplog):
     assert _relerr(x, A, b) < 1e-12
 
 
+def test_jacobi_iterate_meets_the_bound_without_the_floor(splu_calls, caplog):
+    """With max|b| near 1e-10 the start rhs / d already passes the floor
+    1e-8 max(|b|, 1) of a factorization's check, but Jacobi does not contract
+    on this system: its iterate must go to the LU."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    A = _tridiagonal(1600, 2.05, -1.0)
+    b = 1e-10 * np.random.default_rng(17).normal(size=1600)
+    start, norm_A = b / A.diagonal(), 4.05  # max column sum of |A|
+    assert linalg._residual_miss(A, start, b, norm_A) is None
+    assert linalg._residual_miss(A, start, b, norm_A, floor=0.0) is not None
+    x = solve(A, b)
+    assert splu_calls == [(1600, True)]
+    assert _paths(caplog) == ["static LU after 1 Jacobi sweeps"]
+    assert _relerr(x, A, b) < 1e-12
+
+
+def test_held_sequence_tries_jacobi_until_it_holds_an_lu(splu_calls, caplog):
+    """The first systems of a sequence, solved by Jacobi, leave no LU held, so
+    the next one tries Jacobi again; the first that Jacobi cannot solve is
+    factorized, and its LU held and refined from then on."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    n = 400
+    rng = np.random.default_rng(18)
+    held = linalg.HeldLU()
+    for diag in (100.0, 120.0):
+        A = _tridiagonal(n, diag, -1.0)
+        b = rng.normal(size=n)
+        x = solve(A, b, held=held)
+        assert held.lu is None and splu_calls == []
+        assert _relerr(x, A, b) < 1e-12
+    # a nearly dense LU, worth holding; Jacobi diverges on the positive
+    # off-diagonal row sums (about 60 against the diagonal's 40)
+    A = (sp.random(n, n, density=0.3, random_state=rng, format="csc") + 40 * sp.eye(n)).tocsc()
+    x = solve(A, b, held=held)
+    assert held.lu is not None and splu_calls == [(n, True)]
+    assert _relerr(x, A, b) < 1e-12
+    A.data *= 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, A.nnz)
+    x = solve(A, b, held=held)
+    assert splu_calls == [(n, True)]
+    assert _paths(caplog) == ["Jacobi", "Jacobi", "static LU after 1 Jacobi sweeps", "refined"]
+    assert _relerr(x, A, b) < 1e-12
+
+
+def test_manufactured_pressure_jacobians_take_jacobi(splu_calls, caplog):
+    """A small W2: every pressure Jacobian (512 unknowns), the first of each
+    step included, is solved by Jacobi sweeps and none is factorized."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    dt = 0.00078125
+    result = run_simulation(make_config("manufactured", nx=16, ny=16, dt=dt, t_end=4 * dt))
+    reports = result.reports
+    assert (sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)) == (9, 8)
+    n = 2 * result.problem.mesh.n_cells
+    assert [path for m, path, _ in _solves(caplog) if m == n] == ["Jacobi"] * 9
+    assert all(m != n for m, _ in splu_calls)
+    assert all(r.bounds_ok for r in reports)
+
+
 @pytest.mark.parametrize("name, kw, totals", [
     ("sloshing", dict(nx=14, ny=18, dt=0.01, t_end=0.02), (8, 6)),
     ("manufactured", dict(nx=8, ny=8, dt=0.0125, t_end=0.0125 * 6), (18, 12)),
@@ -480,9 +537,11 @@ def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
     assert (sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)) == totals
     if name == "sloshing":
         # one factorization per step, held across its outer passes
+        # (each after a Jacobi attempt: the step's first Jacobian has no LU)
         pressure = [path for n, path, _ in _solves(caplog) if n == 2 * result.problem.mesh.n_cells]
-        assert pressure.count("static LU") == len(reports) - 1
-        assert pressure.count("refined") == totals[0] - pressure.count("static LU")
+        factorized = sum(path.startswith("static LU") for path in pressure)
+        assert factorized == len(reports) - 1
+        assert pressure.count("refined") == totals[0] - factorized
 
 
 def test_sloshing_keeps_the_y_floor_under_refinement_to_stagnation():
