@@ -32,7 +32,7 @@ def gas_density(p, eos):
 def rho_from_pz(p, z, eos):
     """Mixture density rho = z (1 - rho_l a^2 / p) + rho_l."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
+    if (p <= 0).any():
         raise InvariantViolation("rho_from_pz: nonpositive pressure")
     return np.asarray(z) * (1.0 - eos.rho_l * eos.a2 / p) + eos.rho_l
 

@@ -47,16 +47,16 @@ def admissibility_violation(rho, z, p=None, y=None, y_ceiling=True, y_floor=0.0,
                             ceiling_slack=Y_CEILING_SLACK):
     """The first bound of the admissible set that the cell fields break, or None.
 
-    rho, z and p (when given) must be positive; y (z / rho when not given)
-    must exceed y_floor (1 - Y_FLOOR_RTOL) and, with ``y_ceiling``, stay at or
-    below 1 + ``ceiling_slack``.
+    rho, z and p (when given), all arrays, must be positive; y (z / rho when
+    not given) must exceed y_floor (1 - Y_FLOOR_RTOL) and, with
+    ``y_ceiling``, stay at or below 1 + ``ceiling_slack``.
     """
-    if np.any(rho <= 0) or np.any(z <= 0) or (p is not None and np.any(p <= 0)):
+    if (rho <= 0).any() or (z <= 0).any() or (p is not None and (p <= 0).any()):
         return "rho, p, z must stay positive"
     y = z / rho if y is None else y
-    if np.any(y <= y_floor * (1.0 - Y_FLOOR_RTOL)):
+    if (y <= y_floor * (1.0 - Y_FLOOR_RTOL)).any():
         return f"y must stay above {y_floor:g}"
-    if y_ceiling and np.any(y > 1.0 + ceiling_slack):
+    if y_ceiling and (y > 1.0 + ceiling_slack).any():
         return "y must stay at or below 1"
     return None
 

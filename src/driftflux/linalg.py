@@ -2,14 +2,15 @@
 
 :func:`solve` takes the first path whose result passes one a-posteriori
 residual bound: (1) a system of at most ``DENSE_MAX`` unknowns is solved by
-LAPACK's partially pivoted LU, which is backward stable (Higham, *Accuracy
-and Stability of Numerical Algorithms*, 2002) and, at these sizes, cheaper
-than the fixed per-call cost of the sparse paths; (2) refinement
-x <- x + LU^-1 (b - A x) with the LU held from a nearby system (Arioli,
-Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989), so the Newton Jacobians
-of one pressure step or y-correction share one factorization (lagged
-Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004); (3) when no LU is in
-hand, for a one-off system or the first of a sequence, Jacobi sweeps
+LAPACK's gesv, the partially pivoted LU, called directly: it is backward
+stable (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002) and,
+at these sizes, cheaper than the fixed per-call cost of the sparse paths and
+of numpy's wrapper; (2) refinement x <- x + LU^-1 (b - A x) with the LU held
+from a nearby system (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10,
+1989), so the Newton Jacobians of one pressure step or y-correction share
+one factorization (lagged Jacobians: Knoll & Keyes, J. Comput. Phys. 193,
+2004); (3) when no LU is in hand, for a one-off system or the systems of a
+sequence until Jacobi first fails on one, Jacobi sweeps
 x <- x + D^-1 (b - A x), which the lumped inertia of the momentum matrix and
 the vol/dt d(rho)/dp diagonal of the pressure Jacobian make converge (Varga,
 *Matrix Iterative Analysis*, 1962); (4) SuperLU with static diagonal pivots
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgesv
 
 from .errors import NewtonError, SolverError
 
@@ -94,10 +96,12 @@ def _jacobi_cap(n):
 
 class HeldLU:
     """The LU factor of a system, held by :func:`solve` (``held=``) to solve
-    the later, nearby systems of a sequence by refinement."""
+    the later, nearby systems of a sequence by refinement.  Once Jacobi has
+    failed on one system of the sequence, the later ones skip it."""
 
     def __init__(self):
         self.lu = None
+        self.jacobi = True
 
     def hold(self, lu):
         # a refinement sweep costs about as much as factorizing 3 fill entries
@@ -155,12 +159,13 @@ def _accepted(A, x, rhs, norm_A, floor=1e-8):
 
 
 def _sparse_solve(A, rhs, norm_A, held):
-    """(x, accepted, path) of the first path of the module's policy whose
-    result meets the bound, else of the fallback."""
+    """(x, accepted, path, lu) of the first path of the module's policy whose
+    result meets the bound, else of the fallback; ``lu`` is the new factor, or
+    None when an iteration was accepted."""
     iteration, after = None, ""
     if held is not None and held.lu is not None:
         iteration = "refined", held.lu.solve(rhs), held.lu.solve, REFINE_CAP
-    elif _jacobi_cap(A.shape[0]):
+    elif _jacobi_cap(A.shape[0]) and (held is None or held.jacobi):
         d = A.diagonal() if rhs.ndim == 1 else A.diagonal()[:, None]
         if np.all(d != 0):
             iteration = "Jacobi", rhs / d, lambda r: r / d, _jacobi_cap(A.shape[0])
@@ -170,8 +175,10 @@ def _sparse_solve(A, rhs, norm_A, held):
         # an iterate meets the strict bound: with a tiny rhs the floor alone
         # passes a start such as rhs / d that never contracted
         if _accepted(A, x, rhs, norm_A, floor=0.0):
-            return x, True, f"{name}, {sweeps} sweeps"
+            return x, True, f"{name}, {sweeps} sweeps", None
         after = f" after {sweeps} {name} sweeps"
+        if held is not None and name == "Jacobi":
+            held.jacobi = False
     lu = _static_pivot_lu(A)
     x = None if lu is None else lu.solve(rhs)
     accepted = x is not None and _accepted(A, x, rhs, norm_A)
@@ -183,7 +190,7 @@ def _sparse_solve(A, rhs, norm_A, held):
         x = lu.solve(rhs)
     if held is not None:
         held.hold(lu)
-    return x, accepted, ("static LU" if accepted else "fallback") + after
+    return x, accepted, ("static LU" if accepted else "fallback") + after, lu
 
 
 def solve(matrix, rhs, held=None):
@@ -191,38 +198,39 @@ def solve(matrix, rhs, held=None):
 
     ``rhs`` may be a vector or an (n, k) array of right-hand sides that share
     one factorization.  A dense matrix, or a sparse one of at most
-    ``DENSE_MAX`` unknowns, is solved by a dense LU and leaves ``held``
+    ``DENSE_MAX`` unknowns, is solved by LAPACK's dgesv and leaves ``held``
     untouched.  A larger sparse system takes the module's policy: refinement
     with the LU of ``held`` (a :class:`HeldLU`, which keeps every new factor
     worth holding), else, with no LU in hand, Jacobi sweeps when the diagonal
-    has no zero, then the two factorizations.  A final solution that misses
-    the bound raises :class:`SolverError`.
+    has no zero and Jacobi has not failed on an earlier system of ``held``,
+    then the two factorizations.  A final solution that misses the bound
+    raises :class:`SolverError`.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
-    accepted = False
+    accepted, lu = False, None
     if sp.issparse(matrix) and matrix.shape[0] > DENSE_MAX:
         A = matrix.tocsc()
         norm_A = float(np.max(np.bincount(A.indices, weights=np.abs(A.data),
                                           minlength=A.shape[0]), initial=0.0))
-        x, accepted, path = _sparse_solve(A, rhs, norm_A, held)
+        x, accepted, path, lu = _sparse_solve(A, rhs, norm_A, held)
     else:
         A = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-        try:
-            x = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"dense solve failed: {exc}") from exc
-        norm_A = np.linalg.norm(A, np.inf)
+        _, _, x, info = dgesv(A, rhs)
+        if info != 0:
+            raise SolverError(f"dense solve failed: LAPACK gesv info {info}")
+        norm_A = np.abs(A).sum(axis=1).max(initial=0.0)
         path = "dense LU"
     if log.isEnabledFor(logging.DEBUG):
         res = np.max(np.abs(A @ x - rhs), initial=0.0)
         nnz = matrix.nnz if sp.issparse(matrix) else np.count_nonzero(A)
-        log.debug("solve n=%d: %s; nnz %d, %.3g s, residual/bound %.3g", A.shape[0],
-                  path, nnz, time.perf_counter() - start,
+        fill = "" if lu is None else f", L+U {lu.nnz}"
+        log.debug("solve n=%d: %s; nnz %d%s, %.3g s, residual/bound %.3g", A.shape[0],
+                  path, nnz, fill, time.perf_counter() - start,
                   res / max(_bound(norm_A, x, np.abs(rhs).max(initial=0.0)), 1e-300))
     if accepted:
         return x
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SolverError("linear solve produced non-finite entries")
     miss = _residual_miss(A, x, rhs, norm_A)
     if miss is not None:
@@ -250,7 +258,7 @@ def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
     if admissible_fn is not None and not admissible_fn(x):
         raise NewtonError("initial Newton iterate is inadmissible")
     r = np.asarray(residual_fn(x), dtype=float)
-    norm = float(np.linalg.norm(r, np.inf))
+    norm = float(np.abs(r).max())
     target = cfg.abs_tol + cfg.rel_tol * norm
     merits = [float(r @ r)]
     for it in range(cfg.max_iter):
@@ -263,7 +271,7 @@ def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
             x_new = x + alpha * delta
             if admissible_fn is None or admissible_fn(x_new):
                 r_new = np.asarray(residual_fn(x_new), dtype=float)
-                norm_new = float(np.linalg.norm(r_new, np.inf))
+                norm_new = float(np.abs(r_new).max())
                 merit_new = float(r_new @ r_new)
                 if merit_new <= ref * (1.0 - 1e-4 * alpha) or norm_new <= norm * (1.0 + 1e-12):
                     break

@@ -7,7 +7,10 @@ face incidence ``Mesh2D.incidence`` on the residual side, edge-pair blocks on
 the Jacobian side).  The Jacobian fills one fixed
 :class:`driftflux.mesh.SparsePattern` per mesh: every edge stores both of
 its z-columns, so a change of upwind pattern changes only values.  The
-prescribed inflow state is evaluated once per step.  The upwind pattern is
+prescribed inflow state is evaluated once per step.  The residual takes both
+balances' divergences from one incidence product, and the Jacobian reuses the
+density, edge volume fluxes and inflow state that the residual evaluated at
+the same iterate, which is where Newton asks for it.  The upwind pattern is
 frozen from the latest velocity iterate, the system is solved by the damped
 Newton of :mod:`driftflux.linalg` with the analytic Jacobian of the state
 law, the velocity is updated, and the loop repeats until the pattern is
@@ -130,10 +133,21 @@ class PressureCorrector:
         ncfg = replace(cfg, abs_tol=cfg.abs_tol * r_scale)
 
         def admissible(x):
-            return bool(np.all(x[:M] > self._p_floor))
+            return bool((x[:M] > self._p_floor).all())
 
         def edge_volume_flux(p):
             return v_tilde + c_edge * ((p[K] - p_old[K]) - (p[L] - p_old[L]))
+
+        evaluated = [None, None]
+
+        def state_at(x):
+            """(rho(p, z), edge volume flux, inflow state) at the iterate ``x``,
+            kept from the last evaluation when ``x`` is the same array object:
+            Newton asks for the Jacobian where it last evaluated the residual."""
+            if x is not evaluated[0]:
+                p, z = x[:M], x[M:]
+                evaluated[:] = x, (_eos.rho_from_pz(p, z, eos), edge_volume_flux(p), inflow(p))
+            return evaluated[1]
 
         def make_residual(up):
             up_is_K = up == K
@@ -143,25 +157,22 @@ class PressureCorrector:
                 return np.where(up_is_K, w, 0.0), np.where(up_is_K, 0.0, w)
 
             def residual(x):
-                p, z = x[:M], x[M:]
-                rho_c = _eos.rho_from_pz(p, z, eos)
-                v = edge_volume_flux(p)
-                rho_in, z_in, _, _ = inflow(p)
-                r1 = vol_dt * (rho_c - rho_n) + m.incidence @ upwind_fluxes(
-                    m, v, up, split, rho_c, rho_in)
-                r2 = vol_dt * (z - rhoy_n) + m.incidence @ upwind_fluxes(
-                    m, v, up, split, z, z_in)
-                return np.concatenate([r1, r2])
+                z = x[M:]
+                rho_c, v, (rho_in, z_in, _, _) = state_at(x)
+                # both balances' divergences from one incidence product
+                div = m.incidence @ np.array([
+                    upwind_fluxes(m, v, up, split, rho_c, rho_in),
+                    upwind_fluxes(m, v, up, split, z, z_in)]).T
+                return np.concatenate([vol_dt * (rho_c - rho_n) + div[:, 0],
+                                       vol_dt * (z - rhoy_n) + div[:, 1]])
 
             def jacobian(x):
                 p, z = x[:M], x[M:]
-                rho_c = _eos.rho_from_pz(p, z, eos)
+                rho_c, v, (_, _, drin_dp, dzin_dp) = state_at(x)
                 drdp = _eos.drho_dp_pz(p, z, eos)
                 drdz = _eos.drho_dz_pz(p, z, eos)
-                v = edge_volume_flux(p)
                 c_rho = c_edge * rho_c[up]
                 c_z = c_edge * z[up]
-                _, _, drin_dp, dzin_dp = inflow(p)
                 # the upwind derivatives sit in column K or L of their edge
                 wp_K, wp_L = at_up(v * drdp[up])
                 wz_K, wz_L = at_up(v * drdz[up])
@@ -217,14 +228,13 @@ class PressureCorrector:
                 f"upwinding loop did not settle in {self.max_outer} iterations", trace=trace)
 
         p, z = x[:M], x[M:]
-        rho = _eos.rho_from_pz(p, z, eos)
+        rho, v, (rho_in, _, _, _) = state_at(x)
         why = admissibility_violation(rho, z, p, y_ceiling=enforce_y_bound)
         if why:
             raise InvariantViolation(f"pressure correction: {why}")
 
-        rho_in, _, _, _ = inflow(p)
-        fluxes = upwind_fluxes(m, edge_volume_flux(p), up, split, rho, rho_in)
-        res_final = np.linalg.norm(make_residual(up)[0](x), np.inf)
+        fluxes = upwind_fluxes(m, v, up, split, rho, rho_in)
+        res_final = np.abs(make_residual(up)[0](x)).max()
         return CorrectionResult(u=u_cur, p=p, z=z, rho=rho, fluxes=fluxes,
                                 newton_iters=total_newton, outer_iters=len(trace),
                                 residual=float(res_final))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from driftflux import linalg
+from driftflux import linalg, verification
 from driftflux.config import make_config
 from driftflux.driver import run_simulation, simulate
 from driftflux.errors import NewtonError, SolverError
@@ -509,6 +509,31 @@ def test_held_sequence_tries_jacobi_until_it_holds_an_lu(splu_calls, caplog):
     assert _relerr(x, A, b) < 1e-12
 
 
+def test_held_sequence_skips_jacobi_once_it_failed(caplog):
+    """The y-Jacobians of configs/manufactured.cfg (20x20, 400 unknowns): Jacobi
+    fails on the first system of each y-correction, whose LU is too thin to
+    hold, so the later systems of that correction are factorized at once."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    result = run_simulation(make_config("manufactured", nx=20, ny=20, dt=0.01, t_end=0.04))
+    steps = len(result.reports) - 1
+    paths = [path for n, path, _ in _solves(caplog) if n == result.problem.mesh.n_cells]
+    # one Jacobi attempt per y-correction, and one for the set-up's one-off
+    # density prediction
+    assert paths.count("static LU after 1 Jacobi sweeps") == steps + 1
+    assert paths.count("static LU") == len(paths) - steps - 1 >= steps
+
+
+def test_debug_line_reports_the_lu_fill(caplog):
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    A, b = _held_sized(np.random.default_rng(12))
+    held = linalg.HeldLU()
+    solve(A, b, held=held)
+    solve(A, b, held=held)
+    static, refined = [r.getMessage() for r in caplog.records if r.name == "driftflux.linalg"]
+    assert static.startswith(f"solve n={N_SPARSE}: static LU; nnz {A.nnz}, L+U {held.lu.nnz}, ")
+    assert refined.startswith(f"solve n={N_SPARSE}: refined, ") and "L+U" not in refined
+
+
 def test_manufactured_pressure_jacobians_take_jacobi(splu_calls, caplog):
     """A small W2: every pressure Jacobian (512 unknowns), the first of each
     step included, is solved by Jacobi sweeps and none is factorized."""
@@ -542,6 +567,24 @@ def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
         factorized = sum(path.startswith("static LU") for path in pressure)
         assert factorized == len(reports) - 1
         assert pressure.count("refined") == totals[0] - factorized
+
+
+def test_entropy_suite_totals_are_pinned(monkeypatch):
+    """Every system of the suite takes the dense LU (LAPACK gesv), whose
+    roundoff the totals pin."""
+    runs = []
+    simulate_ = verification.simulate
+
+    def recording(*args, **kwargs):
+        runs.append(simulate_(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(verification, "simulate", recording)
+    assert verification.suite_entropy(seed=101, n_seeds=2, n_steps=20).passed
+    reports = [r for result in runs for r in result.reports]
+    assert len(runs) == 4
+    totals = sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)
+    assert totals == (354, 207)
 
 
 def test_sloshing_keeps_the_y_floor_under_refinement_to_stagnation():

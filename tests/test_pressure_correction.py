@@ -158,7 +158,9 @@ def test_step_bounds_and_maximum_principle():
     assert np.max(res.z) <= np.sum(m.cell_measure * z_data) / m.cell_measure + 1e-11
 
 
-def test_jacobian_matches_finite_differences():
+def _step_closures():
+    """(residual, jacobian, x0) of the first Newton solve of a manufactured
+    5x5 pressure step, captured from a fresh PressureCorrector.step."""
     import driftflux.pressure_correction as pc
 
     config = make_config("manufactured", nx=5, ny=5, dt=0.05)
@@ -168,11 +170,11 @@ def test_jacobian_matches_finite_differences():
     ut = predict_velocity(state, config.dt, asm, problem.bc, config.dt,
                           source=problem.momentum_source)
     corr = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
-    captured = {}
+    captured = []
     orig = pc.newton_solve
 
     def spy(res, jac, x0, cfg=None, adm=None, held=None):
-        captured.update(res=res, jac=jac, x0=x0)
+        captured.append((res, jac, x0))
         return orig(res, jac, x0, cfg, adm, held=held)
 
     pc.newton_solve = spy
@@ -180,7 +182,11 @@ def test_jacobian_matches_finite_differences():
         corr.step(state, ut, config.dt, config.dt, NewtonConfig())
     finally:
         pc.newton_solve = orig
-    res, jac, x0 = captured["res"], captured["jac"], captured["x0"]
+    return captured[0]
+
+
+def test_jacobian_matches_finite_differences():
+    res, jac, x0 = _step_closures()
     J = jac(x0).toarray()
     n = x0.size
     Jfd = np.zeros_like(J)
@@ -191,6 +197,32 @@ def test_jacobian_matches_finite_differences():
     mask = np.abs(Jfd) > 1e-6
     rel = np.abs(J - Jfd)[mask] / np.abs(Jfd)[mask]
     assert np.max(rel) < 1e-5
+
+
+def test_jacobian_reuses_the_residuals_state_only_at_its_iterate(monkeypatch):
+    """The Jacobian takes rho(p, z), the edge fluxes and the inflow state from
+    the residual's evaluation at the same iterate (the same array object) and
+    recomputes them at any other; either way it equals a fresh closure's."""
+    res, jac, x0 = _step_closures()
+    _, jac_fresh, _ = _step_closures()
+    rng = np.random.default_rng(43)
+    x1, x2 = (x0 * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, x0.size)) for _ in range(2))
+    calls = []
+    rho_from_pz = E.rho_from_pz
+    monkeypatch.setattr(E, "rho_from_pz", lambda *a: calls.append(1) or rho_from_pz(*a))
+
+    def same(A, B):
+        return np.array_equal(A.toarray(), B.toarray())
+
+    res(x1)
+    assert len(calls) == 1
+    # at the residual's iterate only the fresh closure evaluates the state
+    assert same(jac(x1), jac_fresh(x1.copy()))
+    assert len(calls) == 2
+    # at a copy of another iterate both do
+    assert same(jac(x2.copy()), jac_fresh(x2.copy()))
+    assert len(calls) == 4
+    assert not same(jac(x1), jac(x2.copy()))
 
 
 def test_renormalize_identity_when_densities_equal():
