@@ -43,7 +43,6 @@ class SimulationConfig:
     newton_abs_tol: float = 1e-11
     newton_rel_tol: float = 1e-10
     newton_max_iter: int = 50
-    outer_max_iter: int = 20
     out_dir: str = ""
     dump_interval: int = 0
     options: dict = field(default_factory=dict)
@@ -77,7 +76,7 @@ def load_config(path):
         raise ConfigurationError(f"cannot read config file {path}")
     values = {}
     options = {}
-    getters = {int: ("nx", "ny", "newton_max_iter", "outer_max_iter", "dump_interval"),
+    getters = {int: ("nx", "ny", "newton_max_iter", "dump_interval"),
                float: ("dt", "t_end", "rho_l", "a2", "mu", "visc_c", "lam",
                        "diffusion", "y_floor", "newton_abs_tol", "newton_rel_tol")}
     for section in cp.sections():

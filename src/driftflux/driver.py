@@ -95,7 +95,7 @@ def _guard(state, problem):
 
 
 def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
-             dump_interval=0, max_outer=20):
+             dump_interval=0):
     """Run the three-step scheme from t = 0 to t_end with constant dt."""
     ncfg = ncfg or NewtonConfig()
     n_steps = int(round(t_end / dt))
@@ -103,8 +103,7 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
         log.warning("t_end %.6g is not a multiple of dt %.6g; running %d steps",
                     t_end, dt, n_steps)
     assembler = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
-    corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc,
-                                  max_outer=max_outer)
+    corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
     try:
         state = initial_state(problem, dt)
     except DriftFluxError as exc:
@@ -149,8 +148,7 @@ def run_simulation(config):
                     ncfg=newton_config_from(config),
                     renormalize=config.renormalize,
                     out_dir=config.out_dir or None,
-                    dump_interval=config.dump_interval,
-                    max_outer=config.outer_max_iter)
+                    dump_interval=config.dump_interval)
 
 
 def manufactured_errors(result):

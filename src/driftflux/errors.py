@@ -30,14 +30,6 @@ class NewtonError(DriftFluxError):
         self.iterations = iterations
 
 
-class OuterLoopError(DriftFluxError):
-    """Upwinding fixed-point loop of the pressure correction failed."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
-
-
 class SimulationError(DriftFluxError):
     """Time loop aborted; carries the step index and partial reports."""
 

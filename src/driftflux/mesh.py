@@ -168,48 +168,23 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
         face_d[e] = dy
 
     boundary_side = np.empty(n_bnd, dtype="<U6")
-    j = np.arange(ny)
-    i = np.arange(nx)
-    # left
-    b = n_int + j
-    face_K[b] = j * nx
-    face_normal[b] = (-1.0, 0.0)
-    face_measure[b] = dy
-    face_midpoint[b, 0] = x0
-    face_midpoint[b, 1] = y0 + (j + 0.5) * dy
-    face_axis[b] = 0
-    face_d[b] = dx / 2
-    boundary_side[j] = "left"
-    # right
-    b = n_int + ny + j
-    face_K[b] = j * nx + nx - 1
-    face_normal[b] = (1.0, 0.0)
-    face_measure[b] = dy
-    face_midpoint[b, 0] = x0 + Lx
-    face_midpoint[b, 1] = y0 + (j + 0.5) * dy
-    face_axis[b] = 0
-    face_d[b] = dx / 2
-    boundary_side[ny + j] = "right"
-    # bottom
-    b = n_int + 2 * ny + i
-    face_K[b] = i
-    face_normal[b] = (0.0, -1.0)
-    face_measure[b] = dx
-    face_midpoint[b, 0] = x0 + (i + 0.5) * dx
-    face_midpoint[b, 1] = y0
-    face_axis[b] = 1
-    face_d[b] = dy / 2
-    boundary_side[2 * ny + i] = "bottom"
-    # top
-    b = n_int + 2 * ny + nx + i
-    face_K[b] = (ny - 1) * nx + i
-    face_normal[b] = (0.0, 1.0)
-    face_measure[b] = dx
-    face_midpoint[b, 0] = x0 + (i + 0.5) * dx
-    face_midpoint[b, 1] = y0 + Ly
-    face_axis[b] = 1
-    face_d[b] = dy / 2
-    boundary_side[2 * ny + nx + i] = "top"
+    j, i = np.arange(ny), np.arange(nx)
+    ym, xm = y0 + (j + 0.5) * dy, x0 + (i + 0.5) * dx
+    # side, first face, interior cells, normal, measure, midpoint, axis, distance
+    sides = [("left", 0, j * nx, (-1.0, 0.0), dy, (x0, ym), 0, dx / 2),
+             ("right", ny, j * nx + nx - 1, (1.0, 0.0), dy, (x0 + Lx, ym), 0, dx / 2),
+             ("bottom", 2 * ny, i, (0.0, -1.0), dx, (xm, y0), 1, dy / 2),
+             ("top", 2 * ny + nx, (ny - 1) * nx + i, (0.0, 1.0), dx, (xm, y0 + Ly), 1, dy / 2)]
+    for side, first, cells, normal, measure, (mx, my), axis, dist in sides:
+        b = n_int + first + np.arange(cells.size)
+        face_K[b] = cells
+        face_normal[b] = normal
+        face_measure[b] = measure
+        face_midpoint[b, 0] = mx
+        face_midpoint[b, 1] = my
+        face_axis[b] = axis
+        face_d[b] = dist
+        boundary_side[b - n_int] = side
 
     # per-cell face table [W, E, S, N]
     cell_faces = np.empty((nx * ny, 4), dtype=np.int64)

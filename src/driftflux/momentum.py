@@ -104,13 +104,6 @@ class DualFluxes:
     out_face: np.ndarray     # (M, 4) global face ids
     in_face: np.ndarray      # (M, 4)
 
-    def diamond_balance(self, mesh):
-        """Sum of outgoing sub-edge fluxes per face diamond (all faces)."""
-        out = np.zeros(mesh.n_faces)
-        np.add.at(out, self.out_face.ravel(), self.corner_flux.ravel())
-        np.add.at(out, self.in_face.ravel(), -self.corner_flux.ravel())
-        return out
-
 
 def assemble_dual_mass_fluxes(mesh, geom, primal_fluxes):
     """Dual fluxes from the direction-split Rannacher-Turek reconstruction."""

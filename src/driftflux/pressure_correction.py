@@ -1,7 +1,7 @@
 """Coupled pressure correction step.
 
 The velocity update is eliminated algebraically into the mass balance,
-leaving a 2M nonlinear system in (p, z) per upwind pattern.  The mass and
+leaving one 2M nonlinear system in (p, z) per step.  The mass and
 gas-mass balances share the mesh's implicit upwind transport operator (the
 face incidence ``Mesh2D.incidence`` on the residual side, edge-pair blocks on
 the Jacobian side).  The Jacobian fills one fixed
@@ -9,13 +9,16 @@ the Jacobian side).  The Jacobian fills one fixed
 its z-columns, so a change of upwind pattern changes only values.  The
 prescribed inflow state is evaluated once per step.  The residual takes both
 balances' divergences from one incidence product, and the Jacobian reuses the
-density, edge volume fluxes and inflow state that the residual evaluated at
-the same iterate, which is where Newton asks for it.  The upwind pattern is
-frozen from the latest velocity iterate, the system is solved by the damped
-Newton of :mod:`driftflux.linalg` with the analytic Jacobian of the state
-law, the velocity is updated, and the loop repeats until the pattern is
-stationary and the velocity increment negligible.  All Newton iterations and
-outer passes of a step share one held LU; the renormalization system fills a
+density, edge volume fluxes, upwind cells and inflow state that the residual
+evaluated at the same iterate, which is where Newton asks for it.  Each edge
+is upwinded by the sign of the iterate's own edge volume flux, so the
+residual is continuous (v x_up vanishes on both sides of v = 0) and piecewise
+smooth, and the damped Newton of :mod:`driftflux.linalg`, with the analytic
+Jacobian of the state law on the iterate's pattern, is a semismooth Newton
+(Qi & Sun, Math. Programming 58, 1993).  The velocity is updated once from
+the converged pressure, and its volume fluxes equal, up to roundoff, those
+that chose the upwind cells of the returned mass fluxes.  All Newton
+iterations of a step share one held LU; the renormalization system fills a
 bordered pattern of the elliptic operator.
 """
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eos as _eos
-from .errors import InvariantViolation, OuterLoopError
+from .errors import InvariantViolation
 from .fields import admissibility_violation, face_density
 from .linalg import HeldLU, NewtonConfig, newton_solve, solve
 from .mesh import (SparsePattern, edge_pair_index, edge_pair_values, inlet_split, upwind,
@@ -39,7 +42,7 @@ class CorrectionResult:
     rho: np.ndarray
     fluxes: np.ndarray
     newton_iters: int
-    outer_iters: int
+    outer_iters: int  # pressure Newton solves: one per step
     residual: float
 
 
@@ -96,12 +99,11 @@ def _jacobian_pattern(m):
 
 
 class PressureCorrector:
-    def __init__(self, mesh, geom, eos, bc, max_outer=20):
+    def __init__(self, mesh, geom, eos, bc):
         self.mesh = mesh
         self.geom = geom
         self.eos = eos
         self.bc = bc
-        self.max_outer = max_outer
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
     def step(self, state, u_tilde, dt, t_next, cfg=None, enforce_y_bound=True):
@@ -141,54 +143,55 @@ class PressureCorrector:
         evaluated = [None, None]
 
         def state_at(x):
-            """(rho(p, z), edge volume flux, inflow state) at the iterate ``x``,
-            kept from the last evaluation when ``x`` is the same array object:
-            Newton asks for the Jacobian where it last evaluated the residual."""
+            """(rho(p, z), edge volume flux v, upwind cell of v, inflow state) at
+            the iterate ``x``, kept from the last evaluation when ``x`` is the
+            same array object: Newton asks for the Jacobian where it last
+            evaluated the residual."""
             if x is not evaluated[0]:
                 p, z = x[:M], x[M:]
-                evaluated[:] = x, (_eos.rho_from_pz(p, z, eos), edge_volume_flux(p), inflow(p))
+                v = edge_volume_flux(p)
+                evaluated[:] = x, (_eos.rho_from_pz(p, z, eos), v, upwind(m, v)[0], inflow(p))
             return evaluated[1]
 
-        def make_residual(up):
+        def residual(x):
+            z = x[M:]
+            rho_c, v, up, (rho_in, z_in, _, _) = state_at(x)
+            # both balances' divergences from one incidence product
+            div = m.incidence @ np.array([
+                upwind_fluxes(m, v, up, split, rho_c, rho_in),
+                upwind_fluxes(m, v, up, split, z, z_in)]).T
+            return np.concatenate([vol_dt * (rho_c - rho_n) + div[:, 0],
+                                   vol_dt * (z - rhoy_n) + div[:, 1]])
+
+        def jacobian(x):
+            """The Jacobian of the residual on the iterate's upwind pattern: an
+            element of its generalized Jacobian where an edge flux vanishes."""
+            p, z = x[:M], x[M:]
+            rho_c, v, up, (_, _, drin_dp, dzin_dp) = state_at(x)
             up_is_K = up == K
 
             def at_up(w):
                 """(column K, column L) parts of a value in column ``up``."""
                 return np.where(up_is_K, w, 0.0), np.where(up_is_K, 0.0, w)
 
-            def residual(x):
-                z = x[M:]
-                rho_c, v, (rho_in, z_in, _, _) = state_at(x)
-                # both balances' divergences from one incidence product
-                div = m.incidence @ np.array([
-                    upwind_fluxes(m, v, up, split, rho_c, rho_in),
-                    upwind_fluxes(m, v, up, split, z, z_in)]).T
-                return np.concatenate([vol_dt * (rho_c - rho_n) + div[:, 0],
-                                       vol_dt * (z - rhoy_n) + div[:, 1]])
-
-            def jacobian(x):
-                p, z = x[:M], x[M:]
-                rho_c, v, (_, _, drin_dp, dzin_dp) = state_at(x)
-                drdp = _eos.drho_dp_pz(p, z, eos)
-                drdz = _eos.drho_dz_pz(p, z, eos)
-                c_rho = c_edge * rho_c[up]
-                c_z = c_edge * z[up]
-                # the upwind derivatives sit in column K or L of their edge
-                wp_K, wp_L = at_up(v * drdp[up])
-                wz_K, wz_L = at_up(v * drdz[up])
-                v_K, v_L = at_up(v)
-                pattern = m.pattern("pressure_jacobian", _jacobian_pattern)
-                return pattern.matrix([
-                    # mass balance: d/dp through v and rho_up, d/dz through rho_up
-                    edge_pair_values([c_rho + wp_K, wp_L - c_rho, wz_K, wz_L]),
-                    # gas-mass balance: d/dp through v, d/dz through z_up
-                    edge_pair_values([c_z, -c_z, v_K, v_L]),
-                    vol_dt * drdp, vol_dt * drdz, np.full(M, vol_dt),
-                    # boundary fluxes
-                    vb_out * drdp[bK], vb_out * drdz[bK], vb_out,
-                    -vb_in * drin_dp, -vb_in * dzin_dp])
-
-            return residual, jacobian
+            drdp = _eos.drho_dp_pz(p, z, eos)
+            drdz = _eos.drho_dz_pz(p, z, eos)
+            c_rho = c_edge * rho_c[up]
+            c_z = c_edge * z[up]
+            # the upwind derivatives sit in column K or L of their edge
+            wp_K, wp_L = at_up(v * drdp[up])
+            wz_K, wz_L = at_up(v * drdz[up])
+            v_K, v_L = at_up(v)
+            pattern = m.pattern("pressure_jacobian", _jacobian_pattern)
+            return pattern.matrix([
+                # mass balance: d/dp through v and rho_up, d/dz through rho_up
+                edge_pair_values([c_rho + wp_K, wp_L - c_rho, wz_K, wz_L]),
+                # gas-mass balance: d/dp through v, d/dz through z_up
+                edge_pair_values([c_z, -c_z, v_K, v_L]),
+                vol_dt * drdp, vol_dt * drdz, np.full(M, vol_dt),
+                # boundary fluxes
+                vb_out * drdp[bK], vb_out * drdz[bK], vb_out,
+                -vb_in * drin_dp, -vb_in * dzin_dp])
 
         # initial guess (p^n, rho^n y^n); where that pair sits on the wrong
         # branch of the state law, raise p so the guess starts with a healthy
@@ -199,42 +202,19 @@ class PressureCorrector:
         bad = _eos.rho_from_pz(p_guess, rhoy_n, eos) < 0.5 * rho_n
         p_guess[bad] = np.maximum(p_guess, p_req)[bad]
         x = np.concatenate([p_guess, rhoy_n])
-        u_cur = np.array(u_tilde, dtype=float)
-        up, _ = upwind(m, edge_volume_flux(p_guess))
-        scale_u = max(1.0, float(np.max(np.abs(u_tilde))))
-        total_newton = 0
-        trace = []
-        held = HeldLU()
-        for outer in range(1, self.max_outer + 1):
-            residual, jacobian = make_residual(up)
-            res = newton_solve(residual, jacobian, x, ncfg, admissible, held=held)
-            x = res.x
-            total_newton += res.iterations
-            p_new = x[:M]
-            u_new = np.array(u_tilde, dtype=float)
-            dp = (p_new - p_old)[K] - (p_new - p_old)[L]
-            u_new[:nint] += (dt * m.edge_measure[:nint] /
-                             (self.geom.diamond * rho_face_n) * dp)[:, None] * m.edge_normal
-            up_new, _ = upwind(m, volume_fluxes(m, u_new)[:nint])
-            du = float(np.max(np.abs(u_new - u_cur))) if u_new.size else 0.0
-            changed = int(np.sum(up_new != up))
-            trace.append((outer, changed, du))
-            u_cur = u_new
-            up = up_new
-            if changed == 0 and du <= 1e-10 * scale_u:
-                break
-        else:
-            raise OuterLoopError(
-                f"upwinding loop did not settle in {self.max_outer} iterations", trace=trace)
+        res = newton_solve(residual, jacobian, x, ncfg, admissible, held=HeldLU())
 
-        p, z = x[:M], x[M:]
-        rho, v, (rho_in, _, _, _) = state_at(x)
+        p, z = res.x[:M], res.x[M:]
+        rho, v, up, (rho_in, _, _, _) = state_at(res.x)
         why = admissibility_violation(rho, z, p, y_ceiling=enforce_y_bound)
         if why:
             raise InvariantViolation(f"pressure correction: {why}")
 
+        u = np.array(u_tilde, dtype=float)
+        dp = (p - p_old)[K] - (p - p_old)[L]
+        u[:nint] += (dt * m.edge_measure[:nint] /
+                     (self.geom.diamond * rho_face_n) * dp)[:, None] * m.edge_normal
         fluxes = upwind_fluxes(m, v, up, split, rho, rho_in)
-        res_final = np.abs(make_residual(up)[0](x)).max()
-        return CorrectionResult(u=u_cur, p=p, z=z, rho=rho, fluxes=fluxes,
-                                newton_iters=total_newton, outer_iters=len(trace),
-                                residual=float(res_final))
+        return CorrectionResult(u=u, p=p, z=z, rho=rho, fluxes=fluxes,
+                                newton_iters=res.iterations, outer_iters=1,
+                                residual=res.residual_norm)

@@ -179,12 +179,12 @@ def _pressure_oracle(mesh, geom, state, u_tilde, dt, bc, eos, x):
     c_edge = dt * mesh.edge_measure**2 / (geom.diamond * face_density(state.rho, geom))
     v_all = volume_fluxes(mesh, u_tilde)
     vb_out, vb_in = inlet_split(mesh, v_all[nint:])
-    up = upwind(mesh, v_all[:nint])[0]  # frozen at the first iterate, p = p_old
 
     p, z = x[:M], x[M:]
     rho_c = E.rho_from_pz(p, z, eos)
     drdp, drdz = E.drho_dp_pz(p, z, eos), E.drho_dz_pz(p, z, eos)
     v = v_all[:nint] + c_edge * ((p[K] - p_old[K]) - (p[L] - p_old[L]))
+    up = upwind(mesh, v)[0]  # upwinded by the iterate's own edge volume fluxes
     c_rho, c_z = c_edge * rho_c[up], c_edge * z[up]
     inlet = mesh.boundary_tags == "inlet"
     y_in = bc.inlet_mass_fraction

@@ -10,7 +10,8 @@ from driftflux.driver import initial_state
 from driftflux.eos import EosParams
 from driftflux.fields import State, face_density, pressure_seminorm
 from driftflux.linalg import NewtonConfig
-from driftflux.mesh import build_diamond_geometry, build_uniform_mesh
+from driftflux.mesh import (build_diamond_geometry, build_uniform_mesh, inlet_split,
+                            upwind, upwind_fluxes, volume_fluxes)
 from driftflux.momentum import MomentumAssembler, predict_velocity
 from driftflux.pressure_correction import (PressureCorrector,
                                            assemble_pressure_operator,
@@ -200,9 +201,10 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_reuses_the_residuals_state_only_at_its_iterate(monkeypatch):
-    """The Jacobian takes rho(p, z), the edge fluxes and the inflow state from
-    the residual's evaluation at the same iterate (the same array object) and
-    recomputes them at any other; either way it equals a fresh closure's."""
+    """The Jacobian takes rho(p, z), the edge fluxes, their upwind cells and
+    the inflow state from the residual's evaluation at the same iterate (the
+    same array object) and recomputes them at any other; either way it
+    equals a fresh closure's."""
     res, jac, x0 = _step_closures()
     _, jac_fresh, _ = _step_closures()
     rng = np.random.default_rng(43)
@@ -259,3 +261,53 @@ def test_renormalize_seminorm_inequality_and_mean():
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
         assert np.sum(p_t) * m.cell_measure == pytest.approx(
             np.sum(p) * m.cell_measure, rel=1e-12)
+
+
+def test_step_upwinds_edges_that_the_pressure_drives_across_zero(monkeypatch):
+    """Edges with v_tilde = 0 start as ties (K upwind) and end with fluxes of
+    both signs: the iterate's upwind pattern switches under Newton.  The
+    solve converges to the unchanged target, and the returned fluxes are
+    upwinded as the corrected velocity's volume fluxes say."""
+    import driftflux.pressure_correction as pc
+
+    rng = np.random.default_rng(53)
+    m = build_uniform_mesh(6, 5, 1.2, 1.0)
+    g = build_diamond_geometry(m)
+    M, nint = m.n_cells, m.n_internal
+    rho = rng.uniform(0.5, 2.0, M)
+    y = rng.uniform(0.2, 0.6, M)
+    p = E.p_from_rho_z(rho, rho * y, E51)
+    state = State(t=0.0, u=np.zeros((m.n_faces, 2)), p=p, rho=rho, z=rho * y, y=y,
+                  rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces))
+    u_tilde = np.zeros((m.n_faces, 2))
+    u_tilde[:nint] = rng.normal(size=(nint, 2))
+    still = rng.permutation(nint)[: nint // 2]
+    u_tilde[still] = 0.0
+    solves = []
+    newton_solve = pc.newton_solve
+
+    def spy(residual, jacobian, x0, cfg=None, admissible=None, held=None):
+        solves.append((cfg, np.abs(residual(np.array(x0))).max(),
+                       newton_solve(residual, jacobian, x0, cfg, admissible, held=held)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(pc, "newton_solve", spy)
+    cfg = NewtonConfig()
+    corr = PressureCorrector(m, g, E51, BoundaryConditions()).step(state, u_tilde, 0.05, 0.05,
+                                                                   cfg)
+
+    (ncfg, r0, res), = solves
+    assert ncfg.rel_tol == cfg.rel_tol and ncfg.abs_tol >= cfg.abs_tol
+    assert corr.residual == res.residual_norm <= ncfg.abs_tol + ncfg.rel_tol * r0
+    assert corr.newton_iters == res.iterations <= 8
+    assert corr.outer_iters == 1
+
+    v = volume_fluxes(m, corr.u)
+    resolved = np.abs(v[:nint]) > 1e-12 * np.abs(v[:nint]).max()
+    assert resolved[still].all()
+    assert (v[still] > 0).any() and (v[still] < 0).any()
+    expected = upwind_fluxes(m, v[:nint], upwind(m, v[:nint])[0],
+                             inlet_split(m, v[nint:]), corr.rho, 0.0)  # walls: no inflow
+    scale = np.abs(v).max() * corr.rho.max()
+    assert np.abs(corr.fluxes - expected)[np.append(resolved, np.ones(m.n_boundary, bool))].max() \
+        <= 1e-12 * scale
