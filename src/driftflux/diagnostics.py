@@ -66,8 +66,24 @@ def bounds_ok(state, y_floor=0.0, y_ceiling=True):
                                    y_floor, ceiling_slack=0.0) is None
 
 
+def _state_fields(state, rho_face, mesh, geom, eos, dt, y_floor, y_ceiling):
+    """Report fields of ``state`` alone; ``rho_face`` is the face density of
+    ``state.rho_prev``, the weight of the kinetic and pressure terms."""
+    mass, gas_mass, mom = conservation_report(state, mesh, geom)
+    return dict(
+        time=state.t, mass=mass, gas_mass=gas_mass,
+        mom_x=float(mom[0]), mom_y=float(mom[1]),
+        kinetic=0.5 * weighted_kinetic_norm(state.u, rho_face, geom),
+        free_energy=free_energy_integral(state.rho, state.rho * state.y, mesh, eos),
+        pressure_seminorm_term=0.5 * dt**2 * pressure_seminorm(state.p, rho_face, geom),
+        bounds_ok=bounds_ok(state, y_floor, y_ceiling),
+        y_min=float(np.min(state.y)), y_max=float(np.max(state.y)),
+        p_min=float(np.min(state.p)), p_max=float(np.max(state.p)),
+    )
+
+
 def build_step_report(step, previous, state_new, u_tilde, dt, p_used, assembler, eos,
-                      newton_iters, outer_iters, y_floor=0.0, y_ceiling=True):
+                      newton_iters, y_floor=0.0, y_ceiling=True):
     """Evaluate every term of the per-step entropy estimate and the totals.
 
     The old energies are the ``kinetic`` and ``free_energy`` of ``previous``,
@@ -79,45 +95,28 @@ def build_step_report(step, previous, state_new, u_tilde, dt, p_used, assembler,
     """
     mesh, geom = assembler.mesh, assembler.geom
     rho_face_old = face_density(state_new.rho_prev, geom)
-    mass, gas_mass, mom = conservation_report(state_new, mesh, geom)
-    kinetic = 0.5 * weighted_kinetic_norm(state_new.u, rho_face_old, geom)
-    fe_post = free_energy_integral(state_new.rho, state_new.rho * state_new.y, mesh, eos)
+    fields = _state_fields(state_new, rho_face_old, mesh, geom, eos, dt, y_floor, y_ceiling)
     fe_z = free_energy_integral(state_new.rho, state_new.z, mesh, eos)
     mu_cells = assembler.viscosity.cell_viscosity(state_new.rho_prev)
     visc = dt * assembler.viscous_form(u_tilde, u_tilde, mu_cells)
-    p_term_new = 0.5 * dt**2 * pressure_seminorm(state_new.p, rho_face_old, geom)
     p_term_old = 0.5 * dt**2 * pressure_seminorm(p_used, rho_face_old, geom)
-    lhs = kinetic + fe_z + visc + p_term_new
+    lhs = fields["kinetic"] + fe_z + visc + fields["pressure_seminorm_term"]
     rhs = previous.kinetic + previous.free_energy + p_term_old
     return StepReport(
-        step=step, time=state_new.t, mass=mass, gas_mass=gas_mass,
-        mom_x=float(mom[0]), mom_y=float(mom[1]), kinetic=kinetic,
-        free_energy=fe_post, viscous_dissipation=visc,
-        pressure_seminorm_term=p_term_new, pressure_seminorm_old=p_term_old,
+        step=step, viscous_dissipation=visc, pressure_seminorm_old=p_term_old,
         entropy_lhs=lhs, entropy_rhs=rhs, entropy_margin=rhs - lhs,
-        bounds_ok=bounds_ok(state_new, y_floor, y_ceiling),
-        y_min=float(np.min(state_new.y)), y_max=float(np.max(state_new.y)),
-        p_min=float(np.min(state_new.p)), p_max=float(np.max(state_new.p)),
-        newton_iters=newton_iters, outer_iters=outer_iters,
+        newton_iters=newton_iters, outer_iters=1, **fields,  # one pressure solve a step
     )
 
 
 def initial_step_report(mesh, geom, eos, state, dt, y_floor=0.0, y_ceiling=True):
-    rho_face = face_density(state.rho_prev, geom)
-    mass, gas_mass, mom = conservation_report(state, mesh, geom)
-    kinetic = 0.5 * weighted_kinetic_norm(state.u, rho_face, geom)
-    fe = free_energy_integral(state.rho, state.rho * state.y, mesh, eos)
-    p_term = 0.5 * dt**2 * pressure_seminorm(state.p, rho_face, geom)
+    fields = _state_fields(state, face_density(state.rho_prev, geom), mesh, geom, eos,
+                           dt, y_floor, y_ceiling)
     return StepReport(
-        step=0, time=state.t, mass=mass, gas_mass=gas_mass,
-        mom_x=float(mom[0]), mom_y=float(mom[1]), kinetic=kinetic,
-        free_energy=fe, viscous_dissipation=0.0,
-        pressure_seminorm_term=p_term, pressure_seminorm_old=p_term,
+        step=0, viscous_dissipation=0.0,
+        pressure_seminorm_old=fields["pressure_seminorm_term"],
         entropy_lhs=0.0, entropy_rhs=0.0, entropy_margin=0.0,
-        bounds_ok=bounds_ok(state, y_floor, y_ceiling),
-        y_min=float(np.min(state.y)), y_max=float(np.max(state.y)),
-        p_min=float(np.min(state.p)), p_max=float(np.max(state.p)),
-        newton_iters=0, outer_iters=0,
+        newton_iters=0, outer_iters=0, **fields,
     )
 
 

@@ -2,7 +2,7 @@
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class SimulationResult:
     problem: object
     state: State
     reports: list
-    u_tilde: np.ndarray = None
 
 
 def newton_config_from(config):
@@ -63,7 +62,7 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
             problem.mesh, problem.geom, state.p,
             face_density(state.rho, problem.geom),
             face_density(state.rho_prev, problem.geom))
-    work = state if p_used is state.p else _with_pressure(state, p_used)
+    work = replace(state, p=p_used)
     u_tilde = predict_velocity(work, dt, assembler, problem.bc, t_next,
                                body_accel=problem.body_accel,
                                source=problem.momentum_source)
@@ -81,12 +80,6 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
     return new_state, u_tilde, corr, p_used
 
 
-def _with_pressure(state, p):
-    s = state.copy()
-    s.p = np.asarray(p, dtype=float)
-    return s
-
-
 def _guard(state, problem):
     why = admissibility_violation(state.rho, state.z, state.p, state.y,
                                   y_ceiling=problem.y_ceiling_guard)
@@ -94,9 +87,12 @@ def _guard(state, problem):
         raise InvariantViolation(why)
 
 
-def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
-             dump_interval=0):
-    """Run the three-step scheme from t = 0 to t_end with constant dt."""
+def steps(problem, dt, t_end, ncfg=None, renormalize=False):
+    """Yield (state, report) for level 0, then for each scheme step up to t_end.
+
+    The time loop of every run: each stepped state has passed the driver's
+    guard before it is yielded.
+    """
     ncfg = ncfg or NewtonConfig()
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
@@ -104,31 +100,34 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
                     t_end, dt, n_steps)
     assembler = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
     corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
-    try:
-        state = initial_state(problem, dt)
-    except DriftFluxError as exc:
-        raise SimulationError(f"initialization failed: {exc}", step=0) from exc
-    reports = [initial_step_report(problem.mesh, problem.geom, problem.eos, state,
-                                   dt, problem.y_floor, problem.y_ceiling_guard)]
+    state = initial_state(problem, dt)
+    report = initial_step_report(problem.mesh, problem.geom, problem.eos, state,
+                                 dt, problem.y_floor, problem.y_ceiling_guard)
+    yield state, report
+    for n in range(1, n_steps + 1):
+        state, u_tilde, corr, p_used = advance(
+            problem, state, dt, n * dt, assembler, corrector, ncfg, renormalize)
+        _guard(state, problem)
+        report = build_step_report(
+            n, report, state, u_tilde, dt, p_used, assembler, problem.eos,
+            corr.newton_iters, problem.y_floor, problem.y_ceiling_guard)
+        yield state, report
+
+
+def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
+             dump_interval=0):
+    """Run the three-step scheme from t = 0 to t_end with constant dt."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        if dump_interval:
-            write_vtk(problem.mesh, state, problem.eos, dump_path(out_dir, 0))
-    u_tilde = None
+    reports = []
     try:
-        for n in range(1, n_steps + 1):
-            t_next = n * dt
-            state_new, u_tilde, corr, p_used = advance(
-                problem, state, dt, t_next, assembler, corrector, ncfg, renormalize)
-            _guard(state_new, problem)
-            reports.append(build_step_report(
-                n, reports[-1], state_new, u_tilde, dt, p_used, assembler, problem.eos,
-                corr.newton_iters, corr.outer_iters, problem.y_floor,
-                problem.y_ceiling_guard))
-            state = state_new
-            if out_dir and dump_interval and n % dump_interval == 0:
-                write_vtk(problem.mesh, state, problem.eos, dump_path(out_dir, n))
+        for state, report in steps(problem, dt, t_end, ncfg, renormalize):
+            reports.append(report)
+            if out_dir and dump_interval and report.step % dump_interval == 0:
+                write_vtk(problem.mesh, state, problem.eos, dump_path(out_dir, report.step))
     except DriftFluxError as exc:
+        if not reports:
+            raise SimulationError(f"initialization failed: {exc}", step=0) from exc
         if out_dir:
             write_diagnostics_csv(reports, os.path.join(out_dir, "diagnostics.csv"),
                                   abort_note=f"step {len(reports)}: {exc}")
@@ -136,10 +135,9 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
                               step=len(reports), reports=reports) from exc
     if out_dir:
         write_diagnostics_csv(reports, os.path.join(out_dir, "diagnostics.csv"))
-        if dump_interval:
-            write_vtk(problem.mesh, state, problem.eos, dump_path(out_dir, n_steps))
-    return SimulationResult(problem=problem, state=state, reports=reports,
-                            u_tilde=u_tilde)
+        if dump_interval and report.step % dump_interval:
+            write_vtk(problem.mesh, state, problem.eos, dump_path(out_dir, report.step))
+    return SimulationResult(problem=problem, state=state, reports=reports)
 
 
 def run_simulation(config):

@@ -37,11 +37,6 @@ class State:
     rho_prev: np.ndarray   # (M,)
     fluxes: np.ndarray     # (F,) F_{sigma,K}, K orientation
 
-    def copy(self):
-        return State(self.t, self.u.copy(), self.p.copy(), self.rho.copy(),
-                     self.z.copy(), self.y.copy(), self.rho_prev.copy(),
-                     self.fluxes.copy())
-
 
 def admissibility_violation(rho, z, p=None, y=None, y_ceiling=True, y_floor=0.0,
                             ceiling_slack=Y_CEILING_SLACK):

@@ -42,7 +42,6 @@ class CorrectionResult:
     rho: np.ndarray
     fluxes: np.ndarray
     newton_iters: int
-    outer_iters: int  # pressure Newton solves: one per step
     residual: float
 
 
@@ -216,5 +215,5 @@ class PressureCorrector:
                      (self.geom.diamond * rho_face_n) * dp)[:, None] * m.edge_normal
         fluxes = upwind_fluxes(m, v, up, split, rho, rho_in)
         return CorrectionResult(u=u, p=p, z=z, rho=rho, fluxes=fluxes,
-                                newton_iters=res.iterations, outer_iters=1,
+                                newton_iters=res.iterations,
                                 residual=res.residual_norm)

@@ -11,7 +11,7 @@ from .config import make_config
 from .diagnostics import (drift_dissipation_check, entropy_scale,
                           global_entropy_bound, pressure_work_inequality_check,
                           segment_point_check)
-from .driver import simulate
+from .driver import newton_config_from, simulate, steps
 from .eos import EosParams
 from .gas_fraction import FLUX_FUNCTIONS, DriftModel, correct_mass_fraction, drift_fluxes, _phi
 from .linalg import NewtonConfig, solve
@@ -204,10 +204,9 @@ def suite_conservation(seed=0, n_steps=120, nx=4, ny=4):
                        data={"mass_drift": dm, "gas_drift": dg, "momentum": dmom})
 
 
-def interface_front_cells(problem, state):
-    """Index of the first cell row (in x) past the transported front."""
-    nx = problem.mesh.nx
-    row = state.z[:nx]
+def interface_front_cells(mesh, z):
+    """Index of the first cell row (in x) past the transported front of z."""
+    row = z[: mesh.nx]
     mid = 0.5 * (row.min() + row.max())
     idx = np.argmax(row > mid) if row[-1] > row[0] else np.argmax(row < mid)
     return int(idx)
@@ -219,23 +218,18 @@ def suite_interface(seed=0, n_steps=50, nx=40, ny=4, tol=1e-8):
     dt = config.dt
     u0 = problem.u_init[0].copy()
     p0 = problem.p_init[0]
-    state0_front = interface_front_cells(problem, _FrontProxy(problem))
+    state0_front = interface_front_cells(problem.mesh, problem.rho_init * problem.y_init)
     res = simulate(problem, dt=dt, t_end=n_steps * dt,
                    ncfg=NewtonConfig(abs_tol=1e-13, rel_tol=1e-13))
     dp = float(np.max(np.abs(res.state.p - p0))) / p0
     du = float(np.max(np.abs(res.state.u - u0)))
-    front1 = interface_front_cells(problem, res.state)
+    front1 = interface_front_cells(problem.mesh, res.state.z)
     moved = front1 - state0_front
     lines = [f"max |p - p0|/p0 = {dp:.3e}, max |u - u0| = {du:.3e} (<= {tol:.0e})",
              f"front moved {moved} cells (require >= 10)"]
     ok = dp <= tol and du <= tol and moved >= 10
     return SuiteResult("interface", ok, lines,
                        data={"dp": dp, "du": du, "moved": moved})
-
-
-class _FrontProxy:
-    def __init__(self, problem):
-        self.z = problem.rho_init * problem.y_init
 
 
 def suite_flux_functions(seed=0, n_random=200):
@@ -322,24 +316,11 @@ def sloshing_frequency(nx=70, ny=90, dt=0.01, t_end=1.8, column=0):
 
     Returns (fitted omega, analytic omega_1, relative error, sample count).
     """
-    from .driver import advance, initial_state, newton_config_from
-    from .momentum import MomentumAssembler
-    from .pressure_correction import PressureCorrector
-
     config = make_config("sloshing", nx=nx, ny=ny, dt=dt, t_end=t_end)
     problem = build_case(config)
     w1 = problem.exact.omega(1)
-    assembler = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
-    corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
-    ncfg = newton_config_from(config)
-    state = initial_state(problem, dt)
-    ts = [0.0]
-    hs = [liquid_column_height(problem, state, column)]
-    n_steps = int(round(t_end / dt))
-    for n in range(1, n_steps + 1):
-        state, _, _, _ = advance(problem, state, dt, n * dt, assembler, corrector, ncfg)
-        ts.append(n * dt)
-        hs.append(liquid_column_height(problem, state, column))
+    ts, hs = zip(*[(state.t, liquid_column_height(problem, state, column))
+                   for state, _ in steps(problem, dt, t_end, newton_config_from(config))])
     xi = np.asarray(hs) - hs[0]
     w_fit, _ = fit_oscillation_frequency(ts, xi, 0.5 * w1, 1.5 * w1)
     return w_fit, w1, abs(w_fit - w1) / w1, len(ts)

@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from driftflux import driver
 from driftflux.config import load_config, make_config
 from driftflux.driver import (SimulationResult, build_case, manufactured_errors,
-                              run_simulation, simulate)
-from driftflux.errors import ConfigurationError, SimulationError
+                              run_simulation, simulate, steps)
+from driftflux.errors import ConfigurationError, InvariantViolation, SimulationError
 from driftflux.fields import State
 
 
@@ -202,27 +203,57 @@ def test_shipped_config_runs_at_its_shipped_size(path):
 
 
 def test_state_flux_compatibility_invariant():
-    """|K|/dt (rho - rho_prev) + sum_faces F = 0 holds for every stored state."""
+    """|K|/dt (rho - rho_prev) + sum_faces F = 0 holds for every stepped state."""
     from driftflux.verification import random_wall_problem
-    from driftflux.driver import advance, initial_state
-    from driftflux.momentum import MomentumAssembler
-    from driftflux.pressure_correction import PressureCorrector
-    from driftflux.linalg import NewtonConfig
 
     problem = random_wall_problem(np.random.default_rng(77), 4, 4)
     m = problem.mesh
     dt = 0.05
-    asm = MomentumAssembler(m, problem.geom, problem.viscosity)
-    corr = PressureCorrector(m, problem.geom, problem.eos, problem.bc)
-    state = initial_state(problem, dt)
-    for n in range(1, 4):
+    for state, _ in steps(problem, dt, 4 * dt):
         resid = m.cell_measure / dt * (state.rho - state.rho_prev)
         np.add.at(resid, m.edge_K, state.fluxes[: m.n_internal])
         np.add.at(resid, m.edge_L, -state.fluxes[: m.n_internal])
         np.add.at(resid, m.face_K[m.n_internal:], state.fluxes[m.n_internal:])
         scale = max(1.0, float(np.max(np.abs(state.rho))) * m.cell_measure / dt)
         assert np.max(np.abs(resid)) < 1e-9 * scale
-        state, _, _, _ = advance(problem, state, dt, n * dt, asm, corr, NewtonConfig())
+
+
+def test_each_vtk_dump_is_written_once(tmp_path, monkeypatch):
+    written = []
+    write_vtk = driver.write_vtk
+
+    def counting_write_vtk(mesh, state, eos, path):
+        written.append(os.path.basename(path))
+        write_vtk(mesh, state, eos, path)
+
+    monkeypatch.setattr(driver, "write_vtk", counting_write_vtk)
+    for t_end, dumps in ((0.2, ["fields_000000.vtk", "fields_000002.vtk", "fields_000004.vtk"]),
+                         (0.15, ["fields_000000.vtk", "fields_000002.vtk", "fields_000003.vtk"])):
+        written.clear()
+        run_simulation(make_config("uniform", nx=3, ny=2, dt=0.05, t_end=t_end,
+                                   out_dir=str(tmp_path), dump_interval=2))
+        assert written == dumps
+
+
+def test_sloshing_frequency_run_is_guarded(monkeypatch):
+    """The frequency fit consumes the guarded time loop: a stepped state that
+    leaves the admissible set stops it with a named error."""
+    from driftflux.verification import sloshing_frequency
+
+    args = dict(nx=14, ny=18, dt=0.02, t_end=0.4)
+    assert sloshing_frequency(**args) == (6.567601259800116, 5.534495443651783,
+                                          0.18666666666666684, 21)
+    advance = driver.advance
+
+    def poisoned_advance(problem, state, dt, t_next, *args, **kwargs):
+        state_new, *rest = advance(problem, state, dt, t_next, *args, **kwargs)
+        if t_next > 1.5 * dt:
+            state_new = dataclasses.replace(state_new, z=-state_new.z)
+        return (state_new, *rest)
+
+    monkeypatch.setattr(driver, "advance", poisoned_advance)
+    with pytest.raises(InvariantViolation, match="rho, p, z must stay positive"):
+        sloshing_frequency(**args)
 
 
 def test_validate_state_detects_violations():

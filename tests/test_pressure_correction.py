@@ -300,7 +300,6 @@ def test_step_upwinds_edges_that_the_pressure_drives_across_zero(monkeypatch):
     assert ncfg.rel_tol == cfg.rel_tol and ncfg.abs_tol >= cfg.abs_tol
     assert corr.residual == res.residual_norm <= ncfg.abs_tol + ncfg.rel_tol * r0
     assert corr.newton_iters == res.iterations <= 8
-    assert corr.outer_iters == 1
 
     v = volume_fluxes(m, corr.u)
     resolved = np.abs(v[:nint]) > 1e-12 * np.abs(v[:nint]).max()
