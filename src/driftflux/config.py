@@ -1,23 +1,19 @@
 """Run configuration: plain key = value files grouped by [section] headers."""
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 
 _CASE_DEFAULTS = {
     "manufactured": dict(nx=20, ny=20, dt=0.01, t_end=0.5, rho_l=5.0, a2=1.0,
-                         viscosity="constant", mu=1e-2, drift="constant",
-                         u_r=(0.0, 1.0), diffusion=0.1),
-    "interface": dict(nx=40, ny=4, dt=0.006, t_end=0.3, rho_l=5.0, a2=1.0,
-                      viscosity="constant", mu=1e-2, drift="none"),
-    "uniform": dict(nx=4, ny=4, dt=0.05, t_end=0.5, rho_l=5.0, a2=1.0,
-                    viscosity="constant", mu=1e-2, drift="none"),
+                         mu=1e-2, u_r=(0.0, 1.0), diffusion=0.1),
+    "interface": dict(nx=40, ny=4, dt=0.006, t_end=0.3, rho_l=5.0, a2=1.0, mu=1e-2),
+    "uniform": dict(nx=4, ny=4, dt=0.05, t_end=0.5, rho_l=5.0, a2=1.0, mu=1e-2),
     "sloshing": dict(nx=70, ny=90, dt=0.01, t_end=1.8, rho_l=1000.0, a2=1e5 / 1.2,
-                     viscosity="density_scaled", visc_c=1000.0, drift="none"),
+                     visc_c=1000.0),
     "bubble_column": dict(nx=19, ny=75, dt=0.01, t_end=2.0, rho_l=1000.0,
-                          a2=1e5 / 1.2, viscosity="constant", mu=1.0,
-                          drift="constant", u_r=(0.0, 0.2)),
+                          a2=1e5 / 1.2, mu=1.0, u_r=(0.0, 0.2)),
 }
 
 
@@ -30,12 +26,9 @@ class SimulationConfig:
     t_end: float = 0.5
     rho_l: float = 5.0
     a2: float = 1.0
-    viscosity: str = "constant"
     mu: float = 1e-2
     visc_c: float = 1000.0
-    drift: str = "none"
     u_r: tuple = (0.0, 0.0)
-    lam: float = 1.0
     diffusion: float = 0.0
     flux: str = "flux_splitting"
     renormalize: bool = False
@@ -69,38 +62,36 @@ def make_config(case, **overrides):
 
 
 def load_config(path):
-    """Parse an ini-style configuration file."""
+    """Parse an ini-style configuration file.
+
+    Each key is a :class:`SimulationConfig` field, parsed to the type of its
+    default; other keys are rejected, except under ``[case]``, where they go
+    to ``options``.  ``[case] name`` sets the case.
+    """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigurationError(f"cannot read config file {path}")
+    defaults = {f.name: f.default for f in fields(SimulationConfig) if f.name != "options"}
     values = {}
     options = {}
-    getters = {int: ("nx", "ny", "newton_max_iter", "dump_interval"),
-               float: ("dt", "t_end", "rho_l", "a2", "mu", "visc_c", "lam",
-                       "diffusion", "y_floor", "newton_abs_tol", "newton_rel_tol")}
     for section in cp.sections():
         for key, raw in cp.items(section):
             if key == "name" and section == "case":
-                values["case"] = raw
-                continue
-            if key in ("renormalize",):
-                values[key] = cp.getboolean(section, key)
-                continue
-            if key == "u_r":
-                values["u_r"] = tuple(float(v) for v in raw.split(","))
-                continue
-            for typ, keys in getters.items():
-                if key in keys:
-                    values[key] = typ(float(raw))
-                    break
-            else:
-                if key in ("case", "viscosity", "drift", "flux", "out_dir"):
-                    values[key] = raw
-                elif section == "case":
-                    options[key] = raw
-                else:
+                key = "case"
+            if key not in defaults:
+                if section != "case":
                     raise ConfigurationError(f"unknown config key {section}.{key}")
+                options[key] = raw
+                continue
+            default = defaults[key]
+            if isinstance(default, bool):
+                values[key] = cp.getboolean(section, key)
+            elif isinstance(default, tuple):
+                values[key] = tuple(float(v) for v in raw.split(","))
+            elif isinstance(default, int):
+                values[key] = int(float(raw))
+            else:
+                values[key] = type(default)(raw)
     case = values.pop("case", "uniform")
     values["options"] = options
     return make_config(case, **values)

@@ -82,7 +82,7 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
 
 def _guard(state, problem):
     why = admissibility_violation(state.rho, state.z, state.p, state.y,
-                                  y_ceiling=problem.y_ceiling_guard)
+                                  y_ceiling=problem.y_ceiling_guard, y_floor=problem.y_floor)
     if why:
         raise InvariantViolation(why)
 

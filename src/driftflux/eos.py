@@ -123,7 +123,7 @@ def drift_edge_pressure(p1, p2, eos):
     p2 = np.asarray(p2, dtype=float)
     if np.any(p1 <= 0) or np.any(p2 <= 0):
         raise InvariantViolation("drift_edge_pressure: nonpositive pressure")
-    equal = np.isclose(p1, p2, rtol=0.0, atol=0.0) | (p1 == p2)
+    equal = p1 == p2
     dp = np.where(equal, 1.0, p1 - p2)
     s = (h_p(np.where(equal, 1.0, p1), eos) - h_p(np.where(equal, 1.0, p2), eos)) / dp
     ps = eos.a2 / (s + 1.0 / eos.rho_l)

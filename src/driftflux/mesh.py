@@ -331,20 +331,6 @@ class SparsePattern:
         return A
 
 
-# corner order: NE, NW, SW, SE.  For the sub-edge from the cell center to
-# corner c, n_raw is the rotated (un-normalized) segment vector; the flux
-# F_raw = (rho u)(midpoint) . n_raw is the mass flux leaving the diamond of
-# face ``corner_out`` and entering the diamond of ``corner_in``.
-_CORNER_OUT = np.array([E, N, W, S])
-_CORNER_IN = np.array([N, W, S, E])
-# interpolation weights for the direction-split field at the sub-edge midpoint:
-# g_x(mid) = wx0*phi_W + wx1*phi_E, g_y(mid) = wy0*phi_S + wy1*phi_N
-_CORNER_WX = np.array([[0.25, 0.75], [0.75, 0.25], [0.75, 0.25], [0.25, 0.75]])
-_CORNER_WY = np.array([[0.25, 0.75], [0.25, 0.75], [0.75, 0.25], [0.75, 0.25]])
-# n_raw in units of (dy, dx): n_raw = (nraw_x * dy/2, nraw_y * dx/2)
-_CORNER_NRAW = np.array([[-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])
-
-
 @dataclass(frozen=True)
 class DiamondGeometry:
     """Dual (diamond-cell) geometry of a uniform rectangular mesh."""
@@ -370,33 +356,3 @@ def build_diamond_geometry(mesh):
         mesh=mesh, half=half, diamond=diamond,
         boundary_half=boundary_half, face_lump=face_lump,
     )
-
-
-def directional_flux_density(mesh, primal_fluxes):
-    """Per (cell, local face): flux density of rho*u along the +axis direction.
-
-    ``primal_fluxes`` holds F_{sigma,K} for every face in the K orientation
-    (outward of face_K); the returned densities are single-valued per face, so
-    the piecewise reconstruction matches across cells.
-    """
-    # outward-normal sign seen from face_K along the +axis
-    sign = np.where(mesh.face_axis == 0, mesh.face_normal[:, 0], mesh.face_normal[:, 1])
-    dens = primal_fluxes * sign / mesh.face_measure
-    phi = dens[mesh.cell_faces]  # (M, 4)
-    # W and S faces: outward of their right/upper cell is -axis, but for the
-    # cell that owns them as W/S the density value is identical (shared dof).
-    return phi
-
-
-def dual_corner_fluxes(mesh, geom, primal_fluxes):
-    """F_raw per (cell, corner): mass flux leaving the _CORNER_OUT diamond.
-
-    The reconstruction is the Rannacher-Turek direction-split field whose
-    component along axis i varies affinely between the opposite-face flux
-    densities; its divergence is constant per cell and its face fluxes equal
-    the primal ones, which is what carries the mass balance to the diamonds.
-    """
-    phi = directional_flux_density(mesh, primal_fluxes)  # (M,4) order W,E,S,N
-    gx = phi[:, [W]] * _CORNER_WX[:, 0] + phi[:, [E]] * _CORNER_WX[:, 1]  # (M,4)
-    gy = phi[:, [S]] * _CORNER_WY[:, 0] + phi[:, [N]] * _CORNER_WY[:, 1]
-    return gx * (_CORNER_NRAW[:, 0] * mesh.dy / 2) + gy * (_CORNER_NRAW[:, 1] * mesh.dx / 2)

@@ -17,8 +17,8 @@ from .boundary import mirror_partners
 from .errors import InvariantViolation
 from .fields import face_density_all
 from .linalg import solve
-from .mesh import (SLIP, SparsePattern, dual_corner_fluxes, inlet_split, upwind,
-                   upwind_fluxes, upwind_transport_matrix, volume_fluxes, _CORNER_IN, _CORNER_OUT)
+from .mesh import (E, N, S, SLIP, W, SparsePattern, inlet_split, upwind, upwind_fluxes,
+                   upwind_transport_matrix, volume_fluxes)
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -60,18 +60,14 @@ def viscous_element_matrix(dx, dy, constant_model):
     """
     G = gradient_tensor(dx, dy)
     lap = np.einsum("fhaa->fh", G)
-    A = np.zeros((8, 8))
-    for fr in range(4):
-        for ir in range(2):
-            for fc in range(4):
-                for ic in range(2):
-                    if constant_model:
-                        val = (ir == ic) * lap[fc, fr] + G[fc, fr, ic, ir] / 3.0
-                    else:
-                        val = (ir == ic) * lap[fc, fr] + G[fc, fr, ir, ic] \
-                            - 2.0 / 3.0 * G[fc, fr, ic, ir]
-                    A[2 * fr + ir, 2 * fc + ic] = val
-    return A
+    # A[fr, ir, fc, ic]: test function (fr, ir), trial function (fc, ic)
+    A = np.eye(2)[None, :, None, :] * lap.T[:, None, :, None]
+    G_cr = G.transpose(1, 3, 0, 2)  # G[fc, fr, ic, ir]
+    if constant_model:
+        A = A + G_cr / 3.0
+    else:
+        A = A + G.transpose(1, 2, 0, 3) - 2.0 / 3.0 * G_cr
+    return A.reshape(8, 8)
 
 
 @dataclass
@@ -92,30 +88,40 @@ class ViscosityModel:
         return self.kind == "constant"
 
 
-@dataclass
-class DualFluxes:
-    """Mass fluxes across diamond sub-edges, one per (cell, corner).
+# corner order: NE, NW, SW, SE.  For the sub-edge from the cell center to
+# corner c, n_raw is the rotated (un-normalized) segment vector; the flux
+# F_raw = (rho u)(midpoint) . n_raw is the mass flux leaving the diamond of
+# face ``_CORNER_OUT`` and entering the diamond of ``_CORNER_IN``.
+_CORNER_OUT = np.array([E, N, W, S])
+_CORNER_IN = np.array([N, W, S, E])
+# interpolation weights for the direction-split field at the sub-edge midpoint:
+# g_x(mid) = wx0*phi_W + wx1*phi_E, g_y(mid) = wy0*phi_S + wy1*phi_N
+_CORNER_WX = np.array([[0.25, 0.75], [0.75, 0.25], [0.75, 0.25], [0.25, 0.75]])
+_CORNER_WY = np.array([[0.25, 0.75], [0.25, 0.75], [0.75, 0.25], [0.75, 0.25]])
+# n_raw in units of (dy, dx): n_raw = (nraw_x * dy/2, nraw_y * dx/2)
+_CORNER_NRAW = np.array([[-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])
 
-    ``corner_flux[c, q]`` leaves the diamond of face ``out_face[c, q]`` and
-    enters the diamond of ``in_face[c, q]`` (antisymmetry holds by storage).
+
+def assemble_dual_mass_fluxes(mesh, primal_fluxes):
+    """F_raw per (cell, corner), (M, 4): the mass flux leaving the diamond of
+    face ``cell_faces[:, _CORNER_OUT]`` and entering that of ``_CORNER_IN``.
+
+    ``primal_fluxes`` holds F_{sigma,K} for every face in the K orientation.
+    The reconstruction is the Rannacher-Turek direction-split field whose
+    component along axis i varies affinely between the opposite-face flux
+    densities; its divergence is constant per cell and its face fluxes equal
+    the primal ones, which is what carries the mass balance to the diamonds.
     """
-
-    corner_flux: np.ndarray  # (M, 4)
-    out_face: np.ndarray     # (M, 4) global face ids
-    in_face: np.ndarray      # (M, 4)
-
-
-def assemble_dual_mass_fluxes(mesh, geom, primal_fluxes):
-    """Dual fluxes from the direction-split Rannacher-Turek reconstruction."""
     f = np.asarray(primal_fluxes, dtype=float)
     if not np.all(np.isfinite(f)):
         raise InvariantViolation("dual fluxes: non-finite primal fluxes")
-    corner = dual_corner_fluxes(mesh, geom, f)
-    return DualFluxes(
-        corner_flux=corner,
-        out_face=mesh.cell_faces[:, _CORNER_OUT],
-        in_face=mesh.cell_faces[:, _CORNER_IN],
-    )
+    # flux density along the +axis, single-valued per face, so the piecewise
+    # reconstruction matches across cells; (M, 4) in the order W, E, S, N
+    sign = np.where(mesh.face_axis == 0, mesh.face_normal[:, 0], mesh.face_normal[:, 1])
+    phi = (f * sign / mesh.face_measure)[mesh.cell_faces]
+    gx = phi[:, [W]] * _CORNER_WX[:, 0] + phi[:, [E]] * _CORNER_WX[:, 1]
+    gy = phi[:, [S]] * _CORNER_WY[:, 0] + phi[:, [N]] * _CORNER_WY[:, 1]
+    return gx * (_CORNER_NRAW[:, 0] * mesh.dy / 2) + gy * (_CORNER_NRAW[:, 1] * mesh.dx / 2)
 
 
 class MomentumAssembler:
@@ -184,14 +190,14 @@ class MomentumAssembler:
                  body_accel=None, source=None, t=None, bc=None):
         """Matrix and rhs of the prediction step (Dirichlet rows included).
 
-        ``dual`` holds the mesh's sub-edge fluxes in the corner order of
+        ``dual`` holds the mesh's (M, 4) sub-edge fluxes from
         :func:`assemble_dual_mass_fluxes`.
         """
         m = self.mesh
         dia = self.geom.face_lump
         # centered advection on diamond sub-edges: +half in the out-diamond's
         # rows, -half in the in-diamond's
-        half = 0.5 * dual.corner_flux.ravel()
+        half = 0.5 * dual.ravel()
         n_tie = self._tie_dofs.size
         A = m.pattern("momentum", self._pattern).matrix([
             np.repeat(dia * rho_face_n / dt, 2),                     # lumped inertia
@@ -228,7 +234,7 @@ def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=N
     rho_face_nm1 = face_density_all(state.rho_prev, geom)
     if np.any(rho_face_n <= 0) or np.any(rho_face_nm1 <= 0):
         raise InvariantViolation("predict_velocity: nonpositive face density")
-    dual = assemble_dual_mass_fluxes(mesh, geom, state.fluxes)
+    dual = assemble_dual_mass_fluxes(mesh, state.fluxes)
     mu_cells = assembler.viscosity.cell_viscosity(state.rho)
     A, b = assembler.assemble(rho_face_n, rho_face_nm1, state.u, dual, state.p, dt,
                               mu_cells, body_accel=body_accel, source=source,

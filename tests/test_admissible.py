@@ -30,9 +30,9 @@ def _state(y, rho=1.0, p=1.0, z=None):
                  rho=rho, z=z, y=y, rho_prev=rho, fluxes=np.zeros(MESH.n_faces))
 
 
-def _guard_accepts(state, ceiling=True):
+def _guard_accepts(state, ceiling=True, y_floor=0.0):
     try:
-        _guard(state, SimpleNamespace(y_ceiling_guard=ceiling))
+        _guard(state, SimpleNamespace(y_ceiling_guard=ceiling, y_floor=y_floor))
     except InvariantViolation:
         return False
     return True
@@ -51,6 +51,12 @@ def test_step_guard_y_ceiling_slack():
     assert _guard_accepts(_state(1.0 + 1e-11))
     assert not _guard_accepts(_state(1.0 + 2e-11))
     assert _guard_accepts(_state(1.5), ceiling=False)
+
+
+def test_step_guard_y_floor_slack():
+    floor = 1e-9
+    assert _guard_accepts(_state(floor * (1.0 - 5e-13)), y_floor=floor)
+    assert not _guard_accepts(_state(floor * (1.0 - 2e-12)), y_floor=floor)
 
 
 def test_y_correction_ceiling_slack():

@@ -136,6 +136,16 @@ def test_config_validation():
         load_config("/nonexistent/file.cfg")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("physics", "drift", "darcy"), ("physics", "viscosity", "density_scaled"),
+    ("physics", "lam", "0.5"), ("solver", "outer_max_iter", "3")])
+def test_config_rejects_keys_outside_the_config_fields(tmp_path, section, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[case]\nname = uniform\n\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigurationError, match=f"unknown config key {section}.{key}"):
+        load_config(path)
+
+
 def test_abort_writes_csv_note(tmp_path):
     # poison the gas-fraction source after the first step: the Newton solve
     # sees a non-finite residual and the driver must abort with diagnostics
@@ -182,6 +192,14 @@ def test_sloshing_keeps_the_y_floor_at_four_times_the_time_step():
     res = run_simulation(make_config("sloshing", nx=35, ny=45, dt=0.04, t_end=0.4))
     assert len(res.reports) == 11
     assert all(r.bounds_ok for r in res.reports)
+
+
+def test_sloshing_stops_when_a_step_breaks_the_y_floor():
+    """Sloshing 35x45 at dt 0.16 ends its first step below the y floor
+    (y_min = 1e-9 (1 - 3.7e-10)); the step guard stops the run there instead
+    of reporting the state."""
+    with pytest.raises(SimulationError, match="aborted at step 1: y must stay above 1e-09"):
+        run_simulation(make_config("sloshing", nx=35, ny=45, dt=0.16, t_end=0.32))
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import driftflux.momentum as momentum
 from driftflux import eos as E
 from driftflux.boundary import BoundaryConditions
 from driftflux.cases import build_case
@@ -11,7 +12,8 @@ from driftflux.fields import State, face_density, face_density_all
 from driftflux.mesh import build_diamond_geometry, build_uniform_mesh
 from driftflux.momentum import (MomentumAssembler, ViscosityModel,
                                 assemble_dual_mass_fluxes,
-                                init_density_prediction, predict_velocity)
+                                init_density_prediction, predict_velocity,
+                                viscous_element_matrix)
 
 E51 = EosParams(5.0, 1.0)
 
@@ -30,36 +32,42 @@ def wall_state(mesh, rho, u=None, p=None, fluxes=None):
     )
 
 
+def corner_faces(mesh):
+    """(out, in) global face ids of every (cell, corner) sub-edge flux."""
+    return (mesh.cell_faces[:, momentum._CORNER_OUT],
+            mesh.cell_faces[:, momentum._CORNER_IN])
+
+
 def diamond_balance(dual, mesh):
     """Sum of outgoing sub-edge fluxes of ``dual`` per face diamond (all faces)."""
+    out_face, in_face = corner_faces(mesh)
     out = np.zeros(mesh.n_faces)
-    np.add.at(out, dual.out_face.ravel(), dual.corner_flux.ravel())
-    np.add.at(out, dual.in_face.ravel(), -dual.corner_flux.ravel())
+    np.add.at(out, out_face.ravel(), dual.ravel())
+    np.add.at(out, in_face.ravel(), -dual.ravel())
     return out
 
 
 def test_dual_fluxes_zero():
     m = build_uniform_mesh(3, 3, 1.0, 1.0)
-    g = build_diamond_geometry(m)
-    dual = assemble_dual_mass_fluxes(m, g, np.zeros(m.n_faces))
-    assert np.all(dual.corner_flux == 0.0)
+    dual = assemble_dual_mass_fluxes(m, np.zeros(m.n_faces))
+    assert dual.shape == (m.n_cells, 4)
+    assert np.all(dual == 0.0)
 
 
 def test_dual_fluxes_uniform_flow_exact_integrals():
     """Constant rho*u = (c, 0): sub-edge fluxes are the field's exact integrals."""
     c = 0.7
     m = build_uniform_mesh(2, 2, 1.0, 1.0)
-    g = build_diamond_geometry(m)
     fluxes = np.zeros(m.n_faces)
     # F_{sigma,K} = |s| (c,0) . n_outward-of-K for every face
     fluxes[: m.n_internal] = m.edge_measure * c * m.edge_normal[:, 0]
     b = slice(m.n_internal, m.n_faces)
     fluxes[b] = m.face_measure[b] * c * m.face_normal[b][:, 0]
-    dual = assemble_dual_mass_fluxes(m, g, fluxes)
+    dual = assemble_dual_mass_fluxes(m, fluxes)
     # exact flux of (c,0) across a sub-edge from center to corner (dx/2, dy/2)
     # with ccw normal is -c*dy/2 for NE/NW and +c*dy/2 for SW/SE
     expect = np.array([-1, -1, 1, 1]) * c * m.dy / 2
-    assert np.allclose(dual.corner_flux, expect[None, :])
+    assert np.allclose(dual, expect[None, :])
     # steady constant density: every diamond balance closes (boundary faces
     # carry their own primal flux)
     bal = diamond_balance(dual, m)
@@ -81,7 +89,7 @@ def test_dual_balance_after_upwind_mass_step():
     rho0, z0, fluxes = init_density_prediction(
         m, bc, eos, rho_prev, u, np.full(m.n_cells, 1.0),
         0.4 * rho_prev, dt)
-    dual = assemble_dual_mass_fluxes(m, g, fluxes)
+    dual = assemble_dual_mass_fluxes(m, fluxes)
     bal = diamond_balance(dual, m)
     rho_f0 = face_density(rho0, g)
     rho_fp = face_density(rho_prev, g)
@@ -97,14 +105,39 @@ def test_dual_balance_after_upwind_mass_step():
 
 def test_dual_flux_antisymmetry_structure():
     m = build_uniform_mesh(3, 2, 1.0, 1.0)
-    g = build_diamond_geometry(m)
     rng = np.random.default_rng(4)
     fluxes = rng.normal(size=m.n_faces)
-    dual = assemble_dual_mass_fluxes(m, g, fluxes)
+    dual = assemble_dual_mass_fluxes(m, fluxes)
     # the same physical sub-edge flux enters out_face positively and in_face
     # negatively by construction; verify both tables address the same faces
-    assert dual.out_face.shape == dual.in_face.shape == dual.corner_flux.shape
-    assert np.all(dual.out_face != dual.in_face)
+    out_face, in_face = corner_faces(m)
+    assert out_face.shape == in_face.shape == dual.shape
+    assert np.all(out_face != in_face)
+
+
+def viscous_element_oracle(dx, dy, constant_model):
+    """The element matrix written entry by entry, local dof l = 2*face + component."""
+    G = momentum.gradient_tensor(dx, dy)
+    lap = np.einsum("fhaa->fh", G)
+    A = np.zeros((8, 8))
+    for fr in range(4):
+        for ir in range(2):
+            for fc in range(4):
+                for ic in range(2):
+                    if constant_model:
+                        val = (ir == ic) * lap[fc, fr] + G[fc, fr, ic, ir] / 3.0
+                    else:
+                        val = (ir == ic) * lap[fc, fr] + G[fc, fr, ir, ic] \
+                            - 2.0 / 3.0 * G[fc, fr, ic, ir]
+                    A[2 * fr + ir, 2 * fc + ic] = val
+    return A
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_viscous_element_matrix_matches_entrywise_oracle(constant):
+    for dx, dy in [(1.0, 1.0), (0.1, 0.2), (1 / 70, 1 / 90), (1 / 3, 0.7), (2.0, 1e-3)]:
+        assert np.array_equal(viscous_element_matrix(dx, dy, constant),
+                              viscous_element_oracle(dx, dy, constant))
 
 
 @pytest.mark.parametrize("constant", [True, False])
@@ -155,8 +188,7 @@ def test_predicted_velocity_solves_momentum_system():
     problem = build_case(config)
     state = initial_state(problem, config.dt)
     asm = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
-    from driftflux.momentum import assemble_dual_mass_fluxes as adm
-    dual = adm(problem.mesh, problem.geom, state.fluxes)
+    dual = assemble_dual_mass_fluxes(problem.mesh, state.fluxes)
     mu = problem.viscosity.cell_viscosity(state.rho)
     A, b = asm.assemble(face_density_all(state.rho, problem.geom),
                         face_density_all(state.rho_prev, problem.geom),
