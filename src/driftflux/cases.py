@@ -18,6 +18,9 @@ from .mesh import build_diamond_geometry, build_uniform_mesh
 from .momentum import ViscosityModel
 
 GRAVITY = 9.81
+# state law and viscosity of the interface and uniform cases
+BOX_EOS = EosParams(5.0, 1.0)
+BOX_MU = 1e-2
 
 
 @dataclass
@@ -42,7 +45,11 @@ class Problem:
     y_boundary_flux: object = None
     exact: object = None
     y_floor: float = 0.0
-    y_ceiling_guard: bool = True
+
+    @property
+    def y_ceiling(self):
+        """Whether y <= 1 is guaranteed: a manufactured y source may exceed it."""
+        return self.y_source is None
 
 
 class ManufacturedSolution:
@@ -146,8 +153,7 @@ class SloshingCase:
     rho_l: float = 1000.0
     a2: float = 1e5 / 1.2
     visc_c: float = 1000.0
-    n_terms: int = 200
-    alt_series_convention: bool = False  # doubled wave numbers, time-argument cosines
+    y_floor: float = 1e-9
 
     def omega(self, n):
         """Dispersion relation; wave number k_n = n pi / L."""
@@ -158,20 +164,7 @@ class SloshingCase:
         return np.sqrt(num / den)
 
     def wave_number(self, n):
-        n = np.asarray(n, dtype=float)
-        return (2.0 * np.pi * n / self.L) if self.alt_series_convention else (np.pi * n / self.L)
-
-    def interface(self, x, t):
-        """Analytic interface elevation xi(x, t), series truncated at n_terms."""
-        x = np.asarray(x, dtype=float)
-        n = np.arange(self.n_terms + 1)
-        odd = 2 * n + 1
-        k = self.wave_number(odd)
-        w = self.omega(odd)
-        phase = k[:, None] * (t if self.alt_series_convention else x[None, :])
-        series = (4.0 / (self.L * k**2))[:, None] * np.cos(w[:, None] * t) * np.cos(phase)
-        series = np.broadcast_to(series, (odd.size, x.size))
-        return self.a0 / self.g * (x - self.L / 2 + np.sum(series, axis=0))
+        return np.pi * np.asarray(n, dtype=float) / self.L
 
 
 @dataclass
@@ -188,6 +181,7 @@ class BubbleColumnCase:
     u_r: tuple = (0.0, 0.2)
     mu: float = 1.0
     p_ambient: float = 1e5
+    y_floor: float = 1e-9
 
     @property
     def inlet_velocity(self):
@@ -195,32 +189,30 @@ class BubbleColumnCase:
         return q / (self.inlet_width * self.depth)
 
 
-def _hydrostatic_pressure(mesh, eos, y_cells, g, p_top, discrete=True):
+def _hydrostatic_pressure(mesh, eos, y_cells, g, p_top):
     """Column pressures integrating rho g downward from the top row (one
     row at a time, every column at once).
 
-    ``discrete=True`` uses the scheme's own face balance
-    |sigma| (p_K - p_L) = g |D_sigma| rho_sigma (jumps rho g dy / 2), which
-    makes the initial state an exact discrete rest state.
+    Uses the scheme's own face balance |sigma| (p_K - p_L) = g |D_sigma|
+    rho_sigma (jumps rho g dy / 2), which makes the initial state an exact
+    discrete rest state.
     """
     y = np.asarray(y_cells).reshape(mesh.ny, mesh.nx)
     p = np.empty((mesh.ny, mesh.nx))
-    factor = 0.5 if discrete else 1.0
     p[-1] = p_top
     rho_above = _eos.rho_from_py(p_top, y[-1], eos)
     for j in range(mesh.ny - 2, -1, -1):
         pk = p[j + 1]
         for _ in range(3):
             rho_k = _eos.rho_from_py(pk, y[j], eos)
-            pk = p[j + 1] + factor * g * mesh.dy * 0.5 * (rho_k + rho_above)
+            pk = p[j + 1] + 0.5 * g * mesh.dy * 0.5 * (rho_k + rho_above)
         p[j] = pk
         rho_above = _eos.rho_from_py(pk, y[j], eos)
     return p.ravel()
 
 
 def build_manufactured(config):
-    sol = ManufacturedSolution(rho_l=config.rho_l, a2=config.a2, mu=config.mu,
-                               diffusion=config.diffusion, u_r=tuple(config.u_r))
+    sol = ManufacturedSolution()
     mesh = build_uniform_mesh(config.nx, config.ny, 1.0, 1.0, x0=0.0, y0=-0.5,
                               tags=lambda side, x: "inlet")
     geom = build_diamond_geometry(mesh)
@@ -229,31 +221,25 @@ def build_manufactured(config):
     u0 = sol.velocity(mesh.face_midpoint, 0.0)
     return Problem(
         name="manufactured", mesh=mesh, geom=geom, eos=sol.eos, bc=bc,
-        viscosity=ViscosityModel("constant", mu=config.mu),
-        drift=DriftModel("constant", u_r=tuple(config.u_r), diffusion=config.diffusion),
+        viscosity=ViscosityModel("constant", mu=sol.mu),
+        drift=DriftModel("constant", u_r=sol.u_r, diffusion=sol.diffusion),
         flux_fn=FLUX_FUNCTIONS[config.flux],
         u_init=u0, rho_init=rho0, p_init=p0, y_init=y0,
         momentum_source=sol.momentum_source, y_source=sol.y_source,
         y_boundary_flux=sol.y_boundary_flux,
-        exact=sol, y_ceiling_guard=False,
+        exact=sol,
     )
 
 
 def build_interface(config):
-    opts = config.options
-    u0 = float(opts.get("u0", 1.0))
-    p0 = float(opts.get("p0", 1.0))
-    y_left = float(opts.get("y_left", 0.1))
-    y_right = float(opts.get("y_right", 0.8))
-    front = float(opts.get("front", 0.25))
-    Lx = float(opts.get("Lx", 1.0))
-    Ly = float(opts.get("Ly", 0.1))
-    eos = EosParams(config.rho_l, config.a2)
-    mesh = build_uniform_mesh(config.nx, config.ny, Lx, Ly,
+    """A front of y from 0.1 to 0.8 at x = 0.25, carried through a 1 x 0.1
+    channel at u = (1, 0) and p = 1."""
+    u0, p0, y_left, y_right = 1.0, 1.0, 0.1, 0.8
+    mesh = build_uniform_mesh(config.nx, config.ny, 1.0, 0.1,
                               tags={"left": "inlet", "right": "outlet",
                                     "bottom": "slip", "top": "slip"})
     geom = build_diamond_geometry(mesh)
-    rho_left = float(_eos.rho_from_py(p0, y_left, eos))
+    rho_left = float(_eos.rho_from_py(p0, y_left, BOX_EOS))
     z_left = rho_left * y_left
 
     def velocity(x, t):
@@ -264,64 +250,54 @@ def build_interface(config):
         return np.full(n, rho_left), np.full(n, z_left)
 
     bc = BoundaryConditions(velocity=velocity, inlet_state=inlet_state)
-    y0 = np.where(mesh.cell_centers[:, 0] < front, y_left, y_right)
-    rho0 = _eos.rho_from_py(p0, y0, eos)
+    y0 = np.where(mesh.cell_centers[:, 0] < 0.25, y_left, y_right)
+    rho0 = _eos.rho_from_py(p0, y0, BOX_EOS)
     p_init = np.full(mesh.n_cells, p0)
     u_init = np.tile(np.array([u0, 0.0]), (mesh.n_faces, 1))
     return Problem(
-        name="interface", mesh=mesh, geom=geom, eos=eos, bc=bc,
-        viscosity=ViscosityModel("constant", mu=config.mu),
+        name="interface", mesh=mesh, geom=geom, eos=BOX_EOS, bc=bc,
+        viscosity=ViscosityModel("constant", mu=BOX_MU),
         drift=DriftModel("none"), flux_fn=FLUX_FUNCTIONS[config.flux],
         u_init=u_init, rho_init=rho0, p_init=p_init, y_init=y0,
     )
 
 
 def build_uniform(config):
-    opts = config.options
-    p0 = float(opts.get("p0", 1.0))
-    y0v = float(opts.get("y0", 4.0 / 9.0))
-    eos = EosParams(config.rho_l, config.a2)
-    mesh = build_uniform_mesh(config.nx, config.ny, float(opts.get("Lx", 1.0)),
-                              float(opts.get("Ly", 1.0)))
+    """A closed unit box at rest, p = 1 and y = 4/9."""
+    p0, y0 = 1.0, 4.0 / 9.0
+    mesh = build_uniform_mesh(config.nx, config.ny, 1.0, 1.0)
     geom = build_diamond_geometry(mesh)
     M = mesh.n_cells
-    rho0 = np.full(M, float(_eos.rho_from_py(p0, y0v, eos)))
+    rho0 = np.full(M, float(_eos.rho_from_py(p0, y0, BOX_EOS)))
     return Problem(
-        name="uniform", mesh=mesh, geom=geom, eos=eos, bc=BoundaryConditions(),
-        viscosity=ViscosityModel("constant", mu=config.mu),
+        name="uniform", mesh=mesh, geom=geom, eos=BOX_EOS, bc=BoundaryConditions(),
+        viscosity=ViscosityModel("constant", mu=BOX_MU),
         drift=DriftModel("none"), flux_fn=FLUX_FUNCTIONS[config.flux],
         u_init=np.zeros((mesh.n_faces, 2)), rho_init=rho0,
-        p_init=np.full(M, p0), y_init=np.full(M, y0v),
+        p_init=np.full(M, p0), y_init=np.full(M, y0),
     )
 
 
 def build_sloshing(config):
-    opts = config.options
-    case = SloshingCase(
-        visc_c=float(opts.get("visc_c", config.visc_c)),
-        a0=float(opts.get("a0", 0.1)),
-        n_terms=int(opts.get("n_terms", 200)),
-    )
+    case = SloshingCase()
     eos = EosParams(case.rho_l, case.a2)
     mesh = build_uniform_mesh(config.nx, config.ny, case.L, case.h_l + case.h_g,
                               tags={s: "slip" for s in ("left", "right", "bottom", "top")})
     geom = build_diamond_geometry(mesh)
-    y_floor = config.y_floor
-    y0 = np.where(mesh.cell_centers[:, 1] > case.h_l, 1.0, y_floor)
-    discrete = opts.get("pressure_init", "discrete") == "discrete"
-    p0 = _hydrostatic_pressure(mesh, eos, y0, case.g, 1e5, discrete=discrete)
+    y0 = np.where(mesh.cell_centers[:, 1] > case.h_l, 1.0, case.y_floor)
+    p0 = _hydrostatic_pressure(mesh, eos, y0, case.g, 1e5)
     rho0 = _eos.rho_from_py(p0, y0, eos)
     return Problem(
         name="sloshing", mesh=mesh, geom=geom, eos=eos, bc=BoundaryConditions(),
         viscosity=ViscosityModel("density_scaled", c=case.visc_c),
         drift=DriftModel("none"), flux_fn=FLUX_FUNCTIONS[config.flux],
         u_init=np.zeros((mesh.n_faces, 2)), rho_init=rho0, p_init=p0, y_init=y0,
-        body_accel=(case.a0, -case.g), y_floor=y_floor, exact=case,
+        body_accel=(case.a0, -case.g), y_floor=case.y_floor, exact=case,
     )
 
 
 def build_bubble_column(config):
-    case = BubbleColumnCase(mu=config.mu)
+    case = BubbleColumnCase()
     eos = EosParams(case.rho_l, case.a2)
     # inlet faces: bottom faces within the sparger width, widened to the mesh
     # resolution so a coarse mesh still gets at least one inlet face
@@ -345,8 +321,8 @@ def build_bubble_column(config):
         return v
 
     bc = BoundaryConditions(velocity=velocity, inlet_mass_fraction=1.0)
-    y0 = np.where(mesh.cell_centers[:, 1] > case.h, 1.0, config.y_floor)
-    p0 = _hydrostatic_pressure(mesh, eos, y0, GRAVITY, case.p_ambient, discrete=True)
+    y0 = np.where(mesh.cell_centers[:, 1] > case.h, 1.0, case.y_floor)
+    p0 = _hydrostatic_pressure(mesh, eos, y0, GRAVITY, case.p_ambient)
     rho0 = _eos.rho_from_py(p0, y0, eos)
     # the drift drains gas out of the floored liquid cells, so the initial
     # floor is not an invariant here; only y > 0 is guaranteed

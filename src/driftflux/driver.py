@@ -67,13 +67,13 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
                                body_accel=problem.body_accel,
                                source=problem.momentum_source)
     corr = corrector.step(work, u_tilde, dt, t_next, ncfg,
-                          enforce_y_bound=problem.y_ceiling_guard)
+                          enforce_y_bound=problem.y_ceiling)
     v_mean = volume_fluxes(problem.mesh, corr.u)[: problem.mesh.n_internal]
     G = drift_fluxes(problem.mesh, problem.eos, problem.drift,
                      corr.rho, corr.p, corr.z, v_mean)
-    y_new = correct_mass_fraction(problem.mesh, problem.eos, corr.rho, corr.z, G,
-                                  problem.flux_fn, problem.drift.diffusion, dt,
-                                  ncfg, source=problem.y_source, t=t_next,
+    y_new = correct_mass_fraction(problem.mesh, corr.rho, corr.z, G, problem.flux_fn,
+                                  problem.drift.diffusion, dt, ncfg,
+                                  source=problem.y_source, t=t_next,
                                   boundary_flux=problem.y_boundary_flux)
     new_state = State(t=t_next, u=corr.u, p=corr.p, rho=corr.rho, z=corr.z,
                       y=y_new, rho_prev=state.rho.copy(), fluxes=corr.fluxes)
@@ -82,7 +82,7 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
 
 def _guard(state, problem):
     why = admissibility_violation(state.rho, state.z, state.p, state.y,
-                                  y_ceiling=problem.y_ceiling_guard, y_floor=problem.y_floor)
+                                  y_ceiling=problem.y_ceiling, y_floor=problem.y_floor)
     if why:
         raise InvariantViolation(why)
 
@@ -102,7 +102,7 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
     corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
     state = initial_state(problem, dt)
     report = initial_step_report(problem.mesh, problem.geom, problem.eos, state,
-                                 dt, problem.y_floor, problem.y_ceiling_guard)
+                                 dt, problem.y_floor, problem.y_ceiling)
     yield state, report
     for n in range(1, n_steps + 1):
         state, u_tilde, corr, p_used = advance(
@@ -110,7 +110,7 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
         _guard(state, problem)
         report = build_step_report(
             n, report, state, u_tilde, dt, p_used, assembler, problem.eos,
-            corr.newton_iters, problem.y_floor, problem.y_ceiling_guard)
+            corr.newton_iters, problem.y_floor, problem.y_ceiling)
         yield state, report
 
 

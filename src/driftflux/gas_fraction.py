@@ -27,21 +27,19 @@ def _phi(s):
 
 
 class FluxSplitting:
-    """g(a1, a2) = g1(a1) + g2(a2), g1 = a on [0,1] else 0, g2 = -a^2 on [0,1] else 0.
+    """g(a1, a2) = g1(a1) + g2(a2), g1 = a, g2 = -a^2, arguments clamped to [0,1].
 
-    Discontinuous at a = 1 (accepted; bounds still hold), so the sampled
-    monotonicity property excludes that point.
+    The clamp keeps g1 nondecreasing and g2 nonincreasing on the whole line,
+    as for :class:`Godunov`; the partials vanish outside [0,1].
     """
 
     name = "flux_splitting"
 
     @staticmethod
     def value(a1, a2):
-        a1 = np.asarray(a1, dtype=float)
-        a2 = np.asarray(a2, dtype=float)
-        g1 = np.where((a1 >= 0) & (a1 <= 1), a1, 0.0)
-        g2 = np.where((a2 >= 0) & (a2 <= 1), -a2 * a2, 0.0)
-        return g1 + g2
+        a1 = np.clip(np.asarray(a1, dtype=float), 0.0, 1.0)
+        a2 = np.clip(np.asarray(a2, dtype=float), 0.0, 1.0)
+        return a1 - a2 * a2
 
     @staticmethod
     def partials(a1, a2):
@@ -128,7 +126,7 @@ def drift_fluxes(mesh, eos, model, rho, p, z, v_mean):
     raise ValueError(f"unknown drift model {model.kind!r}")
 
 
-def correct_mass_fraction(mesh, eos, rho, z, G, flux_fn, diffusion, dt, cfg=None,
+def correct_mass_fraction(mesh, rho, z, G, flux_fn, diffusion, dt, cfg=None,
                           source=None, t=None, boundary_flux=None):
     """Solve the implicit y-correction; returns y in (0, 1].
 

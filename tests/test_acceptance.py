@@ -68,7 +68,7 @@ def test_criterion_5_interface_preservation():
 
 
 def test_criterion_6_entropy_inequality():
-    result = suite_entropy(n_seeds=20, n_steps=20, check_renormalized=True)
+    result = suite_entropy(n_seeds=20, n_steps=20)
     _line(6, "per-step entropy inequality", result.passed, "; ".join(result.lines))
 
 

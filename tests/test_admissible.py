@@ -32,7 +32,7 @@ def _state(y, rho=1.0, p=1.0, z=None):
 
 def _guard_accepts(state, ceiling=True, y_floor=0.0):
     try:
-        _guard(state, SimpleNamespace(y_ceiling_guard=ceiling, y_floor=y_floor))
+        _guard(state, SimpleNamespace(y_ceiling=ceiling, y_floor=y_floor))
     except InvariantViolation:
         return False
     return True
@@ -40,7 +40,7 @@ def _guard_accepts(state, ceiling=True, y_floor=0.0):
 
 def _y_correction_accepts(rho, z, source=None):
     try:
-        correct_mass_fraction(MESH, E51, np.full(2, rho), np.full(2, z), np.zeros(1),
+        correct_mass_fraction(MESH, np.full(2, rho), np.full(2, z), np.zeros(1),
                               FLUX_FUNCTIONS["flux_splitting"], 0.0, 0.1, source=source)
     except InvariantViolation:
         return False

@@ -97,7 +97,6 @@ def test_config_file_round_trip(tmp_path):
     path.write_text("""
 [case]
 name = interface
-y_left = 0.2
 
 [mesh]
 nx = 12
@@ -111,16 +110,16 @@ t_end = 0.05
 renormalize = false
 newton_rel_tol = 1e-11
 
-[drift]
-u_r = 0.0, 0.5
+[output]
+dump_interval = 2
 """)
     config = load_config(path)
     assert config.case == "interface"
     assert config.nx == 12 and config.ny == 3
     assert config.dt == 0.01
     assert config.newton_rel_tol == 1e-11
-    assert config.u_r == (0.0, 0.5)
-    assert config.options["y_left"] == "0.2"
+    assert config.renormalize is False
+    assert config.dump_interval == 2
     res = run_simulation(config)
     assert res.reports[-1].time == pytest.approx(0.05)
 
@@ -138,10 +137,16 @@ def test_config_validation():
 
 @pytest.mark.parametrize("section, key, value", [
     ("physics", "drift", "darcy"), ("physics", "viscosity", "density_scaled"),
-    ("physics", "lam", "0.5"), ("solver", "outer_max_iter", "3")])
+    ("physics", "lam", "0.5"), ("solver", "outer_max_iter", "3"),
+    ("case", "y_left", "0.3"), ("case", "y_lfet", "0.3"), ("drift", "u_r", "0.0, 0.5"),
+    ("physics", "rho_l", "900.0")])
 def test_config_rejects_keys_outside_the_config_fields(tmp_path, section, key, value):
+    for case in ("interface", "sloshing"):
+        with pytest.raises(ConfigurationError, match=f"unknown config key {key}$"):
+            make_config(case, nx=4, ny=4, **{key: value})
     path = tmp_path / "run.cfg"
-    path.write_text(f"[case]\nname = uniform\n\n[{section}]\n{key} = {value}\n")
+    header = "" if section == "case" else f"\n[{section}]\n"
+    path.write_text(f"[case]\nname = uniform\n{header}{key} = {value}\n")
     with pytest.raises(ConfigurationError, match=f"unknown config key {section}.{key}"):
         load_config(path)
 
@@ -157,7 +162,6 @@ def test_abort_writes_csv_note(tmp_path):
         return np.full(len(x), np.nan if t > 0.06 else 0.0)
 
     problem.y_source = poisoned
-    problem.y_ceiling_guard = False
     with pytest.raises(SimulationError) as err:
         simulate(problem, dt=0.05, t_end=0.5, out_dir=str(tmp_path))
     assert err.value.reports
@@ -204,9 +208,10 @@ def test_sloshing_stops_when_a_step_breaks_the_y_floor():
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 Y_CEILING_DEFECT = pytest.mark.xfail(
-    strict=True, raises=SimulationError,
-    reason="known defect: at its shipped size bubble_column stops at step 1 with "
-           "'y correction left (0, 1]: y must stay at or below 1'")
+    strict=True, raises=AssertionError,
+    reason="known defect: at its shipped size bubble_column runs, but each scheme step "
+           "ends with y_max above 1 by roundoff (1 + 3.2e-13 within 2 steps, "
+           "1 + 5.2e-13 within 20), so bounds_ok is False")
 
 
 @pytest.mark.parametrize("path", [

@@ -26,6 +26,17 @@ def test_godunov_examples():
     assert float(GOD.value(0.2, 0.8)) == pytest.approx(0.16)
 
 
+@pytest.mark.parametrize("fn", [FS, GOD], ids=["flux_splitting", "godunov"])
+def test_flux_parts_are_monotone_across_zero_and_one(fn):
+    """g1 is nondecreasing and g2 nonincreasing on a grid that crosses a = 0
+    and a = 1, where the arguments leave [0, 1]."""
+    a = np.linspace(-0.5, 1.5, 201)
+    assert np.any(a < 0) and np.any(a > 1) and 0.0 in a and 1.0 in a
+    for b in (0.0, 0.3, 0.7, 1.0):
+        assert np.all(np.diff(fn.value(a, b)) >= 0.0)
+        assert np.all(np.diff(fn.value(b, a)) <= 0.0)
+
+
 def test_consistency_exact_on_grid():
     a = np.linspace(0.0, 1.0, 11)
     for fn in (FS, GOD):
@@ -86,13 +97,13 @@ def test_correct_trivial_no_drift():
     m = build_uniform_mesh(3, 3, 1.0, 1.0)
     rho = np.linspace(1.0, 2.0, m.n_cells)
     z = 0.3 * rho
-    y = correct_mass_fraction(m, E51, rho, z, np.zeros(m.n_internal), FS, 0.0, 0.1)
+    y = correct_mass_fraction(m, rho, z, np.zeros(m.n_internal), FS, 0.0, 0.1)
     assert np.allclose(y, 0.3, rtol=1e-14)
 
 
 def test_correct_single_cell():
     m = build_uniform_mesh(1, 1, 1.0, 1.0)
-    y = correct_mass_fraction(m, E51, np.array([2.0]), np.array([0.9]),
+    y = correct_mass_fraction(m, np.array([2.0]), np.array([0.9]),
                               np.zeros(0), GOD, 0.3, 0.1)
     assert y[0] == pytest.approx(0.45)
 
@@ -104,7 +115,7 @@ def test_correct_two_cell_against_fsolve():
     G = np.array([0.8])
     dt = 0.1
     vol_dt = m.cell_measure / dt
-    y = correct_mass_fraction(m, E51, rho, z, G, FS, 0.0, dt, NewtonConfig())
+    y = correct_mass_fraction(m, rho, z, G, FS, 0.0, dt, NewtonConfig())
 
     def residual(yv):
         g = float(FS.value(yv[0], yv[1]))
@@ -126,7 +137,7 @@ def test_correct_preserves_gas_mass():
     z = rho * yv
     G = drift_fluxes(m, E51, DriftModel("darcy", lam=1.0), rho, p, z,
                      rng.uniform(-1, 1, m.n_internal))
-    y_new = correct_mass_fraction(m, E51, rho, z, G, GOD, 0.2, 0.05)
+    y_new = correct_mass_fraction(m, rho, z, G, GOD, 0.2, 0.05)
     V = m.cell_measure
     assert np.sum(V * rho * y_new) == pytest.approx(np.sum(V * z), rel=1e-12)
     assert np.all(y_new > 0) and np.all(y_new <= 1.0 + 1e-12)
@@ -145,17 +156,17 @@ def test_correct_bounds_randomized():
                            diffusion=float(rng.uniform(0, 0.3)))
         G = drift_fluxes(m, E51, model, rho, p, z, rng.uniform(-1, 1, m.n_internal))
         flux = FS if k % 2 == 0 else GOD
-        y_new = correct_mass_fraction(m, E51, rho, z, G, flux, model.diffusion, 0.05)
+        y_new = correct_mass_fraction(m, rho, z, G, flux, model.diffusion, 0.05)
         assert np.all(y_new > 0) and np.all(y_new <= 1.0 + 1e-11)
 
 
 def test_correct_rejects_bad_input():
     m = build_uniform_mesh(2, 1, 1.0, 1.0)
     with pytest.raises(InvariantViolation):
-        correct_mass_fraction(m, E51, np.array([1.0, -1.0]), np.array([0.3, 0.3]),
+        correct_mass_fraction(m, np.array([1.0, -1.0]), np.array([0.3, 0.3]),
                               np.zeros(1), FS, 0.0, 0.1)
     with pytest.raises(InvariantViolation):
-        correct_mass_fraction(m, E51, np.array([1.0, 1.0]), np.array([0.3, 1.5]),
+        correct_mass_fraction(m, np.array([1.0, 1.0]), np.array([0.3, 1.5]),
                               np.zeros(1), FS, 0.0, 0.1)
 
 

@@ -247,7 +247,7 @@ def test_y_jacobian_matches_coo_oracle(monkeypatch, flux):
     diffusion, dt = 0.1, 0.05
     flux_fn = FLUX_FUNCTIONS[flux]
     jacobian, y0 = _capture_newton(monkeypatch, gf, lambda: gf.correct_mass_fraction(
-        mesh, E51, rho, z, G, flux_fn, diffusion, dt))
+        mesh, rho, z, G, flux_fn, diffusion, dt))
 
     up, down = upwind(mesh, G)
     dcoef = diffusion * mesh.edge_measure / mesh.d_sigma
