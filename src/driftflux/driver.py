@@ -116,7 +116,11 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
 
 def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
              dump_interval=0):
-    """Run the three-step scheme from t = 0 to t_end with constant dt."""
+    """Run the three-step scheme from t = 0 to t_end with constant dt.
+
+    A run that completes with reports out of the physical bounds logs one
+    warning that counts them.
+    """
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     reports = []
@@ -133,6 +137,10 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
                                   abort_note=f"step {len(reports)}: {exc}")
         raise SimulationError(f"aborted at step {len(reports)}: {exc}",
                               step=len(reports), reports=reports) from exc
+    broken = [r.step for r in reports if not r.bounds_ok]
+    if broken:
+        log.warning("%d of %d step reports are out of bounds (bounds_ok False), "
+                    "the first at step %d", len(broken), len(reports), broken[0])
     if out_dir:
         write_diagnostics_csv(reports, os.path.join(out_dir, "diagnostics.csv"))
         if dump_interval and report.step % dump_interval:

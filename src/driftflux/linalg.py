@@ -97,11 +97,12 @@ def _jacobi_cap(n):
 class HeldLU:
     """The LU factor of a system, held by :func:`solve` (``held=``) to solve
     the later, nearby systems of a sequence by refinement.  Once Jacobi has
-    failed on one system of the sequence, the later ones skip it."""
+    failed on one system of the sequence, the later ones skip it; a sequence
+    started with ``jacobi=False`` skips it from the first system."""
 
-    def __init__(self):
+    def __init__(self, jacobi=True):
         self.lu = None
-        self.jacobi = True
+        self.jacobi = jacobi
 
     def hold(self, lu):
         # a refinement sweep costs about as much as factorizing 3 fill entries

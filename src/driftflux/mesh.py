@@ -263,12 +263,13 @@ def upwind_fluxes(mesh, v, up, split, x, x_in):
 
 
 def edge_pair_index(mesh, cols, row0=0):
-    """(rows, cols) of edge-pair blocks: for every internal edge and every
-    column array ``cols[j]``, an entry in row K and one in row L (both
-    shifted by ``row0``), in column cols[j]."""
-    cols = np.asarray(cols)
-    rows = np.concatenate([mesh.edge_K, mesh.edge_L] * len(cols)) + row0
-    return rows, np.concatenate([cols, cols], axis=1).ravel()
+    """(rows, cols) of edge-pair blocks, for :class:`SparsePattern`: for
+    every internal edge and every column array ``cols[j]``, an entry in row
+    K and one in row L (both shifted by ``row0``), in column cols[j].  The
+    two arrays broadcast to shape (len(cols), 2, I) without being copied
+    out."""
+    return (np.stack([mesh.edge_K, mesh.edge_L])[None] + row0,
+            np.asarray(cols)[:, None, :])
 
 
 def edge_pair_values(vals):
@@ -295,39 +296,74 @@ def upwind_transport_matrix(mesh, up, v, diagonal):
         edge_pair_values([np.where(up_is_K, v, 0.0), np.where(up_is_K, 0.0, v)]), diagonal])
 
 
+def _triplet_keys(n, blocks):
+    """col * n + row of every triplet of :class:`SparsePattern` ``blocks``,
+    -1 for a triplet in a negative row."""
+    n = np.int64(n)  # so that col * n never overflows int32 columns
+    grids = [np.broadcast(rows, cols) for rows, cols in blocks]
+    keys = np.empty(sum(grid.size for grid in grids), dtype=np.int64)
+    start = 0
+    for (rows, cols), grid in zip(blocks, grids):
+        out = keys[start:start + grid.size].reshape(grid.shape)
+        np.multiply(cols, n, out=out)
+        out += rows
+        np.copyto(out, -1, where=rows < 0)
+        start += grid.size
+    return keys
+
+
 class SparsePattern:
     """CSC structure of an n-by-n matrix whose triplet positions never change.
 
     Built once from the (rows, cols) blocks of every triplet an assembly
-    writes, in the order it writes them; triplets in a negative row are
-    dropped.  Each :meth:`matrix` call then sums the matching value blocks
-    into their slots, so duplicates add as in a COO matrix, and every matrix
-    shares ``indices`` and ``indptr`` (sorted, read-only) but owns its
-    ``data``.
+    writes, in the order it writes them; the rows and cols of a block
+    broadcast against each other, and the block's triplets follow the C
+    order of that shape.  Triplets in a negative row are dropped.  Each
+    :meth:`matrix` call then sums the matching value blocks into their
+    slots, so duplicates add as in a COO matrix, and every matrix shares
+    ``indices`` and ``indptr`` (sorted, read-only) but owns its ``data``.
+
+    The triplet-to-compressed-column step follows Davis (*Direct Methods for
+    Sparse Linear Systems*, SIAM 2006), here by one sort of an int64 key per
+    triplet, col * n + row, so the build's scratch peaks at three arrays of
+    8 bytes per triplet.
     """
 
     def __init__(self, n, blocks):
-        rows, cols = [np.concatenate(part) for part in zip(*blocks)]
-        keep = rows >= 0
-        keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-        self.nnz = keys.size
-        self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
+        keys = _triplet_keys(n, blocks)
+        order = np.argsort(keys)
+        keys = keys[order]
+        dropped = int(np.searchsorted(keys, 0))  # the -1 keys sort first
+        # starts of the runs of equal kept keys; their running count, less
+        # one, is the slot of each sorted triplet
+        first = np.zeros(keys.size, dtype=bool)
+        first[dropped:dropped + 1] = True
+        np.not_equal(keys[dropped + 1:], keys[dropped:-1], out=first[dropped + 1:])
+        unique = keys[first]
+        del keys
+        self.nnz = unique.size
+        self.indices = (unique % n).astype(np.int32)
+        self.indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
         self.indices.flags.writeable = self.indptr.flags.writeable = False
+        slot = np.cumsum(first, dtype=np.int32) - 1
         # dropped triplets go to a trailing bin that matrix() cuts off
-        self._slot = np.full(rows.size, self.nnz, dtype=np.int32)
-        self._slot[keep] = slot
+        slot[:dropped] = self.nnz
+        self._slot = np.empty_like(slot)
+        self._slot[order] = slot
         # validated once here; matrix() shallow-copies it, which skips scipy's
-        # per-construction index checks and keeps indices/indptr shared
-        self._template = sp.csc_matrix((np.zeros(self.nnz), self.indices, self.indptr),
-                                       shape=(n, n))
+        # per-construction index checks and keeps indices/indptr shared.  Its
+        # data is a zero-stride view: every matrix() replaces it
+        self._template = sp.csc_matrix(
+            (np.broadcast_to(0.0, self.nnz), self.indices, self.indptr), shape=(n, n))
 
     def matrix(self, blocks):
         """The CSC matrix whose entries are the slot sums of the value blocks."""
         A = copy.copy(self._template)
-        A.data = np.bincount(self._slot, np.concatenate(blocks),
-                             minlength=self.nnz + 1)[: self.nnz]
+        # np.add.at reads the int32 slots as they are, where np.bincount
+        # would copy them to int64 on every call; both add in triplet order
+        data = np.zeros(self.nnz + 1)
+        np.add.at(data, self._slot, np.concatenate(blocks))
+        A.data = data[: self.nnz]
         return A
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .boundary import mirror_partners
 from .errors import InvariantViolation
 from .fields import face_density_all
-from .linalg import solve
+from .linalg import HeldLU, solve
 from .mesh import (E, N, S, SLIP, W, SparsePattern, inlet_split, upwind, upwind_fluxes,
                    upwind_transport_matrix, volume_fluxes)
 
@@ -129,6 +129,8 @@ class MomentumAssembler:
 
     The matrix fills the mesh's fixed ``momentum`` :class:`SparsePattern`,
     built on the first :meth:`assemble`; only its values change per step.
+    ``jacobi`` turns False once Jacobi has failed on one step's system, and
+    the later steps go straight to a factorization.
     """
 
     def __init__(self, mesh, geom, viscosity):
@@ -136,6 +138,7 @@ class MomentumAssembler:
         self.geom = geom
         self.viscosity = viscosity
         self.ndof = 2 * mesh.n_faces
+        self.jacobi = True
         self._element = viscous_element_matrix(mesh.dx, mesh.dy, viscosity.constant_form)
         # local dof 2*face + component of each cell's 8 velocity dofs
         self._cell_dofs = (2 * mesh.cell_faces[:, :, None] + np.arange(2)).reshape(-1, 8)
@@ -163,21 +166,22 @@ class MomentumAssembler:
         """Triplet positions in :meth:`assemble`'s value order: inertia,
         advection, viscosity (constrained rows dropped), then the identity
         rows of the Dirichlet dofs and the slip ties."""
-        ndof = self.ndof
-        dof = np.arange(ndof).reshape(-1, 2)
-        fo = dof[mesh.cell_faces[:, _CORNER_OUT].ravel()]  # (4M, 2)
-        fi = dof[mesh.cell_faces[:, _CORNER_IN].ravel()]
+        dof = np.arange(self.ndof)
+        # the row of each dof: -1 for the constrained ones
+        row = dof.copy()
+        row[self._dirichlet_dofs] = -1
+        row[self._tie_dofs] = -1
+        # dofs of the out- and in-diamond of each sub-edge, (2, 4M, 2)
+        ends = 2 * np.stack([mesh.cell_faces[:, _CORNER_OUT], mesh.cell_faces[:, _CORNER_IN]])
+        ends = ends.reshape(2, -1, 1) + np.arange(2)
         gd = self._cell_dofs
-        rows = np.concatenate([dof.ravel(), fo.ravel(), fo.ravel(), fi.ravel(), fi.ravel(),
-                               np.repeat(gd, 8, axis=1).ravel()])
-        cols = np.concatenate([dof.ravel(), fo.ravel(), fi.ravel(), fi.ravel(), fo.ravel(),
-                               np.tile(gd, (1, 8)).ravel()])
-        constrained = np.zeros(ndof, dtype=bool)
-        constrained[self._dirichlet_dofs] = True
-        constrained[self._tie_dofs] = True
-        rows[constrained[rows]] = -1
         dd, td = self._dirichlet_dofs, self._tie_dofs
-        return SparsePattern(ndof, [(rows, cols), (dd, dd), (td, td), (td, self._tie_partners)])
+        return SparsePattern(self.ndof, [
+            (row, dof),
+            # (out, out), (out, in), then (in, in), (in, out)
+            (row[ends[:1]], ends), (row[ends[1:]], ends[::-1]),
+            (row[gd][:, :, None], gd[:, None, :]),  # element (cell, test dof, trial dof)
+            (np.concatenate([dd, td, td]), np.concatenate([dd, td, self._tie_partners]))])
 
     def viscous_form(self, u, w, mu_cells):
         """a_d(u, w) evaluated on full (F,2) dof arrays."""
@@ -239,7 +243,9 @@ def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=N
     A, b = assembler.assemble(rho_face_n, rho_face_nm1, state.u, dual, state.p, dt,
                               mu_cells, body_accel=body_accel, source=source,
                               t=t_next, bc=bc)
-    x = solve(A, b)
+    held = HeldLU(assembler.jacobi)
+    x = solve(A, b, held=held)
+    assembler.jacobi = held.jacobi
     return x.reshape(-1, 2)
 
 

@@ -91,18 +91,25 @@ def _jacobian_pattern(m):
     bK = m.face_K[m.n_internal:]
     idx = np.arange(M)
     cols = [K, L, M + K, M + L]
+    # the cell blocks (p, p), (p, z), (z, z) and the boundary blocks (p, p),
+    # (p, z), (z, z), (p, p), (z, p), as row and column offsets
     return SparsePattern(2 * M, [
         edge_pair_index(m, cols), edge_pair_index(m, cols, M),
-        (idx, idx), (idx, M + idx), (M + idx, M + idx),
-        (bK, bK), (bK, M + bK), (M + bK, M + bK), (bK, bK), (M + bK, bK)])
+        (idx + [[0], [0], [M]], idx + [[0], [M], [M]]),
+        (bK + [[0], [0], [M], [0], [M]], bK + [[0], [M], [M], [0], [0]])])
 
 
 class PressureCorrector:
+    """The pressure step of a problem.  ``jacobi`` turns False once Jacobi
+    has failed on one of its Jacobians, and the later steps factorize their
+    first Jacobian without trying it; no factor is kept across steps."""
+
     def __init__(self, mesh, geom, eos, bc):
         self.mesh = mesh
         self.geom = geom
         self.eos = eos
         self.bc = bc
+        self.jacobi = True
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
     def step(self, state, u_tilde, dt, t_next, cfg=None, enforce_y_bound=True):
@@ -201,7 +208,9 @@ class PressureCorrector:
         bad = _eos.rho_from_pz(p_guess, rhoy_n, eos) < 0.5 * rho_n
         p_guess[bad] = np.maximum(p_guess, p_req)[bad]
         x = np.concatenate([p_guess, rhoy_n])
-        res = newton_solve(residual, jacobian, x, ncfg, admissible, held=HeldLU())
+        held = HeldLU(self.jacobi)
+        res = newton_solve(residual, jacobian, x, ncfg, admissible, held=held)
+        self.jacobi = held.jacobi
 
         p, z = res.x[:M], res.x[M:]
         rho, v, up, (rho_in, _, _, _) = state_at(res.x)

@@ -237,14 +237,17 @@ def suite_flux_functions(seed=0, n_random=200):
         cons = np.max(np.abs(fn.value(grid, grid) - _phi(grid)))
         lines.append(f"{name}: max |g(a,a) - phi(a)| on 11-point grid = {cons:.3e} (exact)")
         ok = ok and cons == 0.0
-    # sampled monotonicity inside [0, 1)
-    a = rng.uniform(0.0, 0.999, (400, 2))
+    # sampled monotonicity on [-0.1, 1.1]^2, with increments that also cross
+    # the kinks at a = 0 and a = 1, where the arguments are clamped
     h = 1e-3
+    straddle = np.array([[-h / 2, 0.3], [1 - h / 2, 0.3], [0.3, -h / 2], [0.3, 1 - h / 2]])
+    a = np.concatenate([rng.uniform(-0.1, 1.1, (400, 2)), straddle])
     for name, fn in FLUX_FUNCTIONS.items():
-        up = fn.value(np.minimum(a[:, 0] + h, 0.9995), a[:, 1]) - fn.value(a[:, 0], a[:, 1])
-        dn = fn.value(a[:, 0], np.minimum(a[:, 1] + h, 0.9995)) - fn.value(a[:, 0], a[:, 1])
+        up = fn.value(a[:, 0] + h, a[:, 1]) - fn.value(a[:, 0], a[:, 1])
+        dn = fn.value(a[:, 0], a[:, 1] + h) - fn.value(a[:, 0], a[:, 1])
         mono = float(min(np.min(up), np.min(-dn)))
-        lines.append(f"{name}: sampled monotonicity worst increment {mono:.3e} (>= -1e-12)")
+        lines.append(f"{name}: sampled monotonicity on [-0.1, 1.1]^2 worst increment "
+                     f"{mono:.3e} (>= -1e-12)")
         ok = ok and mono >= -1e-12
     # Godunov against brute-force extremum search
     god = FLUX_FUNCTIONS["godunov"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -562,11 +564,27 @@ def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
     assert (sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)) == totals
     if name == "sloshing":
         # one factorization per step, held across its Newton iterations
-        # (each after a Jacobi attempt: the step's first Jacobian has no LU)
+        # (the step's first Jacobian has no LU; only step 1 tries Jacobi)
         pressure = [path for n, path, _ in _solves(caplog) if n == 2 * result.problem.mesh.n_cells]
         factorized = sum(path.startswith("static LU") for path in pressure)
         assert factorized == len(reports) - 1
         assert pressure.count("refined") == totals[0] - factorized
+
+
+@pytest.mark.parametrize("name", ["interface", "manufactured"])
+def test_a_jacobi_failure_is_remembered_across_steps(name, caplog):
+    """At the shipped sizes of these cases Jacobi fails on the first momentum
+    system and on the first pressure Jacobian.  Each system kind tries it
+    once: the later steps factorize their first system straight away."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    config = make_config(name)  # the case defaults are the shipped configs
+    result = run_simulation(dataclasses.replace(config, t_end=4 * config.dt))
+    mesh = result.problem.mesh
+    for n in (2 * mesh.n_faces, 2 * mesh.n_cells):  # momentum, pressure
+        paths = [path for m, path, _ in _solves(caplog) if m == n]
+        assert [path for path in paths if "Jacobi" in path] == paths[:1]
+        assert paths[0].startswith("static LU after ")
+        assert paths.count("static LU") == 3
 
 
 def test_entropy_suite_totals_are_pinned(monkeypatch):

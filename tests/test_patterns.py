@@ -3,8 +3,12 @@
 Each pattern-filled matrix is compared with a COO matrix of the same
 triplets, written out here as the assembly wrote them before the patterns;
 a short run checks that every pattern is built once and that successive
-matrices share its structure but not their values.
+matrices share its structure but not their values.  The sort-based pattern
+build is checked against the np.unique construction it replaced, and its
+traced memory is bounded.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +303,93 @@ def test_successive_fills_own_their_data():
     assert np.array_equal(A.toarray(), [[1.5, 0.0, 4.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
     C = pattern.matrix([np.array([1.0, 1.0, 1.0, 1.0, 9.0]), np.array([1.0])])
     assert np.array_equal(C.toarray(), [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+# --- the pattern build -----------------------------------------------------
+
+def _unique_build(n, blocks):
+    """(nnz, indices, indptr, slot) of the np.unique construction that the
+    sort-based build replaced, on the same blocks."""
+    flat = [[a.ravel() for a in np.broadcast_arrays(rows, cols)] for rows, cols in blocks]
+    rows, cols = [np.concatenate(part) for part in zip(*flat)]
+    keep = rows >= 0
+    keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+    indices = (keys % n).astype(np.int32)
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
+    full = np.full(rows.size, keys.size, dtype=np.int32)
+    full[keep] = slot
+    return keys.size, indices, indptr, full
+
+
+def _assert_matches_unique_build(pattern, n, blocks):
+    nnz, indices, indptr, slot = _unique_build(n, blocks)
+    assert pattern.nnz == nnz
+    assert np.array_equal(pattern.indices, indices) and pattern.indices.dtype == np.int32
+    assert np.array_equal(pattern.indptr, indptr) and pattern.indptr.dtype == np.int32
+    assert np.array_equal(pattern._slot, slot) and pattern._slot.dtype == np.int32
+
+
+@pytest.mark.parametrize("case", ["sloshing", "manufactured", "bubble_column", "interface"])
+def test_every_mesh_pattern_matches_the_unique_build(monkeypatch, case):
+    built = []
+    init = mesh_mod.SparsePattern.__init__
+
+    def recording_init(self, n, blocks):
+        init(self, n, blocks)
+        built.append((self, n, blocks))
+
+    monkeypatch.setattr(mesh_mod.SparsePattern, "__init__", recording_init)
+    config = make_config(case, nx=6, ny=8, dt=0.01, t_end=0.01, renormalize=True)
+    mesh = driver.run_simulation(config).problem.mesh
+    assert sorted(mesh._patterns) == ["bordered_pressure_operator", "momentum",
+                                      "pressure_jacobian", "transport"]
+    assert len(built) == 4
+    for pattern, n, blocks in built:
+        _assert_matches_unique_build(pattern, n, blocks)
+
+
+def test_pattern_with_duplicate_and_dropped_triplets_matches_the_unique_build():
+    rng = np.random.default_rng(5)
+    rows = rng.integers(-3, 9, 200)
+    blocks = [(rows, rng.integers(0, 9, 200)), (np.array([-1, -1]), np.array([4, 0])),
+              (np.arange(9)[:, None], np.array([[0, 8, 0]])), (np.array([2]), np.array([2]))]
+    pattern = SparsePattern(9, blocks)
+    _assert_matches_unique_build(pattern, 9, blocks)
+    # every dropped triplet lands in the trailing bin
+    dropped = np.concatenate([rows, [-1, -1]]) < 0
+    assert np.all(pattern._slot[:202][dropped] == pattern.nnz)
+
+
+def test_pattern_keys_do_not_overflow_beyond_int32():
+    n = 50_000  # n * n overflows int32
+    rows = np.array([n - 1, 0, n - 1, 7, n - 1], dtype=np.int32)
+    cols = np.array([n - 1, n - 1, n - 1, 0, 3], dtype=np.int32)
+    pattern = SparsePattern(n, [(rows, cols)])
+    _assert_matches_unique_build(pattern, n, [(rows.astype(np.int64), cols.astype(np.int64))])
+    A = pattern.matrix([np.array([1.0, 2.0, 3.0, 4.0, 5.0])])
+    assert A[n - 1, n - 1] == 4.0 and A[0, n - 1] == 2.0 and A[7, 0] == 4.0
+    assert A[n - 1, 3] == 5.0 and A.nnz == 4
+
+
+def test_momentum_pattern_build_memory():
+    """Building the momentum pattern of a 40x40 sloshing mesh peaks at most
+    44 bytes per triplet of traced memory and keeps at most 7 (the np.unique
+    build took 87 and kept 10.7)."""
+    problem = driver.build_case(make_config("sloshing", nx=40, ny=40))
+    assembler = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
+    assembler._pattern(build_uniform_mesh(3, 3, 1.0, 1.0))  # first-call costs
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pattern = problem.mesh.pattern("momentum", assembler._pattern)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    triplets = pattern._slot.size
+    assert triplets == 160_640
+    assert (peak - start) / triplets <= 44.0
+    assert (kept - start) / triplets <= 7.0
 
 
 # --- structure built once ---------------------------------------------------

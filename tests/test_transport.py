@@ -20,7 +20,7 @@ def mesh53():
 def _edge_pair_matrix(mesh, cols, vals):
     """COO sum of the edge-pair entries: +vals[j] in row K, -vals[j] in row L,
     in column cols[j]."""
-    rows, columns = edge_pair_index(mesh, cols)
+    rows, columns = (a.ravel() for a in np.broadcast_arrays(*edge_pair_index(mesh, cols)))
     return sp.coo_matrix((edge_pair_values(vals), (rows, columns)),
                          shape=(mesh.n_cells, mesh.n_cells))
 
