@@ -104,14 +104,6 @@ def h_p(p, eos):
     return eos.a2 * (np.log(rg) + (eos.rho_l - rg) / eos.rho_l)
 
 
-def h_p_prime(p, eos):
-    """h_p'(p) = (rho_l - rho_g(p)) / (rho_l rho_g(p)) = a^2/p - 1/rho_l."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise InvariantViolation("h_p_prime: nonpositive pressure")
-    return eos.a2 / p - 1.0 / eos.rho_l
-
-
 def drift_edge_pressure(p1, p2, eos):
     """Mean-value pressure p_sigma in [min(p1,p2), max(p1,p2)].
 

@@ -7,7 +7,7 @@ incidence ``Mesh2D.incidence`` on the residual side, edge-pair blocks in the
 mesh's fixed :func:`driftflux.mesh.transport_pattern` on the Jacobian side),
 the same one the pressure correction uses.  The nonlinear cellwise system is
 solved by damped Newton with clamped one-sided derivatives at the flux kinks;
-its Jacobians share one held LU per call.
+its Jacobians share one held LU, kept across the y-corrections of a run.
 """
 
 from dataclasses import dataclass, replace
@@ -127,13 +127,14 @@ def drift_fluxes(mesh, eos, model, rho, p, z, v_mean):
 
 
 def correct_mass_fraction(mesh, rho, z, G, flux_fn, diffusion, dt, cfg=None,
-                          source=None, t=None, boundary_flux=None):
+                          source=None, t=None, boundary_flux=None, held=None):
     """Solve the implicit y-correction; returns y in (0, 1].
 
     ``G`` holds the drift mass fluxes per internal edge; ``source`` is an
     optional manufactured right-hand side evaluated at cell centers.  Drift
     and diffusion fluxes through the boundary vanish unless ``boundary_flux``
     prescribes them (outward, per boundary face; manufactured case only).
+    ``held``, a :class:`~driftflux.linalg.HeldLU`, carries an LU across calls.
     """
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -181,7 +182,7 @@ def correct_mass_fraction(mesh, rho, z, G, flux_fn, diffusion, dt, cfg=None,
     scale = max(1.0, float(np.max(vol_dt * rho)))
     ncfg = replace(cfg, abs_tol=cfg.abs_tol * scale)
     cap = 1.0 if source is None else max(1.0, float(np.max(y0)))
-    res = newton_solve(residual, jacobian, np.clip(y0, 1e-300, cap), ncfg, held=HeldLU())
+    res = newton_solve(residual, jacobian, np.clip(y0, 1e-300, cap), ncfg, held=held or HeldLU())
     y = res.x
     why = admissibility_violation(rho, z, y=y, y_ceiling=y_ceiling)
     if why:

@@ -7,10 +7,10 @@ stable (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002) and,
 at these sizes, cheaper than the fixed per-call cost of the sparse paths and
 of numpy's wrapper; (2) refinement x <- x + LU^-1 (b - A x) with the LU held
 from a nearby system (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10,
-1989), so the Newton Jacobians of one pressure step or y-correction share
-one factorization (lagged Jacobians: Knoll & Keyes, J. Comput. Phys. 193,
-2004); (3) when no LU is in hand, for a one-off system or the systems of a
-sequence until Jacobi first fails on one, Jacobi sweeps
+1989), so the Newton Jacobians of a pressure step, or of a run's
+y-corrections, share one factorization (lagged Jacobians: Knoll & Keyes,
+J. Comput. Phys. 193, 2004); (3) when no LU is in hand, for a one-off system
+or the systems of a sequence until Jacobi first fails on one, Jacobi sweeps
 x <- x + D^-1 (b - A x), which the lumped inertia of the momentum matrix and
 the vol/dt d(rho)/dp diagonal of the pressure Jacobian make converge (Varga,
 *Matrix Iterative Analysis*, 1962); (4) SuperLU with static diagonal pivots
@@ -96,9 +96,9 @@ def _jacobi_cap(n):
 
 class HeldLU:
     """The LU factor of a system, held by :func:`solve` (``held=``) to solve
-    the later, nearby systems of a sequence by refinement.  Once Jacobi has
-    failed on one system of the sequence, the later ones skip it; a sequence
-    started with ``jacobi=False`` skips it from the first system."""
+    the later, nearby systems of a sequence, such as a run's y-Jacobians, by
+    refinement.  Once Jacobi has failed on one system of the sequence, the
+    later ones skip it; ``jacobi=False`` skips it from the first system."""
 
     def __init__(self, jacobi=True):
         self.lu = None

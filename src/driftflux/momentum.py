@@ -203,11 +203,11 @@ class MomentumAssembler:
         # rows, -half in the in-diamond's
         half = 0.5 * dual.ravel()
         n_tie = self._tie_dofs.size
-        A = m.pattern("momentum", self._pattern).matrix([
-            np.repeat(dia * rho_face_n / dt, 2),                     # lumped inertia
-            np.repeat(np.concatenate([half, half, -half, -half]), 2),
-            (np.asarray(mu_cells)[:, None, None] * self._element).ravel(),
-            np.ones(self._dirichlet_dofs.size + n_tie), -np.ones(n_tie)])
+        A = m.pattern("momentum", self._pattern).matrix(block() for block in (  # one at a time
+            lambda: np.repeat(dia * rho_face_n / dt, 2),                     # lumped inertia
+            lambda: np.repeat(np.concatenate([half, half, -half, -half]), 2),
+            lambda: (np.asarray(mu_cells)[:, None, None] * self._element).ravel(),
+            lambda: np.ones(self._dirichlet_dofs.size + n_tie), lambda: -np.ones(n_tie)))
 
         rhs = (dia * rho_face_nm1)[:, None] * np.asarray(u_n) / dt
         # pressure force on internal faces: + |sigma| (p_K - p_L) n

@@ -10,6 +10,11 @@ E51 = EosParams(rho_l=5.0, a2=1.0)
 PHYS = EosParams(rho_l=1000.0, a2=1e5 / 1.2)
 
 
+def h_p_prime(p, e):
+    """h_p'(p) = (rho_l - rho_g(p)) / (rho_l rho_g(p)) = a^2/p - 1/rho_l."""
+    return e.a2 / np.asarray(p, dtype=float) - 1.0 / e.rho_l
+
+
 def random_admissible(rng, n, e=E51):
     p = rng.uniform(0.3, 3.0, n) * e.a2 * e.rho_l / 5.0
     y = rng.uniform(0.05, 0.95, n)
@@ -113,7 +118,7 @@ def test_free_energy_convexity_midpoint():
 
 
 def test_h_p_examples():
-    assert eos.h_p_prime(E51.a2 * E51.rho_l, E51) == pytest.approx(0.0)
+    assert h_p_prime(E51.a2 * E51.rho_l, E51) == pytest.approx(0.0)
     assert eos.h_p(5.0, E51) == pytest.approx(np.log(5.0), rel=1e-12)
     assert eos.h_p(5.0, E51) == pytest.approx(1.60944, abs=5e-6)
 
@@ -122,8 +127,8 @@ def test_h_p_prime_matches_fd_and_decreasing():
     ps = np.logspace(-2, 2, 60)
     h = 1e-6 * ps
     fd = (eos.h_p(ps + h, E51) - eos.h_p(ps - h, E51)) / (2 * h)
-    assert np.allclose(eos.h_p_prime(ps, E51), fd, atol=1e-6)
-    assert np.all(np.diff(eos.h_p_prime(ps, E51)) < 0)
+    assert np.allclose(h_p_prime(ps, E51), fd, atol=1e-6)
+    assert np.all(np.diff(h_p_prime(ps, E51)) < 0)
 
 
 def test_h_p_equals_dz_free_energy():
@@ -144,7 +149,7 @@ def test_drift_edge_pressure_example():
     assert p_s == pytest.approx(2.4853, abs=1e-4)
     assert 1.0 <= p_s <= 5.0
     # the mean-value condition holds exactly
-    assert eos.h_p_prime(p_s, E51) == pytest.approx(s, abs=1e-10)
+    assert h_p_prime(p_s, E51) == pytest.approx(s, abs=1e-10)
 
 
 def test_drift_edge_pressure_sign_property():
@@ -154,5 +159,5 @@ def test_drift_edge_pressure_sign_property():
     ps = eos.drift_edge_pressure(p1, p2, E51)
     assert np.all(ps >= np.minimum(p1, p2) - 1e-14)
     assert np.all(ps <= np.maximum(p1, p2) + 1e-14)
-    prod = eos.h_p_prime(ps, E51) * (p1 - p2) * (eos.h_p(p1, E51) - eos.h_p(p2, E51))
+    prod = h_p_prime(ps, E51) * (p1 - p2) * (eos.h_p(p1, E51) - eos.h_p(p2, E51))
     assert np.all(prod >= -1e-14)

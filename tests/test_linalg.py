@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from driftflux import linalg, verification
+from driftflux import driver, linalg, verification
 from driftflux.config import make_config
-from driftflux.driver import run_simulation, simulate
+from driftflux.driver import manufactured_errors, run_simulation, simulate
 from driftflux.errors import NewtonError, SolverError
 from driftflux.linalg import NewtonConfig, newton_solve, solve
 from driftflux.verification import random_wall_problem
@@ -513,16 +513,39 @@ def test_held_sequence_tries_jacobi_until_it_holds_an_lu(splu_calls, caplog):
 
 def test_held_sequence_skips_jacobi_once_it_failed(caplog):
     """The y-Jacobians of configs/manufactured.cfg (20x20, 400 unknowns): Jacobi
-    fails on the first system of each y-correction, whose LU is too thin to
-    hold, so the later systems of that correction are factorized at once."""
+    fails on the first system of the run's first y-correction, whose LU is
+    too thin to hold, and the run's y-corrections share one HeldLU, so every
+    later y-Jacobian is factorized at once."""
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     result = run_simulation(make_config("manufactured", nx=20, ny=20, dt=0.01, t_end=0.04))
     steps = len(result.reports) - 1
     paths = [path for n, path, _ in _solves(caplog) if n == result.problem.mesh.n_cells]
-    # one Jacobi attempt per y-correction, and one for the set-up's one-off
-    # density prediction
-    assert paths.count("static LU after 1 Jacobi sweeps") == steps + 1
-    assert paths.count("static LU") == len(paths) - steps - 1 >= steps
+    # one Jacobi attempt for the set-up's one-off density prediction and one
+    # for the first y-correction; each y-correction solves at least 2 systems
+    assert paths.count("static LU after 1 Jacobi sweeps") == 2
+    assert paths.count("static LU") == len(paths) - 2 >= 2 * steps - 1
+
+
+def test_y_jacobian_is_factorized_once_per_run(monkeypatch):
+    """A 40x40 W2 run holds one y LU for all its y-corrections: the first
+    y-Jacobian's factor is refined on every later one.  Its errors match,
+    at roundoff, a run whose y-corrections each start without an LU."""
+    dt = 0.00078125
+    config = make_config("manufactured", nx=40, ny=40, dt=dt, t_end=4 * dt)
+    sizes = []
+    static_pivot_lu = linalg._static_pivot_lu
+
+    def counting(A):
+        sizes.append(A.shape[0])
+        return static_pivot_lu(A)
+
+    monkeypatch.setattr(linalg, "_static_pivot_lu", counting)
+    result = run_simulation(config)
+    assert sizes.count(result.problem.mesh.n_cells) == 1
+    monkeypatch.setattr(driver, "HeldLU", lambda: None)  # a fresh HeldLU per y-correction
+    fresh = manufactured_errors(run_simulation(config))
+    assert sizes.count(result.problem.mesh.n_cells) > 2
+    assert np.allclose(manufactured_errors(result), fresh, rtol=1e-12, atol=0.0)
 
 
 def test_debug_line_reports_the_lu_fill(caplog):
@@ -574,17 +597,24 @@ def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
 @pytest.mark.parametrize("name", ["interface", "manufactured"])
 def test_a_jacobi_failure_is_remembered_across_steps(name, caplog):
     """At the shipped sizes of these cases Jacobi fails on the first momentum
-    system and on the first pressure Jacobian.  Each system kind tries it
-    once: the later steps factorize their first system straight away."""
+    system and on the first pressure Jacobian, and on manufactured on the
+    first y-Jacobian.  Each system kind tries it once: the later steps
+    factorize their first momentum and pressure system straight away, and
+    every later y-Jacobian, whose LU is too thin to hold."""
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     config = make_config(name)  # the case defaults are the shipped configs
     result = run_simulation(dataclasses.replace(config, t_end=4 * config.dt))
     mesh = result.problem.mesh
-    for n in (2 * mesh.n_faces, 2 * mesh.n_cells):  # momentum, pressure
+    factorized = {2 * mesh.n_faces: 3, 2 * mesh.n_cells: 3}  # momentum, pressure
+    if name == "manufactured":
+        factorized[mesh.n_cells] = 7  # y: 2 Newton systems per step
+    for n, count in factorized.items():
         paths = [path for m, path, _ in _solves(caplog) if m == n]
+        if n == mesh.n_cells:
+            paths = paths[1:]  # the set-up's one-off density prediction
         assert [path for path in paths if "Jacobi" in path] == paths[:1]
         assert paths[0].startswith("static LU after ")
-        assert paths.count("static LU") == 3
+        assert paths.count("static LU") == count
 
 
 def test_entropy_suite_totals_are_pinned(monkeypatch):

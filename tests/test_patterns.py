@@ -303,6 +303,12 @@ def test_successive_fills_own_their_data():
     assert np.array_equal(A.toarray(), [[1.5, 0.0, 4.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
     C = pattern.matrix([np.array([1.0, 1.0, 1.0, 1.0, 9.0]), np.array([1.0])])
     assert np.array_equal(C.toarray(), [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    # the value blocks may split the triplets anywhere, but must cover them all
+    D = pattern.matrix([np.array([1.0, 1.0]), np.array([1.0, 1.0, 9.0, 1.0])])
+    assert np.array_equal(D.data, C.data)
+    for short_or_long in ([np.ones(5)], [np.ones(5), np.ones(2)]):
+        with pytest.raises(ValueError):
+            pattern.matrix(short_or_long)
 
 
 # --- the pattern build -----------------------------------------------------
@@ -390,6 +396,44 @@ def test_momentum_pattern_build_memory():
     assert triplets == 160_640
     assert (peak - start) / triplets <= 44.0
     assert (kept - start) / triplets <= 7.0
+
+
+def test_momentum_fill_memory(monkeypatch):
+    """One fill of a 40x40 momentum pattern peaks at its (nnz + 1)-entry data
+    array plus numpy's fixed-size ufunc buffers: no concatenated copy of the
+    values, which would add 8 bytes per triplet.  Its sums equal those of
+    the concatenated values bit for bit, and blocks that miss a triplet
+    raise."""
+    problem = driver.build_case(make_config("sloshing", nx=40, ny=40))
+    m = problem.mesh
+    assembler = MomentumAssembler(m, problem.geom, problem.viscosity)
+    filled = []
+    fill = mesh_mod.SparsePattern.matrix
+
+    def recording_fill(self, blocks):
+        blocks = list(blocks)
+        filled.append((self, blocks))
+        return fill(self, blocks)
+
+    monkeypatch.setattr(mesh_mod.SparsePattern, "matrix", recording_fill)
+    assembler.assemble(np.ones(m.n_faces), np.ones(m.n_faces), np.zeros((m.n_faces, 2)),
+                       np.ones((m.n_cells, 4)), np.zeros(m.n_cells), 0.01, np.ones(m.n_cells))
+    (pattern, blocks), = filled
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        A = fill(pattern, blocks)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = (pattern.nnz + 1) * 8
+    assert pattern._slot.size == 160_640 and len(blocks) == 5
+    assert data <= kept - start <= data + 1024
+    assert peak - start <= data + 128 * 1024 < data + 8 * pattern._slot.size
+    sums = np.bincount(pattern._slot, np.concatenate(blocks), minlength=pattern.nnz + 1)
+    assert np.array_equal(A.data, sums[:-1])
+    with pytest.raises(ValueError):
+        fill(pattern, blocks[:-1])
 
 
 # --- structure built once ---------------------------------------------------
