@@ -14,7 +14,7 @@ from .fields import (State, admissibility_violation, discrete_l2_error_cell,
                      discrete_l2_error_velocity, face_density)
 from .gas_fraction import correct_mass_fraction, drift_fluxes
 from .io import dump_path, write_diagnostics_csv, write_vtk
-from .linalg import HeldLU, NewtonConfig
+from .linalg import HeldLU, NewtonConfig, NewtonHistory
 from .mesh import volume_fluxes
 from .momentum import MomentumAssembler, init_density_prediction, predict_velocity
 from .pressure_correction import PressureCorrector, renormalize_pressure
@@ -54,7 +54,7 @@ def initial_state(problem, dt):
 
 
 def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
-            renormalize=False, y_held=None):
+            renormalize=False, y_held=None, y_history=None):
     """One full scheme step; returns (new state, u_tilde, correction result, p_used)."""
     p_used = state.p
     if renormalize:
@@ -74,7 +74,8 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
     y_new = correct_mass_fraction(problem.mesh, corr.rho, corr.z, G, problem.flux_fn,
                                   problem.drift.diffusion, dt, ncfg,
                                   source=problem.y_source, t=t_next,
-                                  boundary_flux=problem.y_boundary_flux, held=y_held)
+                                  boundary_flux=problem.y_boundary_flux, held=y_held,
+                                  history=y_history)
     new_state = State(t=t_next, u=corr.u, p=corr.p, rho=corr.rho, z=corr.z,
                       y=y_new, rho_prev=state.rho.copy(), fluxes=corr.fluxes)
     return new_state, u_tilde, corr, p_used
@@ -91,7 +92,8 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
     """Yield (state, report) for level 0, then for each scheme step up to t_end.
 
     The time loop of every run: each stepped state has passed the driver's
-    guard before it is yielded.  The run's y-corrections share one HeldLU.
+    guard before it is yielded.  The run's y-corrections share one HeldLU
+    and one NewtonHistory.
     """
     ncfg = ncfg or NewtonConfig()
     n_steps = int(round(t_end / dt))
@@ -100,14 +102,15 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
                     t_end, dt, n_steps)
     assembler = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
     corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
-    y_held = HeldLU()
+    y_held, y_history = HeldLU(), NewtonHistory()
     state = initial_state(problem, dt)
     report = initial_step_report(problem.mesh, problem.geom, problem.eos, state,
                                  dt, problem.y_floor, problem.y_ceiling)
     yield state, report
     for n in range(1, n_steps + 1):
         state, u_tilde, corr, p_used = advance(
-            problem, state, dt, n * dt, assembler, corrector, ncfg, renormalize, y_held)
+            problem, state, dt, n * dt, assembler, corrector, ncfg, renormalize, y_held,
+            y_history)
         _guard(state, problem)
         report = build_step_report(
             n, report, state, u_tilde, dt, p_used, assembler, problem.eos,

@@ -7,7 +7,10 @@ incidence ``Mesh2D.incidence`` on the residual side, edge-pair blocks in the
 mesh's fixed :func:`driftflux.mesh.transport_pattern` on the Jacobian side),
 the same one the pressure correction uses.  The nonlinear cellwise system is
 solved by damped Newton with clamped one-sided derivatives at the flux kinks;
-its Jacobians share one held LU, kept across the y-corrections of a run.
+its Jacobians share one held LU, kept across the y-corrections of a run, and
+from a run's third y-correction on Newton may start from the extrapolation of
+the last two (:class:`driftflux.linalg.NewtonHistory`) when its residual is
+below the plain start's.
 """
 
 from dataclasses import dataclass, replace
@@ -127,14 +130,17 @@ def drift_fluxes(mesh, eos, model, rho, p, z, v_mean):
 
 
 def correct_mass_fraction(mesh, rho, z, G, flux_fn, diffusion, dt, cfg=None,
-                          source=None, t=None, boundary_flux=None, held=None):
+                          source=None, t=None, boundary_flux=None, held=None,
+                          history=None):
     """Solve the implicit y-correction; returns y in (0, 1].
 
     ``G`` holds the drift mass fluxes per internal edge; ``source`` is an
     optional manufactured right-hand side evaluated at cell centers.  Drift
     and diffusion fluxes through the boundary vanish unless ``boundary_flux``
     prescribes them (outward, per boundary face; manufactured case only).
-    ``held``, a :class:`~driftflux.linalg.HeldLU`, carries an LU across calls.
+    ``held``, a :class:`~driftflux.linalg.HeldLU`, carries an LU across calls,
+    and ``history``, a :class:`~driftflux.linalg.NewtonHistory`, the Newton
+    displacements whose extrapolation may start this call's solve.
     """
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -182,8 +188,13 @@ def correct_mass_fraction(mesh, rho, z, G, flux_fn, diffusion, dt, cfg=None,
     scale = max(1.0, float(np.max(vol_dt * rho)))
     ncfg = replace(cfg, abs_tol=cfg.abs_tol * scale)
     cap = 1.0 if source is None else max(1.0, float(np.max(y0)))
-    res = newton_solve(residual, jacobian, np.clip(y0, 1e-300, cap), ncfg, held=held or HeldLU())
+    start = np.clip(y0, 1e-300, cap)
+    guess = None if history is None else history.guess(
+        start, lambda y: bool(((y > 0) & (y <= cap)).all()))
+    res = newton_solve(residual, jacobian, start, ncfg, held=held or HeldLU(), guess=guess)
     y = res.x
+    if history is not None:
+        history.record(start, y)
     why = admissibility_violation(rho, z, y=y, y_ceiling=y_ceiling)
     if why:
         raise InvariantViolation(f"y correction left (0, 1]: {why}")

@@ -7,8 +7,11 @@ import numpy as np
 from .diagnostics import CSV_COLUMNS
 
 
+FLOAT = "%.17g"
+
+
 def format_float(v):
-    return "%.17g" % v
+    return FLOAT % v
 
 
 def write_diagnostics_csv(reports, path, abort_note=None):
@@ -23,6 +26,13 @@ def write_diagnostics_csv(reports, path, abort_note=None):
         lines.append("# abort: " + abort_note)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _formatted(fmt, values, sep="\n"):
+    """``fmt`` applied to each row of ``values``, joined by ``sep``, in one %
+    operation over the whole array: the same text as formatting entry by entry."""
+    values = np.asarray(values, dtype=float)
+    return sep.join([fmt] * len(values)) % tuple(values.ravel().tolist())
 
 
 def cell_velocity(mesh, u_face):
@@ -44,9 +54,9 @@ def write_vtk(mesh, state, eos, path):
     out.append("DATASET RECTILINEAR_GRID")
     out.append(f"DIMENSIONS {nx + 1} {ny + 1} 1")
     out.append(f"X_COORDINATES {nx + 1} double")
-    out.append(" ".join(format_float(v) for v in xs))
+    out.append(_formatted(FLOAT, xs, " "))
     out.append(f"Y_COORDINATES {ny + 1} double")
-    out.append(" ".join(format_float(v) for v in ys))
+    out.append(_formatted(FLOAT, ys, " "))
     out.append("Z_COORDINATES 1 double")
     out.append("0")
     out.append(f"CELL_DATA {mesh.n_cells}")
@@ -54,9 +64,9 @@ def write_vtk(mesh, state, eos, path):
                       ("y", state.y), ("alpha_g", alpha_g)):
         out.append(f"SCALARS {name} double 1")
         out.append("LOOKUP_TABLE default")
-        out.extend(format_float(v) for v in arr)
+        out.append(_formatted(FLOAT, arr))
     out.append("VECTORS velocity double")
-    out.extend(f"{format_float(v[0])} {format_float(v[1])} 0" for v in vel)
+    out.append(_formatted(f"{FLOAT} {FLOAT} 0", vel))
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
 

@@ -25,7 +25,11 @@ iterate is admissible, which is required because the state law is singular
 at p = 0, and either the max-norm residual has not grown or the merit
 ||r||_2^2 lies below the worst of the last six, the nonmonotone test of
 Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986).  A step that
-no halving makes acceptable raises.
+no halving makes acceptable raises.  A solve of a sequence may start from
+the second-order extrapolation of the sequence's last two solves
+(:class:`NewtonHistory`) instead of its plain start, when that guess is
+admissible and its residual is the smaller; the stopping test is relative to
+the chosen start's residual, so it can only tighten.
 """
 
 import logging
@@ -98,7 +102,8 @@ class HeldLU:
     """The LU factor of a system, held by :func:`solve` (``held=``) to solve
     the later, nearby systems of a sequence, such as a run's y-Jacobians, by
     refinement.  Once Jacobi has failed on one system of the sequence, the
-    later ones skip it; ``jacobi=False`` skips it from the first system."""
+    later ones skip it for as long as the factor that replaced it is held;
+    ``jacobi=False`` skips it from the first system."""
 
     def __init__(self, jacobi=True):
         self.lu = None
@@ -109,6 +114,9 @@ class HeldLU:
         # per row (measured from 32 to 25,520 unknowns): hold a factor only
         # when REFINE_CAP sweeps cost less than refactorizing
         self.lu = lu if lu.nnz >= 3 * REFINE_CAP * lu.shape[0] else None
+        # a Jacobi failure is remembered only while the factor that replaced
+        # it is held: a sequence that Jacobi solves now and then keeps trying it
+        self.jacobi = self.jacobi or self.lu is None
 
 
 def _static_pivot_lu(A):
@@ -241,16 +249,42 @@ def solve(matrix, rhs, held=None):
     return x
 
 
+class NewtonHistory:
+    """The displacements d = x - x0 of the last two Newton solves of a
+    sequence, each from its own plain start x0.  Extrapolated, they give the
+    next solve the start x0 + 2 d_n - d_{n-1}, second order in the step of a
+    smooth sequence, as for the Newton iterations of implicit integrators
+    (Hairer & Wanner, *Solving ODEs II*, 1996, IV.8)."""
+
+    def __init__(self):
+        self._d = []
+
+    def guess(self, x0, admissible):
+        """The extrapolated start from the plain start ``x0``, or None before
+        two records or when ``admissible`` rejects it."""
+        if len(self._d) < 2:
+            return None
+        x = x0 + 2.0 * self._d[1] - self._d[0]
+        return x if admissible(x) else None
+
+    def record(self, x0, x):
+        self._d = self._d[-1:] + [x - x0]
+
+
 def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
-                 held=None):
+                 held=None, guess=None):
     """Damped Newton iteration.
 
-    Stops when ||r||_inf <= abs_tol + rel_tol * ||r(x0)||_inf.  The step is
-    halved, at most ``MAX_HALVINGS`` times, until the iterate satisfies
-    ``admissible_fn`` and either ||r||_inf has not grown or ||r||_2^2 lies
-    below the worst of the last six merits (Grippo, Lampariello & Lucidi,
-    SIAM J. Numer. Anal. 23, 1986), so a stiff step may overshoot briefly
-    while global progress is still enforced.  A step that no halving makes
+    Starts from ``guess``, an admissible alternative to ``x0`` such as a
+    :class:`NewtonHistory` extrapolation, when its ||r||_inf is below that of
+    ``x0``, and from ``x0`` otherwise; r(x0) below is the chosen start's
+    residual, so a guess costs one residual evaluation and can only tighten
+    the target.  Stops when ||r||_inf <= abs_tol + rel_tol * ||r(x0)||_inf.
+    The step is halved, at most ``MAX_HALVINGS`` times, until the iterate
+    satisfies ``admissible_fn`` and either ||r||_inf has not grown or
+    ||r||_2^2 lies below the worst of the last six merits (Grippo,
+    Lampariello & Lucidi, SIAM J. Numer. Anal. 23, 1986), so a stiff step may
+    overshoot briefly while global progress is still enforced.  A step that no halving makes
     acceptable raises :class:`NewtonError`.  ``held`` (a :class:`HeldLU`)
     carries one LU across the Jacobians of this and later Newton solves.
     """
@@ -260,6 +294,11 @@ def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
         raise NewtonError("initial Newton iterate is inadmissible")
     r = np.asarray(residual_fn(x), dtype=float)
     norm = float(np.abs(r).max())
+    if guess is not None:
+        r_guess = np.asarray(residual_fn(guess), dtype=float)
+        norm_guess = float(np.abs(r_guess).max())
+        if norm_guess < norm:
+            x, r, norm = np.asarray(guess, dtype=float), r_guess, norm_guess
     target = cfg.abs_tol + cfg.rel_tol * norm
     merits = [float(r @ r)]
     for it in range(cfg.max_iter):

@@ -18,8 +18,11 @@ Jacobian of the state law on the iterate's pattern, is a semismooth Newton
 (Qi & Sun, Math. Programming 58, 1993).  The velocity is updated once from
 the converged pressure, and its volume fluxes equal, up to roundoff, those
 that chose the upwind cells of the returned mass fluxes.  All Newton
-iterations of a step share one held LU; the renormalization system fills a
-bordered pattern of the elliptic operator.
+iterations of a step share one held LU, and from the third step on Newton
+may start from the extrapolation of the corrector's last two steps
+(:class:`driftflux.linalg.NewtonHistory`) when its residual is below the
+plain start's; the renormalization system fills a bordered pattern of the
+elliptic operator.
 """
 
 from dataclasses import dataclass, replace
@@ -29,7 +32,7 @@ import numpy as np
 from . import eos as _eos
 from .errors import InvariantViolation
 from .fields import admissibility_violation, face_density
-from .linalg import HeldLU, NewtonConfig, newton_solve, solve
+from .linalg import HeldLU, NewtonConfig, NewtonHistory, newton_solve, solve
 from .mesh import (SparsePattern, edge_pair_index, edge_pair_values, inlet_split, upwind,
                    upwind_fluxes, volume_fluxes)
 
@@ -101,8 +104,10 @@ def _jacobian_pattern(m):
 
 class PressureCorrector:
     """The pressure step of a problem.  ``jacobi`` turns False once Jacobi
-    has failed on one of its Jacobians, and the later steps factorize their
-    first Jacobian without trying it; no factor is kept across steps."""
+    has failed on one of its Jacobians and the factor that replaced it was
+    held, and the later steps factorize their first Jacobian without trying
+    it; no factor is kept across steps.  ``history`` holds the Newton
+    displacements of the last two steps."""
 
     def __init__(self, mesh, geom, eos, bc):
         self.mesh = mesh
@@ -110,6 +115,7 @@ class PressureCorrector:
         self.eos = eos
         self.bc = bc
         self.jacobi = True
+        self.history = NewtonHistory()
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
     def step(self, state, u_tilde, dt, t_next, cfg=None, enforce_y_bound=True):
@@ -208,9 +214,11 @@ class PressureCorrector:
         bad = _eos.rho_from_pz(p_guess, rhoy_n, eos) < 0.5 * rho_n
         p_guess[bad] = np.maximum(p_guess, p_req)[bad]
         x = np.concatenate([p_guess, rhoy_n])
+        guess = self.history.guess(x, lambda g: admissible(g) and bool((g[M:] > 0).all()))
         held = HeldLU(self.jacobi)
-        res = newton_solve(residual, jacobian, x, ncfg, admissible, held=held)
+        res = newton_solve(residual, jacobian, x, ncfg, admissible, held=held, guess=guess)
         self.jacobi = held.jacobi
+        self.history.record(x, res.x)
 
         p, z = res.x[:M], res.x[M:]
         rho, v, up, (rho_in, _, _, _) = state_at(res.x)

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from driftflux import driver, linalg, verification
+from driftflux import driver, gas_fraction, linalg, verification
+from driftflux.cases import build_case
 from driftflux.config import make_config
 from driftflux.driver import manufactured_errors, run_simulation, simulate
 from driftflux.errors import NewtonError, SolverError
@@ -328,6 +329,93 @@ def test_newton_config_validation():
         NewtonConfig(max_iter=0)
 
 
+def test_newton_takes_a_guess_only_when_its_residual_is_smaller():
+    """A guess whose residual is below the plain start's replaces it, and the
+    target is relative to its residual; a worse one costs one residual
+    evaluation and leaves the solve bit-identical to one without it."""
+    def jacobian(x):
+        return np.array([[2.0 * x[0]]])
+
+    residual, seen = _counted(lambda x: x * x - 4.0)
+    plain = newton_solve(residual, jacobian, np.array([3.0]))
+    n_plain = len(seen)
+    seen.clear()
+    worse = newton_solve(residual, jacobian, np.array([3.0]), guess=np.array([5.0]))
+    assert len(seen) == n_plain + 1 and seen[1] == 5.0
+    assert np.array_equal(worse.x, plain.x)
+    assert (worse.iterations, worse.residual_norm) == (plain.iterations, plain.residual_norm)
+    seen.clear()
+    better = newton_solve(residual, jacobian, np.array([3.0]), guess=np.array([2.001]))
+    assert seen[1] == 2.001 and all(x[0] != 3.0 for x in seen[2:])
+    assert better.iterations < plain.iterations
+    cfg = NewtonConfig()
+    assert better.residual_norm <= cfg.abs_tol + cfg.rel_tol * (2.001**2 - 4.0)
+
+
+def test_newton_history_extrapolates_its_last_two_displacements():
+    history = linalg.NewtonHistory()
+    x0 = np.array([1.0, 2.0])
+
+    def anywhere(x):
+        return True
+
+    assert history.guess(x0, anywhere) is None
+    history.record(np.zeros(2), np.array([0.5, 1.0]))
+    assert history.guess(x0, anywhere) is None
+    history.record(np.ones(2), np.array([2.0, 3.0]))
+    # x0 + 2 (1, 2) - (0.5, 1)
+    assert np.array_equal(history.guess(x0, anywhere), [2.5, 5.0])
+    assert history.guess(x0, lambda x: bool((x < 5.0).all())) is None
+    history.record(np.zeros(2), np.array([1.0, 3.0]))  # the oldest record drops
+    # x0 + 2 (1, 3) - (1, 2)
+    assert np.array_equal(history.guess(x0, anywhere), [2.0, 6.0])
+
+
+W2_DT = 0.00078125
+
+
+def test_a_smooth_run_takes_one_newton_iteration_per_solve_from_step_4(monkeypatch):
+    """16x16 manufactured at W2's dt: once two steps are recorded, each
+    pressure and y solve starts from its extrapolation and meets the
+    unchanged target in one iteration."""
+    y_iterations = []
+    newton_solve_ = gas_fraction.newton_solve
+
+    def recording(*args, **kwargs):
+        res = newton_solve_(*args, **kwargs)
+        y_iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(gas_fraction, "newton_solve", recording)
+    result = run_simulation(make_config("manufactured", nx=16, ny=16, dt=W2_DT,
+                                        t_end=8 * W2_DT))
+    pressure_iterations = [r.newton_iters for r in result.reports[1:]]
+    assert pressure_iterations[3:] == [1] * 5 and y_iterations[3:] == [1] * 5
+    assert all(r.bounds_ok for r in result.reports)
+
+
+def test_solves_without_history_start_where_they_did(monkeypatch):
+    """A run's first two steps, whose solves have no history, are
+    bit-identical to those of a run whose histories never offer a guess;
+    the later steps differ at roundoff."""
+    config = make_config("manufactured", nx=16, ny=16, dt=W2_DT, t_end=4 * W2_DT)
+
+    def states():
+        return [state for state, _ in driver.steps(build_case(config), config.dt,
+                                                    config.t_end)]
+
+    extrapolated = states()
+    monkeypatch.setattr(linalg.NewtonHistory, "guess", lambda self, x0, admissible: None)
+    plain = states()
+    for a, b in zip(extrapolated[:3], plain[:3]):  # level 0, steps 1 and 2
+        for name in ("p", "z", "rho", "u", "y"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    for name in ("p", "z", "u", "y"):
+        a, b = getattr(extrapolated[-1], name), getattr(plain[-1], name)
+        assert not np.array_equal(a, b)
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
 # --- the iterative paths of solve -------------------------------------------
 
 def _solves(caplog):
@@ -511,19 +599,51 @@ def test_held_sequence_tries_jacobi_until_it_holds_an_lu(splu_calls, caplog):
     assert _relerr(x, A, b) < 1e-12
 
 
-def test_held_sequence_skips_jacobi_once_it_failed(caplog):
+def test_held_sequence_retries_jacobi_while_no_lu_is_held(caplog):
     """The y-Jacobians of configs/manufactured.cfg (20x20, 400 unknowns): Jacobi
-    fails on the first system of the run's first y-correction, whose LU is
-    too thin to hold, and the run's y-corrections share one HeldLU, so every
-    later y-Jacobian is factorized at once."""
+    fails on each of them after one sweep, and their LU is too thin to hold,
+    so the run's shared HeldLU remembers no failure and every y-Jacobian
+    tries Jacobi before it is factorized."""
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     result = run_simulation(make_config("manufactured", nx=20, ny=20, dt=0.01, t_end=0.04))
     steps = len(result.reports) - 1
     paths = [path for n, path, _ in _solves(caplog) if n == result.problem.mesh.n_cells]
-    # one Jacobi attempt for the set-up's one-off density prediction and one
-    # for the first y-correction; each y-correction solves at least 2 systems
-    assert paths.count("static LU after 1 Jacobi sweeps") == 2
-    assert paths.count("static LU") == len(paths) - 2 >= 2 * steps - 1
+    # the set-up's one-off density prediction, then at least one system per
+    # y-correction
+    assert paths == ["static LU after 1 Jacobi sweeps"] * len(paths)
+    assert len(paths) >= 1 + steps
+
+
+def test_a_jacobi_failure_is_forgotten_when_its_lu_is_not_held(splu_calls, caplog):
+    """A failure of Jacobi is remembered only while the factor that replaced
+    it is held: after a thin factor, the next system of the sequence tries
+    Jacobi again; after a factor worth holding, the failure is remembered."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    n = 400
+    b = np.random.default_rng(19).normal(size=n)
+    held = linalg.HeldLU()
+    # a weakly dominant tridiagonal: Jacobi contracts too slowly for its cap
+    for diag in (2.0, 100.0):
+        solve(_tridiagonal(n, diag, -1.0), b, held=held)
+        assert held.lu is None and held.jacobi
+    A = (sp.random(n, n, density=0.3, random_state=np.random.default_rng(20), format="csc")
+         + 40 * sp.eye(n)).tocsc()
+    solve(A, b, held=held)
+    assert held.lu is not None and not held.jacobi
+    assert _paths(caplog) == ["static LU after 1 Jacobi sweeps", "Jacobi",
+                              "static LU after 1 Jacobi sweeps"]
+
+
+def test_bubble_column_y_jacobians_return_to_jacobi(caplog):
+    """configs/bubble_column.cfg (19x75): Jacobi fails on the y-Jacobians of the
+    first steps, whose LU is too thin to hold, and solves those of the later
+    steps; no y-Jacobian is factorized without trying it first."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    result = run_simulation(make_config("bubble_column", t_end=12 * 0.01))
+    paths = [path for n, path, _ in _solves(caplog) if n == result.problem.mesh.n_cells]
+    assert all(path.startswith("Jacobi") or path.startswith("static LU after ")
+               for path in paths)
+    assert paths[-5:] == ["Jacobi"] * 5 and "static LU after 2 Jacobi sweeps" in paths
 
 
 def test_y_jacobian_is_factorized_once_per_run(monkeypatch):
@@ -566,16 +686,16 @@ def test_manufactured_pressure_jacobians_take_jacobi(splu_calls, caplog):
     dt = 0.00078125
     result = run_simulation(make_config("manufactured", nx=16, ny=16, dt=dt, t_end=4 * dt))
     reports = result.reports
-    assert (sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)) == (9, 4)
+    assert (sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)) == (8, 4)
     n = 2 * result.problem.mesh.n_cells
-    assert [path for m, path, _ in _solves(caplog) if m == n] == ["Jacobi"] * 9
+    assert [path for m, path, _ in _solves(caplog) if m == n] == ["Jacobi"] * 8
     assert all(m != n for m, _ in splu_calls)
     assert all(r.bounds_ok for r in reports)
 
 
 @pytest.mark.parametrize("name, kw, totals", [
     ("sloshing", dict(nx=14, ny=18, dt=0.01, t_end=0.02), (6, 2)),
-    ("manufactured", dict(nx=8, ny=8, dt=0.0125, t_end=0.0125 * 6), (18, 6)),
+    ("manufactured", dict(nx=8, ny=8, dt=0.0125, t_end=0.0125 * 6), (15, 6)),
 ])
 def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
     """The totals of a run whose pressure Jacobians are factorized once per
@@ -598,23 +718,26 @@ def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
 def test_a_jacobi_failure_is_remembered_across_steps(name, caplog):
     """At the shipped sizes of these cases Jacobi fails on the first momentum
     system and on the first pressure Jacobian, and on manufactured on the
-    first y-Jacobian.  Each system kind tries it once: the later steps
-    factorize their first momentum and pressure system straight away, and
-    every later y-Jacobian, whose LU is too thin to hold."""
+    y-Jacobians.  A system kind whose factor is held tries it once: the
+    later steps factorize their first system straight away.  One whose factor
+    is too thin to hold (interface's pressure, manufactured's y) tries it on
+    every system, and Jacobi gives up after one sweep."""
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     config = make_config(name)  # the case defaults are the shipped configs
     result = run_simulation(dataclasses.replace(config, t_end=4 * config.dt))
     mesh = result.problem.mesh
-    factorized = {2 * mesh.n_faces: 3, 2 * mesh.n_cells: 3}  # momentum, pressure
-    if name == "manufactured":
-        factorized[mesh.n_cells] = 7  # y: 2 Newton systems per step
-    for n, count in factorized.items():
+    momentum, pressure, y = 2 * mesh.n_faces, 2 * mesh.n_cells, mesh.n_cells
+    held, thin = ({momentum: 3}, [pressure]) if name == "interface" else (
+        {momentum: 3, pressure: 3}, [y])
+    for n, count in held.items():
         paths = [path for m, path, _ in _solves(caplog) if m == n]
-        if n == mesh.n_cells:
-            paths = paths[1:]  # the set-up's one-off density prediction
         assert [path for path in paths if "Jacobi" in path] == paths[:1]
         assert paths[0].startswith("static LU after ")
         assert paths.count("static LU") == count
+    for n in thin:
+        paths = [path for m, path, _ in _solves(caplog) if m == n]
+        assert paths == ["static LU after 1 Jacobi sweeps"] * len(paths)
+        assert len(paths) >= 4
 
 
 def test_entropy_suite_totals_are_pinned(monkeypatch):
@@ -632,7 +755,7 @@ def test_entropy_suite_totals_are_pinned(monkeypatch):
     reports = [r for result in runs for r in result.reports]
     assert len(runs) == 4
     totals = sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)
-    assert totals == (260, 80)
+    assert totals == (248, 80)
 
 
 def test_sloshing_keeps_the_y_floor_under_refinement_to_stagnation():

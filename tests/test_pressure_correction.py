@@ -174,9 +174,9 @@ def _step_closures():
     captured = []
     orig = pc.newton_solve
 
-    def spy(res, jac, x0, cfg=None, adm=None, held=None):
+    def spy(res, jac, x0, cfg=None, adm=None, held=None, guess=None):
         captured.append((res, jac, x0))
-        return orig(res, jac, x0, cfg, adm, held=held)
+        return orig(res, jac, x0, cfg, adm, held=held, guess=guess)
 
     pc.newton_solve = spy
     try:
@@ -184,6 +184,48 @@ def _step_closures():
     finally:
         pc.newton_solve = orig
     return captured[0]
+
+
+def test_step_takes_no_inadmissible_or_worse_extrapolated_start(monkeypatch):
+    """A corrector whose history extrapolates to z < 0 offers Newton no guess;
+    one whose guess doubles p offers it, and Newton keeps the plain start,
+    whose residual is smaller.  Both step bit-identically to a fresh
+    corrector."""
+    import driftflux.pressure_correction as pc
+
+    config = make_config("manufactured", nx=5, ny=5, dt=0.05)
+    problem = build_case(config)
+    state = initial_state(problem, config.dt)
+    asm = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
+    ut = predict_velocity(state, config.dt, asm, problem.bc, config.dt,
+                          source=problem.momentum_source)
+    guesses = []
+    newton_solve = pc.newton_solve
+
+    def spy(*args, guess=None, **kwargs):
+        guesses.append(guess)
+        return newton_solve(*args, guess=guess, **kwargs)
+
+    monkeypatch.setattr(pc, "newton_solve", spy)
+    M = problem.mesh.n_cells
+
+    def step(d):
+        corr = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
+        if d is not None:
+            corr.history.record(np.zeros(2 * M), np.zeros(2 * M))
+            corr.history.record(np.zeros(2 * M), d)
+        return corr.step(state, ut, config.dt, config.dt, NewtonConfig())
+
+    fresh = step(None)
+    negative_z = np.concatenate([np.zeros(M), -state.rho * state.y])
+    double_p = np.concatenate([0.5 * state.p, np.zeros(M)])
+    for d in (negative_z, double_p):
+        res = step(d)
+        for name in ("p", "z", "rho", "u", "fluxes"):
+            assert np.array_equal(getattr(res, name), getattr(fresh, name))
+        assert (res.newton_iters, res.residual) == (fresh.newton_iters, fresh.residual)
+    assert guesses[0] is None and guesses[1] is None
+    assert np.all(guesses[2][:M] > 1.9 * state.p)
 
 
 def test_jacobian_matches_finite_differences():
@@ -286,9 +328,10 @@ def test_step_upwinds_edges_that_the_pressure_drives_across_zero(monkeypatch):
     solves = []
     newton_solve = pc.newton_solve
 
-    def spy(residual, jacobian, x0, cfg=None, admissible=None, held=None):
+    def spy(residual, jacobian, x0, cfg=None, admissible=None, held=None, guess=None):
         solves.append((cfg, np.abs(residual(np.array(x0))).max(),
-                       newton_solve(residual, jacobian, x0, cfg, admissible, held=held)))
+                       newton_solve(residual, jacobian, x0, cfg, admissible, held=held,
+                                    guess=guess)))
         return solves[-1][2]
 
     monkeypatch.setattr(pc, "newton_solve", spy)
