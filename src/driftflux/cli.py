@@ -43,12 +43,6 @@ def _cmd_convergence(args):
             print(f"{n}, {dt:g}, failed, failed, failed")
         else:
             print(f"{n}, {dt:g}, {errs[0]:.6e}, {errs[1]:.6e}, {errs[2]:.6e}")
-    if len(meshes) >= 2:
-        for var in ("u", "p", "y"):
-            print(f"spatial order ({var}): {study.observed_order(var, 'space'):.3f}")
-    if len(dts) >= 2:
-        for var in ("u", "p", "y"):
-            print(f"temporal order ({var}): {study.observed_order(var, 'time'):.3f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "convergence.csv"), "w") as fh:
@@ -57,6 +51,12 @@ def _cmd_convergence(args):
                 vals = "failed,failed,failed" if errs is None else \
                     f"{errs[0]:.17g},{errs[1]:.17g},{errs[2]:.17g}"
                 fh.write(f"{n},{dt:.17g},{vals}\n")
+    if len(meshes) >= 2:
+        for var in ("u", "p", "y"):
+            print(f"spatial order ({var}): {study.observed_order(var, 'space'):.3f}")
+    if len(dts) >= 2:
+        for var in ("u", "p", "y"):
+            print(f"temporal order ({var}): {study.observed_order(var, 'time'):.3f}")
     return 0
 
 

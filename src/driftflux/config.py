@@ -25,17 +25,14 @@ class SimulationConfig:
     t_end: float = 0.5
     flux: str = "flux_splitting"
     renormalize: bool = False
-    newton_abs_tol: float = 1e-11
-    newton_rel_tol: float = 1e-10
-    newton_max_iter: int = 50
     out_dir: str = ""
     dump_interval: int = 0
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < self.dt:
             raise ConfigurationError("need dt > 0 and t_end >= dt")
-        if self.newton_abs_tol <= 0 or self.newton_rel_tol <= 0:
-            raise ConfigurationError("solver tolerances must be positive")
+        if self.dump_interval < 0:
+            raise ConfigurationError("dump_interval must be >= 0 (0 writes no dumps)")
         if self.flux not in ("flux_splitting", "godunov"):
             raise ConfigurationError(f"unknown flux function {self.flux!r}")
 
@@ -59,7 +56,9 @@ def load_config(path):
     """Parse an ini-style configuration file.
 
     Each key is a :class:`SimulationConfig` field, parsed to the type of its
-    default; ``[case] name`` sets the case, and any other key is rejected.
+    default (an integer field takes only an integral value); ``[case] name``
+    sets the case, and any other key, or a value that does not parse, is
+    rejected.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
@@ -73,10 +72,14 @@ def load_config(path):
             if key not in defaults:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
             default = defaults[key]
-            if isinstance(default, bool):
-                values[key] = cp.getboolean(section, key)
-            elif isinstance(default, int):
-                values[key] = int(float(raw))
-            else:
-                values[key] = type(default)(raw)
+            try:
+                if isinstance(default, bool):
+                    values[key] = cp.getboolean(section, key)
+                elif isinstance(default, int):
+                    values[key] = int(raw)
+                else:
+                    values[key] = type(default)(raw)
+            except ValueError:
+                raise ConfigurationError(f"config key {section}.{key}: cannot read {raw!r} "
+                                         f"as {type(default).__name__}") from None
     return make_config(values.pop("case", "uniform"), **values)

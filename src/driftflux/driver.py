@@ -29,11 +29,6 @@ class SimulationResult:
     reports: list
 
 
-def newton_config_from(config):
-    return NewtonConfig(abs_tol=config.newton_abs_tol, rel_tol=config.newton_rel_tol,
-                        max_iter=config.newton_max_iter)
-
-
 def initial_state(problem, dt):
     """Density prediction (first-step compatibility) and the level-0 state.
 
@@ -155,7 +150,6 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
 def run_simulation(config):
     problem = build_case(config)
     return simulate(problem, config.dt, config.t_end,
-                    ncfg=newton_config_from(config),
                     renormalize=config.renormalize,
                     out_dir=config.out_dir or None,
                     dump_interval=config.dump_interval)
@@ -187,22 +181,27 @@ class ConvergenceStudy:
     dts: list
     errors: dict  # (n, dt) -> (err_u, err_p, err_y) or None on failure
 
+    def _error(self, variable, n, dt):
+        errs = self.errors[(n, dt)]
+        if errs is None:
+            raise DriftFluxError(f"the manufactured run ({n}, {dt:g}) failed, "
+                                 f"so its error is missing")
+        return errs[{"u": 0, "p": 1, "y": 2}[variable]]
+
     def observed_order(self, variable, axis):
         """Least-squares slope of log(err) vs log(h) or log(dt)."""
-        idx = {"u": 0, "p": 1, "y": 2}[variable]
         if axis == "space":
-            pts = [(1.0 / n, self.errors[(n, self.dts[0])][idx]) for n in self.meshes]
+            pts = [(1.0 / n, self._error(variable, n, self.dts[0])) for n in self.meshes]
         else:
             n = self.meshes[0]
-            pts = [(dt, self.errors[(n, dt)][idx]) for dt in self.dts]
+            pts = [(dt, self._error(variable, n, dt)) for dt in self.dts]
         x = np.log([p[0] for p in pts])
         y = np.log([p[1] for p in pts])
         return float(np.polyfit(x, y, 1)[0])
 
     def ratio(self, variable, coarse, fine, dt=None):
-        idx = {"u": 0, "p": 1, "y": 2}[variable]
         dt = dt if dt is not None else self.dts[0]
-        return self.errors[(coarse, dt)][idx] / self.errors[(fine, dt)][idx]
+        return self._error(variable, coarse, dt) / self._error(variable, fine, dt)
 
 
 def convergence_study(meshes, dts, t_end=0.5, flux="flux_splitting", matrix=False):

@@ -9,8 +9,7 @@ of numpy's wrapper; (2) refinement x <- x + LU^-1 (b - A x) with the LU held
 from a nearby system (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10,
 1989), so the Newton Jacobians of a pressure step, or of a run's
 y-corrections, share one factorization (lagged Jacobians: Knoll & Keyes,
-J. Comput. Phys. 193, 2004); (3) when no LU is in hand, for a one-off system
-or the systems of a sequence until Jacobi first fails on one, Jacobi sweeps
+J. Comput. Phys. 193, 2004); (3) when no LU is in hand, Jacobi sweeps
 x <- x + D^-1 (b - A x), which the lumped inertia of the momentum matrix and
 the vol/dt d(rho)/dp diagonal of the pressure Jacobian make converge (Varga,
 *Matrix Iterative Analysis*, 1962); (4) SuperLU with static diagonal pivots
@@ -101,22 +100,17 @@ def _jacobi_cap(n):
 class HeldLU:
     """The LU factor of a system, held by :func:`solve` (``held=``) to solve
     the later, nearby systems of a sequence, such as a run's y-Jacobians, by
-    refinement.  Once Jacobi has failed on one system of the sequence, the
-    later ones skip it for as long as the factor that replaced it is held;
-    ``jacobi=False`` skips it from the first system."""
+    refinement.  While it holds no factor, each system of the sequence tries
+    Jacobi before it is factorized."""
 
-    def __init__(self, jacobi=True):
+    def __init__(self):
         self.lu = None
-        self.jacobi = jacobi
 
     def hold(self, lu):
         # a refinement sweep costs about as much as factorizing 3 fill entries
         # per row (measured from 32 to 25,520 unknowns): hold a factor only
         # when REFINE_CAP sweeps cost less than refactorizing
         self.lu = lu if lu.nnz >= 3 * REFINE_CAP * lu.shape[0] else None
-        # a Jacobi failure is remembered only while the factor that replaced
-        # it is held: a sequence that Jacobi solves now and then keeps trying it
-        self.jacobi = self.jacobi or self.lu is None
 
 
 def _static_pivot_lu(A):
@@ -174,7 +168,7 @@ def _sparse_solve(A, rhs, norm_A, held):
     iteration, after = None, ""
     if held is not None and held.lu is not None:
         iteration = "refined", held.lu.solve(rhs), held.lu.solve, REFINE_CAP
-    elif _jacobi_cap(A.shape[0]) and (held is None or held.jacobi):
+    elif _jacobi_cap(A.shape[0]):
         d = A.diagonal() if rhs.ndim == 1 else A.diagonal()[:, None]
         if np.all(d != 0):
             iteration = "Jacobi", rhs / d, lambda r: r / d, _jacobi_cap(A.shape[0])
@@ -186,8 +180,6 @@ def _sparse_solve(A, rhs, norm_A, held):
         if _accepted(A, x, rhs, norm_A, floor=0.0):
             return x, True, f"{name}, {sweeps} sweeps", None
         after = f" after {sweeps} {name} sweeps"
-        if held is not None and name == "Jacobi":
-            held.jacobi = False
     lu = _static_pivot_lu(A)
     x = None if lu is None else lu.solve(rhs)
     accepted = x is not None and _accepted(A, x, rhs, norm_A)
@@ -211,9 +203,8 @@ def solve(matrix, rhs, held=None):
     untouched.  A larger sparse system takes the module's policy: refinement
     with the LU of ``held`` (a :class:`HeldLU`, which keeps every new factor
     worth holding), else, with no LU in hand, Jacobi sweeps when the diagonal
-    has no zero and Jacobi has not failed on an earlier system of ``held``,
-    then the two factorizations.  A final solution that misses the bound
-    raises :class:`SolverError`.
+    has no zero, then the two factorizations.  A final solution that misses
+    the bound raises :class:`SolverError`.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)

@@ -16,7 +16,7 @@ import numpy as np
 from .boundary import mirror_partners
 from .errors import InvariantViolation
 from .fields import face_density_all
-from .linalg import HeldLU, solve
+from .linalg import solve
 from .mesh import (E, N, S, SLIP, W, SparsePattern, inlet_split, upwind, upwind_fluxes,
                    upwind_transport_matrix, volume_fluxes)
 
@@ -129,8 +129,8 @@ class MomentumAssembler:
 
     The matrix fills the mesh's fixed ``momentum`` :class:`SparsePattern`,
     built on the first :meth:`assemble`; only its values change per step.
-    ``jacobi`` turns False once Jacobi has failed on one step's system, and
-    the later steps go straight to a factorization.
+    Each step's system is solved on its own, with no held LU, so a large
+    one tries Jacobi before it is factorized (:func:`driftflux.linalg.solve`).
     """
 
     def __init__(self, mesh, geom, viscosity):
@@ -138,7 +138,6 @@ class MomentumAssembler:
         self.geom = geom
         self.viscosity = viscosity
         self.ndof = 2 * mesh.n_faces
-        self.jacobi = True
         self._element = viscous_element_matrix(mesh.dx, mesh.dy, viscosity.constant_form)
         # local dof 2*face + component of each cell's 8 velocity dofs
         self._cell_dofs = (2 * mesh.cell_faces[:, :, None] + np.arange(2)).reshape(-1, 8)
@@ -243,10 +242,7 @@ def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=N
     A, b = assembler.assemble(rho_face_n, rho_face_nm1, state.u, dual, state.p, dt,
                               mu_cells, body_accel=body_accel, source=source,
                               t=t_next, bc=bc)
-    held = HeldLU(assembler.jacobi)
-    x = solve(A, b, held=held)
-    assembler.jacobi = held.jacobi
-    return x.reshape(-1, 2)
+    return solve(A, b).reshape(-1, 2)
 
 
 def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt):

@@ -103,18 +103,16 @@ def _jacobian_pattern(m):
 
 
 class PressureCorrector:
-    """The pressure step of a problem.  ``jacobi`` turns False once Jacobi
-    has failed on one of its Jacobians and the factor that replaced it was
-    held, and the later steps factorize their first Jacobian without trying
-    it; no factor is kept across steps.  ``history`` holds the Newton
-    displacements of the last two steps."""
+    """The pressure step of a problem.  Each step holds its own LU, so its
+    first Jacobian tries Jacobi before it is factorized; no factor is kept
+    across steps.  ``history`` holds the Newton displacements of the last
+    two steps."""
 
     def __init__(self, mesh, geom, eos, bc):
         self.mesh = mesh
         self.geom = geom
         self.eos = eos
         self.bc = bc
-        self.jacobi = True
         self.history = NewtonHistory()
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
@@ -215,9 +213,8 @@ class PressureCorrector:
         p_guess[bad] = np.maximum(p_guess, p_req)[bad]
         x = np.concatenate([p_guess, rhoy_n])
         guess = self.history.guess(x, lambda g: admissible(g) and bool((g[M:] > 0).all()))
-        held = HeldLU(self.jacobi)
-        res = newton_solve(residual, jacobian, x, ncfg, admissible, held=held, guess=guess)
-        self.jacobi = held.jacobi
+        res = newton_solve(residual, jacobian, x, ncfg, admissible, held=HeldLU(),
+                           guess=guess)
         self.history.record(x, res.x)
 
         p, z = res.x[:M], res.x[M:]

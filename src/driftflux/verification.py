@@ -11,7 +11,7 @@ from .config import make_config
 from .diagnostics import (drift_dissipation_check, entropy_scale,
                           global_entropy_bound, pressure_work_inequality_check,
                           segment_point_check)
-from .driver import newton_config_from, simulate, steps
+from .driver import simulate
 from .eos import EosParams
 from .gas_fraction import FLUX_FUNCTIONS, DriftModel, correct_mass_fraction, drift_fluxes, _phi
 from .linalg import NewtonConfig, solve
@@ -286,43 +286,6 @@ def suite_bounds(seed=0, manufactured_steps=20, sloshing_steps=20):
                  f"(floor {res2.problem.y_floor:.0e})")
     ok = ok and sok
     return SuiteResult("bounds", ok, lines)
-
-
-def liquid_column_height(problem, state, column):
-    """Liquid height above column ``column`` from the cell liquid fractions."""
-    mesh = problem.mesh
-    cells = column + mesh.nx * np.arange(mesh.ny)
-    alpha_l = (state.rho[cells] - state.z[cells]) / problem.eos.rho_l
-    return float(np.sum(alpha_l) * mesh.dy)
-
-
-def fit_oscillation_frequency(ts, xi, w_lo, w_hi, n_scan=601):
-    """Best single-mode fit xi ~ A + B cos(w t) + C sin(w t) over a w scan."""
-    ts = np.asarray(ts)
-    xi = np.asarray(xi)
-    best = None
-    for w in np.linspace(w_lo, w_hi, n_scan):
-        X = np.column_stack([np.ones_like(ts), np.cos(w * ts), np.sin(w * ts)])
-        coef, *_ = np.linalg.lstsq(X, xi, rcond=None)
-        rr = float(np.sum((xi - X @ coef) ** 2))
-        if best is None or rr < best[1]:
-            best = (w, rr, coef)
-    return best[0], best[2]
-
-
-def sloshing_frequency(nx=70, ny=90, dt=0.01, t_end=1.8, column=0):
-    """Run the sloshing case and fit the interface oscillation frequency.
-
-    Returns (fitted omega, analytic omega_1, relative error, sample count).
-    """
-    config = make_config("sloshing", nx=nx, ny=ny, dt=dt, t_end=t_end)
-    problem = build_case(config)
-    w1 = problem.exact.omega(1)
-    ts, hs = zip(*[(state.t, liquid_column_height(problem, state, column))
-                   for state, _ in steps(problem, dt, t_end, newton_config_from(config))])
-    xi = np.asarray(hs) - hs[0]
-    w_fit, _ = fit_oscillation_frequency(ts, xi, 0.5 * w1, 1.5 * w1)
-    return w_fit, w1, abs(w_fit - w1) / w1, len(ts)
 
 
 SUITES = {

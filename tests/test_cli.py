@@ -3,6 +3,7 @@ import logging
 
 from driftflux import driver
 from driftflux.cli import main
+from driftflux.errors import NewtonError
 
 
 def test_cli_run(tmp_path, capsys):
@@ -47,6 +48,28 @@ def test_cli_convergence(tmp_path, capsys):
     table = (tmp_path / "convergence.csv").read_text().splitlines()
     assert table[0] == "n,dt,err_u,err_p,err_y"
     assert len(table) == 4  # header + three runs (no full matrix)
+
+
+def test_cli_convergence_names_a_failed_run(tmp_path, capsys, caplog, monkeypatch):
+    """A run that fails leaves its table row and stops the order fit with a
+    named error: exit code 2, not a TypeError traceback."""
+    def run_manufactured(n, dt, t_end=0.5, flux="flux_splitting"):
+        if n == 10:
+            raise NewtonError("Newton did not converge")
+        return (1.0 / n, 2.0 / n, 3.0 / n)
+
+    monkeypatch.setattr(driver, "run_manufactured", run_manufactured)
+    with caplog.at_level(logging.ERROR, logger="driftflux"):
+        code = main(["convergence", "--meshes", "5,10", "--dts", "0.05",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "10, 0.05, failed, failed, failed" in out and "order" not in out
+    assert (tmp_path / "convergence.csv").read_text().splitlines()[2] == \
+        "10,0.050000000000000003,failed,failed,failed"
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors[0] == "run (10, 0.05) failed: Newton did not converge"
+    assert errors[-1] == "the manufactured run (10, 0.05) failed, so its error is missing"
 
 
 def test_cli_bad_config(tmp_path):

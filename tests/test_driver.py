@@ -1,6 +1,7 @@
 import dataclasses
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ t_end = 0.05
 
 [solver]
 renormalize = false
-newton_rel_tol = 1e-11
+flux = godunov
 
 [output]
 dump_interval = 2
@@ -117,11 +118,27 @@ dump_interval = 2
     assert config.case == "interface"
     assert config.nx == 12 and config.ny == 3
     assert config.dt == 0.01
-    assert config.newton_rel_tol == 1e-11
+    assert config.flux == "godunov"
     assert config.renormalize is False
     assert config.dump_interval == 2
     res = run_simulation(config)
     assert res.reports[-1].time == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("section, line, message", [
+    ("solver", "newton_rel_tol = 1e-11", "unknown config key solver.newton_rel_tol"),
+    ("mesh", "nx = 4.7", "mesh.nx: cannot read '4.7' as int"),
+    ("time", "dt = fast", "time.dt: cannot read 'fast' as float"),
+    ("solver", "renormalize = maybe", "solver.renormalize: cannot read 'maybe' as bool"),
+    ("output", "dump_interval = -1", "dump_interval must be >= 0"),
+])
+def test_config_file_rejects_bad_values(tmp_path, section, line, message):
+    """The Newton targets are fixed, an integer key takes no fraction, and a
+    negative dump interval (which would dump every step) is refused."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[case]\nname = uniform\n\n[{section}]\n{line}\n")
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(path)
 
 
 def test_config_validation():
@@ -261,7 +278,7 @@ def test_each_vtk_dump_is_written_once(tmp_path, monkeypatch):
 def test_sloshing_frequency_run_is_guarded(monkeypatch):
     """The frequency fit consumes the guarded time loop: a stepped state that
     leaves the admissible set stops it with a named error."""
-    from driftflux.verification import sloshing_frequency
+    from sloshing import sloshing_frequency
 
     args = dict(nx=14, ny=18, dt=0.02, t_end=0.4)
     assert sloshing_frequency(**args) == (6.567601259800116, 5.534495443651783,

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -614,26 +615,6 @@ def test_held_sequence_retries_jacobi_while_no_lu_is_held(caplog):
     assert len(paths) >= 1 + steps
 
 
-def test_a_jacobi_failure_is_forgotten_when_its_lu_is_not_held(splu_calls, caplog):
-    """A failure of Jacobi is remembered only while the factor that replaced
-    it is held: after a thin factor, the next system of the sequence tries
-    Jacobi again; after a factor worth holding, the failure is remembered."""
-    caplog.set_level("DEBUG", logger="driftflux.linalg")
-    n = 400
-    b = np.random.default_rng(19).normal(size=n)
-    held = linalg.HeldLU()
-    # a weakly dominant tridiagonal: Jacobi contracts too slowly for its cap
-    for diag in (2.0, 100.0):
-        solve(_tridiagonal(n, diag, -1.0), b, held=held)
-        assert held.lu is None and held.jacobi
-    A = (sp.random(n, n, density=0.3, random_state=np.random.default_rng(20), format="csc")
-         + 40 * sp.eye(n)).tocsc()
-    solve(A, b, held=held)
-    assert held.lu is not None and not held.jacobi
-    assert _paths(caplog) == ["static LU after 1 Jacobi sweeps", "Jacobi",
-                              "static LU after 1 Jacobi sweeps"]
-
-
 def test_bubble_column_y_jacobians_return_to_jacobi(caplog):
     """configs/bubble_column.cfg (19x75): Jacobi fails on the y-Jacobians of the
     first steps, whose LU is too thin to hold, and solves those of the later
@@ -707,7 +688,7 @@ def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
     assert (sum(r.newton_iters for r in reports), sum(r.outer_iters for r in reports)) == totals
     if name == "sloshing":
         # one factorization per step, held across its Newton iterations
-        # (the step's first Jacobian has no LU; only step 1 tries Jacobi)
+        # (the step's first Jacobian has no LU and tries Jacobi first)
         pressure = [path for n, path, _ in _solves(caplog) if n == 2 * result.problem.mesh.n_cells]
         factorized = sum(path.startswith("static LU") for path in pressure)
         assert factorized == len(reports) - 1
@@ -715,29 +696,29 @@ def test_newton_and_outer_totals_are_pinned(name, kw, totals, caplog):
 
 
 @pytest.mark.parametrize("name", ["interface", "manufactured"])
-def test_a_jacobi_failure_is_remembered_across_steps(name, caplog):
-    """At the shipped sizes of these cases Jacobi fails on the first momentum
-    system and on the first pressure Jacobian, and on manufactured on the
-    y-Jacobians.  A system kind whose factor is held tries it once: the
-    later steps factorize their first system straight away.  One whose factor
-    is too thin to hold (interface's pressure, manufactured's y) tries it on
-    every system, and Jacobi gives up after one sweep."""
+def test_every_step_tries_jacobi_on_its_first_systems(name, caplog):
+    """At the shipped sizes of these cases Jacobi fails on every momentum
+    system and on the first pressure Jacobian of each step.  No failure is
+    remembered from one step to the next: the momentum system and the first
+    pressure Jacobian of every step try Jacobi before they are factorized,
+    and the later Jacobians of a step are refined with its LU."""
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     config = make_config(name)  # the case defaults are the shipped configs
     result = run_simulation(dataclasses.replace(config, t_end=4 * config.dt))
     mesh = result.problem.mesh
-    momentum, pressure, y = 2 * mesh.n_faces, 2 * mesh.n_cells, mesh.n_cells
-    held, thin = ({momentum: 3}, [pressure]) if name == "interface" else (
-        {momentum: 3, pressure: 3}, [y])
-    for n, count in held.items():
-        paths = [path for m, path, _ in _solves(caplog) if m == n]
-        assert [path for path in paths if "Jacobi" in path] == paths[:1]
-        assert paths[0].startswith("static LU after ")
-        assert paths.count("static LU") == count
-    for n in thin:
-        paths = [path for m, path, _ in _solves(caplog) if m == n]
-        assert paths == ["static LU after 1 Jacobi sweeps"] * len(paths)
-        assert len(paths) >= 4
+    momentum, pressure = 2 * mesh.n_faces, 2 * mesh.n_cells
+    steps = []  # each step's solve paths by kind, from its momentum system on
+    for n, path, _ in _solves(caplog):
+        if n == momentum:
+            steps.append({momentum: [], pressure: []})
+        if steps and n in steps[-1]:
+            steps[-1][n].append(path)
+    assert len(steps) == len(result.reports) - 1 == 4
+    for step in steps:
+        assert step[momentum] == ["static LU after 1 Jacobi sweeps"]
+        first, *later = step[pressure]
+        assert re.fullmatch(r"static LU after \d+ Jacobi sweeps", first)
+        assert not any("Jacobi" in path for path in later)
 
 
 def test_entropy_suite_totals_are_pinned(monkeypatch):
