@@ -1,8 +1,8 @@
 """Verification and demonstration configurations.
 
-The manufactured solution's forcing terms are closed-form numpy kernels built
-from two separable trigonometric fields; tests check them against a symbolic
-derivation and against finite differences of the analytic fields.
+The manufactured solution's forcing terms are closed-form numpy kernels, written component
+by component since every derivative of its separable trigonometric fields is diagonal;
+tests check them against a symbolic derivation and finite differences of the fields.
 """
 
 from dataclasses import dataclass
@@ -55,8 +55,10 @@ class Problem:
 class ManufacturedSolution:
     """Closed-form fields and forcing of the manufactured verification case.
 
-    rho and m = rho u are separable trigonometric functions; u = m / rho (by the
-    quotient rule), z = (5 - rho) / 9, y = z / rho and p(rho) are built from them.
+    rho = 1 + sin(pi t) (q1 + q2) / 4 and m = rho u = -cos(pi t) g / 4, with g = (sin pi x1,
+    cos pi x2) and q = (cos pi x1, -sin pi x2), give u, z = (5 - rho) / 9, y = z / rho and
+    p(rho).  As d_i g_i = pi q_i and d_i q_i = -pi g_i, grad m, Hess rho and Hess m are
+    diagonal: the kernels work component by component on their (2, n) diagonals.
     """
 
     def __init__(self, rho_l=5.0, a2=1.0, mu=1e-2, diffusion=0.1, u_r=(0.0, 1.0)):
@@ -66,22 +68,13 @@ class ManufacturedSolution:
         self.u_r = tuple(u_r)
 
     @staticmethod
-    def _base(t, x):
-        """rho, rho_t, grad rho, Hess rho, m, m_t, grad m, Hess m at time t, points x (n, 2).
-
-        grad m[:, i, j] = d_j m_i; rho has no mixed derivative, m_i depends on x_i only.
-        """
+    def _trig(t, x):
+        """sin pi t, cos pi t, g and q (each (2, n)) and rho at time t, points x (n, 2)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        s, c = np.sin(np.pi * x.T), np.cos(np.pi * x.T)
+        g, q = np.stack([s[0], c[1]]), np.stack([c[0], -s[1]])
         st, ct = np.sin(np.pi * t), np.cos(np.pi * t)
-        s1, c1 = np.sin(np.pi * x[:, 0]), np.cos(np.pi * x[:, 0])
-        s2, c2 = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
-        g, eye = np.column_stack([s1, c2]), np.eye(2)
-        rho = 1 + 0.25 * st * (c1 - s2)
-        hess_rho = 0.25 * np.pi**2 * st * np.column_stack([-c1, s2])[:, :, None] * eye
-        grad_m = -0.25 * np.pi * ct * np.column_stack([c1, -s2])[:, :, None] * eye
-        hess_m = 0.25 * np.pi**2 * ct * g[:, :, None, None] * (eye[:, :, None] * eye)
-        return (rho, 0.25 * np.pi * ct * (c1 - s2), -0.25 * np.pi * st * g, hess_rho,
-                -0.25 * ct * g, 0.25 * np.pi * st * g, grad_m, hess_m)
+        return st, ct, g, q, 1 + 0.25 * st * (q[0] + q[1])
 
     def _state_law(self, rho):
         """(z, y, p, dp/drho) along the manufactured family z = (5 - rho) / 9."""
@@ -92,13 +85,13 @@ class ManufacturedSolution:
 
     def eval(self, t, x):
         """(rho, rho_u, y, z, p) at time t and points x (n, 2)."""
-        rho, _, _, _, m, _, _, _ = self._base(t, x)
+        _, ct, g, _, rho = self._trig(t, x)
         z, y, p, _ = self._state_law(rho)
-        return rho, m, y, z, p
+        return rho, ((-0.25 * ct) * g).T.copy(), y, z, p
 
     def velocity(self, x, t):
-        rho, _, _, _, m, _, _, _ = self._base(t, x)
-        return m / rho[:, None]
+        _, ct, g, _, rho = self._trig(t, x)
+        return ((-0.25 * ct) * g / rho).T.copy()
 
     def pressure(self, x, t):
         return self.eval(t, x)[4]
@@ -107,40 +100,48 @@ class ManufacturedSolution:
         return self.eval(t, x)[2]
 
     def state(self, x, t):
-        rho, _, _, z, _ = self.eval(t, x)
-        return rho, z
+        rho = self._trig(t, x)[4]
+        return rho, self._state_law(rho)[0]
 
     def momentum_source(self, x, t):
-        """d_t m + div(m u) + grad p - mu (lap u + grad div u / 3)."""
-        rho, _, grad_rho, hess_rho, m, m_t, grad_m, hess_m = self._base(t, x)
-        u = m / rho[:, None]
-        grad_u = (grad_m - u[:, :, None] * grad_rho[:, None, :]) / rho[:, None, None]
-        hess_u = (hess_m - grad_u[:, :, None, :] * grad_rho[:, None, :, None]
-                  - grad_u[:, :, :, None] * grad_rho[:, None, None, :]
-                  - u[:, :, None, None] * hess_rho[:, None, :, :]) / rho[:, None, None, None]
-        conv = np.einsum("njj,ni->ni", grad_m, u) + np.einsum("nj,nij->ni", m, grad_u)
-        visc = np.einsum("nijj->ni", hess_u) + np.einsum("njji->ni", hess_u) / 3.0
-        return m_t + conv + self._state_law(rho)[3][:, None] * grad_rho - self.mu * visc
+        """d_t m + div(m u) + grad p - mu (lap u + grad div u / 3), by component.
+
+        With G = grad rho, the diagonals L, d, h of Hess rho, grad m, Hess m and
+        d_j u_i = (delta_ij d_i - u_i G_j) / rho: div(m u)_i = u_i (div m + d_i - u.G),
+        lap u_i = (h_i - 2 (d_i G_i - u_i |G|^2) / rho - u_i sum L) / rho and
+        d_i div u = (h_i - G_i (d_i + div m - 2 u.G) / rho - u_i L_i) / rho."""
+        st, ct, g, q, rho = self._trig(t, x)
+        k = 0.25 * np.pi
+        grad_rho, hess_rho = (-k * st) * g, (-k * np.pi * st) * q
+        d, h, u = (-k * ct) * q, (k * np.pi * ct) * g, (-0.25 * ct) * g / rho
+        u_g, div_m = u[0] * grad_rho[0] + u[1] * grad_rho[1], d[0] + d[1]
+        lap_u = (h - 2.0 * (d * grad_rho - u * (grad_rho[0]**2 + grad_rho[1]**2)) / rho
+                 - u * (hess_rho[0] + hess_rho[1])) / rho
+        grad_div_u = (h - grad_rho * (d + div_m - 2.0 * u_g) / rho - u * hess_rho) / rho
+        return ((k * st) * g + u * (div_m + d - u_g) + self._state_law(rho)[3] * grad_rho
+                - self.mu * (lap_u + grad_div_u / 3.0)).T.copy()
 
     def y_source(self, x, t):
         """d_t z + div(z u) + div(rho y (1 - y) u_r) - D lap y, with y = 5 / (9 rho) - 1 / 9."""
-        rho, rho_t, grad_rho, hess_rho, m, _, grad_m, _ = self._base(t, x)
-        u = m / rho[:, None]
+        st, ct, g, q, rho = self._trig(t, x)
+        k, sum_q = 0.25 * np.pi, q[0] + q[1]
+        rho_t, grad_rho = (k * ct) * sum_q, (-k * st) * g
+        u_g = (-0.25 * ct) * (g[0] * grad_rho[0] + g[1] * grad_rho[1]) / rho
         z, y, _, _ = self._state_law(rho)
         c = -5.0 / (9.0 * rho**2)
-        lap_y = c * (np.einsum("njj->n", hess_rho) - 2.0 * np.sum(grad_rho**2, axis=1) / rho)
-        div_u = (np.einsum("njj->n", grad_m) - np.sum(u * grad_rho, axis=1)) / rho
-        div_zu = -np.sum(grad_rho * u, axis=1) / 9.0 + z * div_u
-        grad_drift = -grad_rho * ((1.0 - y) / 9.0 + z * c)[:, None]
-        return -rho_t / 9.0 + div_zu + grad_drift @ np.asarray(self.u_r) - self.diffusion * lap_y
+        lap_y = c * ((-k * np.pi * st) * sum_q - 2.0 * (grad_rho[0]**2 + grad_rho[1]**2) / rho)
+        drift = (self.u_r[0] * grad_rho[0] + self.u_r[1] * grad_rho[1]) * ((1.0 - y) / 9.0 + z * c)
+        # d_t z + div(z u) = -(rho_t + u.G) / 9 + z div u, and div m = -rho_t
+        return -(rho_t + u_g) * (1.0 / 9.0 + y) - drift - self.diffusion * lap_y
 
     def y_boundary_flux(self, x, t, normal):
         """Outward drift plus diffusion flux density of the gas mass balance."""
-        rho, _, grad_rho, _, _, _, _, _ = self._base(t, x)
+        st, _, g, _, rho = self._trig(t, x)
         z, y, _, _ = self._state_law(rho)
-        flux = (z * (1.0 - y))[:, None] * np.asarray(self.u_r) + (
-            self.diffusion * 5.0 / (9.0 * rho**2))[:, None] * grad_rho
-        return np.sum(flux * np.asarray(normal), axis=1)
+        normal = np.asarray(normal, dtype=float)
+        grad_rho_n = (-0.25 * np.pi * st) * (g[0] * normal[:, 0] + g[1] * normal[:, 1])
+        return (z * (1.0 - y) * (normal @ np.asarray(self.u_r))
+                + self.diffusion * 5.0 / (9.0 * rho**2) * grad_rho_n)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Run configuration: plain key = value files grouped by [section] headers."""
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
@@ -29,8 +30,8 @@ class SimulationConfig:
     dump_interval: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < self.dt:
-            raise ConfigurationError("need dt > 0 and t_end >= dt")
+        if not 0 < self.dt <= self.t_end < math.inf:  # also refuses nan
+            raise ConfigurationError("need finite dt > 0 and t_end >= dt")
         if self.dump_interval < 0:
             raise ConfigurationError("dump_interval must be >= 0 (0 writes no dumps)")
         if self.flux not in ("flux_splitting", "godunov"):

@@ -186,8 +186,7 @@ class MomentumAssembler:
         """a_d(u, w) evaluated on full (F,2) dof arrays."""
         ue = np.asarray(u).reshape(-1)[self._cell_dofs]
         we = np.asarray(w).reshape(-1)[self._cell_dofs]
-        return float(np.sum(np.asarray(mu_cells)
-                            * np.einsum("ca,ab,cb->c", we, self._element, ue)))
+        return float(np.asarray(mu_cells) @ np.einsum("ca,ca->c", we @ self._element, ue))
 
     def assemble(self, rho_face_n, rho_face_nm1, u_n, dual, p_n, dt, mu_cells,
                  body_accel=None, source=None, t=None, bc=None):

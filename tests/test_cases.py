@@ -219,8 +219,39 @@ def _symbolic_solution(rho_l, a2, mu, diffusion, u_r):
     return {k: sp.lambdify((t, x1, x2), v, "numpy") for k, v in names.items()}
 
 
-@pytest.mark.parametrize("params", [
-    {}, dict(rho_l=7.0, a2=2.0, mu=0.05, diffusion=0.3, u_r=(0.4, -0.7))])
+_PARAMS = [{}, dict(rho_l=7.0, a2=2.0, mu=0.05, diffusion=0.3, u_r=(0.4, -0.7))]
+
+
+def _symbolic_deviation(sol, fn, t, x, normal):
+    """Relative max-norm deviation of every closed-form output from the symbolic one."""
+    n = len(x)
+
+    def sym(*names):
+        cols = [np.broadcast_to(fn[k](t, x[:, 0], x[:, 1]), (n,)) for k in names]
+        return cols[0] if len(cols) == 1 else np.column_stack(cols)
+
+    rho, rho_u, y, z, p = sol.eval(t, x)
+    flux = np.sum((sym("drift1", "drift2") - sol.diffusion * sym("dy1", "dy2")) * normal,
+                  axis=1)
+    pairs = {
+        "rho": (rho, sym("rho")), "rho_u": (rho_u, sym("rho_u1", "rho_u2")),
+        "y": (y, sym("y")), "z": (z, sym("z")), "p": (p, sym("p")),
+        "velocity": (sol.velocity(x, t), sym("u1", "u2")),
+        "pressure": (sol.pressure(x, t), sym("p")),
+        "mass_fraction": (sol.mass_fraction(x, t), sym("y")),
+        "state": (np.column_stack(sol.state(x, t)), sym("rho", "z")),
+        "momentum_source": (sol.momentum_source(x, t), sym("s1", "s2")),
+        "y_source": (sol.y_source(x, t), sym("s_y")),
+        "y_boundary_flux": (sol.y_boundary_flux(x, t, normal), flux),
+    }
+    deviation = {}
+    for name, (got, want) in pairs.items():
+        assert got.shape == want.shape, name
+        deviation[name] = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    return deviation
+
+
+@pytest.mark.parametrize("params", _PARAMS)
 def test_manufactured_closed_form_matches_symbolic(params):
     """Every output of the closed form equals the symbolic derivation to roundoff."""
     sol = ManufacturedSolution(**params)
@@ -232,30 +263,26 @@ def test_manufactured_closed_form_matches_symbolic(params):
         x = np.column_stack([rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n)])
         angle = rng.uniform(0.0, 2.0 * np.pi, n)
         normal = np.column_stack([np.cos(angle), np.sin(angle)])
-
-        def sym(*names):
-            cols = [np.broadcast_to(fn[k](t, x[:, 0], x[:, 1]), (n,)) for k in names]
-            return cols[0] if len(cols) == 1 else np.column_stack(cols)
-
-        rho, rho_u, y, z, p = sol.eval(t, x)
-        flux = np.sum((sym("drift1", "drift2") - sol.diffusion * sym("dy1", "dy2")) * normal,
-                      axis=1)
-        pairs = {
-            "rho": (rho, sym("rho")), "rho_u": (rho_u, sym("rho_u1", "rho_u2")),
-            "y": (y, sym("y")), "z": (z, sym("z")), "p": (p, sym("p")),
-            "velocity": (sol.velocity(x, t), sym("u1", "u2")),
-            "pressure": (sol.pressure(x, t), sym("p")),
-            "mass_fraction": (sol.mass_fraction(x, t), sym("y")),
-            "state": (np.column_stack(sol.state(x, t)), sym("rho", "z")),
-            "momentum_source": (sol.momentum_source(x, t), sym("s1", "s2")),
-            "y_source": (sol.y_source(x, t), sym("s_y")),
-            "y_boundary_flux": (sol.y_boundary_flux(x, t, normal), flux),
-        }
-        for name, (got, want) in pairs.items():
-            assert got.shape == want.shape, name
-            rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        for name, rel in _symbolic_deviation(sol, fn, t, x, normal).items():
             worst[name] = max(worst.get(name, 0.0), rel)
     assert max(worst.values()) <= 1e-12, worst
+
+
+@pytest.mark.parametrize("params", _PARAMS)
+def test_manufactured_closed_form_matches_symbolic_where_a_time_factor_vanishes(params):
+    """At t = 0 and 1 sin(pi t) vanishes, at t = 0.5 cos(pi t); t = 0 is the set-up
+    evaluation.  Checked on the points the run evaluates: face midpoints (the
+    momentum forcing, the boundary velocity and the boundary flux with the
+    faces' normals) and cell centers (the y forcing and the initial state)."""
+    sol = ManufacturedSolution(**params)
+    fn = _symbolic_solution(sol.eos.rho_l, sol.eos.a2, sol.mu, sol.diffusion, sol.u_r)
+    mesh = build_case(make_config("manufactured", nx=40, ny=40)).mesh
+    cell_normal = np.tile([0.6, -0.8], (mesh.n_cells, 1))
+    for t in (0.0, 0.5, 1.0):
+        for x, normal in ((mesh.face_midpoint, mesh.face_normal),
+                          (mesh.cell_centers, cell_normal)):
+            deviation = _symbolic_deviation(sol, fn, t, x, normal)
+            assert max(deviation.values()) <= 1e-12, (t, len(x), deviation)
 
 
 def test_run_path_does_not_import_sympy():

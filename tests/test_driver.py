@@ -131,10 +131,15 @@ dump_interval = 2
     ("time", "dt = fast", "time.dt: cannot read 'fast' as float"),
     ("solver", "renormalize = maybe", "solver.renormalize: cannot read 'maybe' as bool"),
     ("output", "dump_interval = -1", "dump_interval must be >= 0"),
+    ("time", "dt = nan", "need finite dt > 0"),
+    ("time", "dt = inf", "need finite dt > 0"),
+    ("time", "t_end = inf", "need finite dt > 0"),
+    ("time", "t_end = nan", "need finite dt > 0"),
 ])
 def test_config_file_rejects_bad_values(tmp_path, section, line, message):
-    """The Newton targets are fixed, an integer key takes no fraction, and a
-    negative dump interval (which would dump every step) is refused."""
+    """The Newton targets are fixed, an integer key takes no fraction, a
+    negative dump interval (which would dump every step) is refused, and so is
+    a non-finite dt or t_end (the step count would be nan or infinite)."""
     path = tmp_path / "run.cfg"
     path.write_text(f"[case]\nname = uniform\n\n[{section}]\n{line}\n")
     with pytest.raises(ConfigurationError, match=re.escape(message)):

@@ -164,6 +164,22 @@ def test_viscous_form_properties(constant):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("constant", [True, False])
+def test_viscous_form_matches_per_cell_sum(constant):
+    """a_d(u, w) = sum over cells of mu_c w_c^T E u_c, with the element vector of
+    a cell ordered (face 0 x, face 0 y, face 1 x, ...) along its cell_faces."""
+    m = build_uniform_mesh(5, 3, 1.0, 0.6)
+    model = ViscosityModel("constant" if constant else "density_scaled")
+    viscous_form = MomentumAssembler(m, build_diamond_geometry(m), model).viscous_form
+    element = viscous_element_matrix(m.dx, m.dy, constant)
+    rng = np.random.default_rng(8)
+    u, w = rng.normal(size=(2, m.n_faces, 2))
+    mu = rng.uniform(0.1, 2.0, m.n_cells)
+    expect = sum(mu[c] * w[m.cell_faces[c]].ravel() @ element @ u[m.cell_faces[c]].ravel()
+                 for c in range(m.n_cells))
+    assert viscous_form(u, w, mu) == pytest.approx(expect, rel=1e-13)
+
+
 def test_predict_velocity_zero_state():
     m = build_uniform_mesh(4, 4, 1.0, 1.0)
     g = build_diamond_geometry(m)
