@@ -14,7 +14,7 @@ from .fields import (State, admissibility_violation, discrete_l2_error_cell,
                      discrete_l2_error_velocity, face_density)
 from .gas_fraction import correct_mass_fraction, drift_fluxes
 from .io import dump_path, write_diagnostics_csv, write_vtk
-from .linalg import HeldLU, NewtonConfig, NewtonHistory
+from .linalg import NewtonSequence
 from .mesh import volume_fluxes
 from .momentum import MomentumAssembler, init_density_prediction, predict_velocity
 from .pressure_correction import PressureCorrector, renormalize_pressure
@@ -48,9 +48,10 @@ def initial_state(problem, dt):
                  rho_prev=np.array(problem.rho_init, dtype=float), fluxes=fluxes)
 
 
-def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
-            renormalize=False, y_held=None, y_history=None):
-    """One full scheme step; returns (new state, u_tilde, correction result, p_used)."""
+def advance(problem, state, dt, t_next, assembler, corrector, y_newton=None,
+            renormalize=False):
+    """One full scheme step, its y-correction a solve of the sequence
+    ``y_newton``; returns (new state, u_tilde, correction result, p_used)."""
     p_used = state.p
     if renormalize:
         p_used = renormalize_pressure(
@@ -61,16 +62,14 @@ def advance(problem, state, dt, t_next, assembler, corrector, ncfg,
     u_tilde = predict_velocity(work, dt, assembler, problem.bc, t_next,
                                body_accel=problem.body_accel,
                                source=problem.momentum_source)
-    corr = corrector.step(work, u_tilde, dt, t_next, ncfg,
-                          enforce_y_bound=problem.y_ceiling)
+    corr = corrector.step(work, u_tilde, dt, t_next, enforce_y_bound=problem.y_ceiling)
     v_mean = volume_fluxes(problem.mesh, corr.u)[: problem.mesh.n_internal]
     G = drift_fluxes(problem.mesh, problem.eos, problem.drift,
                      corr.rho, corr.p, corr.z, v_mean)
     y_new = correct_mass_fraction(problem.mesh, corr.rho, corr.z, G, problem.flux_fn,
-                                  problem.drift.diffusion, dt, ncfg,
+                                  problem.drift.diffusion, dt, newton=y_newton,
                                   source=problem.y_source, t=t_next,
-                                  boundary_flux=problem.y_boundary_flux, held=y_held,
-                                  history=y_history)
+                                  boundary_flux=problem.y_boundary_flux)
     new_state = State(t=t_next, u=corr.u, p=corr.p, rho=corr.rho, z=corr.z,
                       y=y_new, rho_prev=state.rho.copy(), fluxes=corr.fluxes)
     return new_state, u_tilde, corr, p_used
@@ -87,25 +86,25 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
     """Yield (state, report) for level 0, then for each scheme step up to t_end.
 
     The time loop of every run: each stepped state has passed the driver's
-    guard before it is yielded.  The run's y-corrections share one HeldLU
-    and one NewtonHistory.
+    guard before it is yielded.  The run's pressure steps and its
+    y-corrections are two :class:`~driftflux.linalg.NewtonSequence`, both
+    with the targets ``ncfg``: the corrector's drops its LU at each step, and
+    the y sequence holds one LU for the whole run.
     """
-    ncfg = ncfg or NewtonConfig()
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         log.warning("t_end %.6g is not a multiple of dt %.6g; running %d steps",
                     t_end, dt, n_steps)
     assembler = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
-    corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
-    y_held, y_history = HeldLU(), NewtonHistory()
+    corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc, ncfg)
+    y_newton = NewtonSequence(ncfg)
     state = initial_state(problem, dt)
     report = initial_step_report(problem.mesh, problem.geom, problem.eos, state,
                                  dt, problem.y_floor, problem.y_ceiling)
     yield state, report
     for n in range(1, n_steps + 1):
         state, u_tilde, corr, p_used = advance(
-            problem, state, dt, n * dt, assembler, corrector, ncfg, renormalize, y_held,
-            y_history)
+            problem, state, dt, n * dt, assembler, corrector, y_newton, renormalize)
         _guard(state, problem)
         report = build_step_report(
             n, report, state, u_tilde, dt, p_used, assembler, problem.eos,

@@ -7,9 +7,10 @@ stable (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002) and,
 at these sizes, cheaper than the fixed per-call cost of the sparse paths and
 of numpy's wrapper; (2) refinement x <- x + LU^-1 (b - A x) with the LU held
 from a nearby system (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10,
-1989), so the Newton Jacobians of a pressure step, or of a run's
-y-corrections, share one factorization (lagged Jacobians: Knoll & Keyes,
-J. Comput. Phys. 193, 2004); (3) when no LU is in hand, Jacobi sweeps
+1989), held by a :class:`NewtonSequence`, so the Newton Jacobians of a
+pressure step, or of a run's y-corrections, share one factorization (lagged
+Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004); (3) when no LU is in
+hand, Jacobi sweeps
 x <- x + D^-1 (b - A x), which the lumped inertia of the momentum matrix and
 the vol/dt d(rho)/dp diagonal of the pressure Jacobian make converge (Varga,
 *Matrix Iterative Analysis*, 1962); (4) SuperLU with static diagonal pivots
@@ -24,11 +25,12 @@ iterate is admissible, which is required because the state law is singular
 at p = 0, and either the max-norm residual has not grown or the merit
 ||r||_2^2 lies below the worst of the last six, the nonmonotone test of
 Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986).  A step that
-no halving makes acceptable raises.  A solve of a sequence may start from
-the second-order extrapolation of the sequence's last two solves
-(:class:`NewtonHistory`) instead of its plain start, when that guess is
-admissible and its residual is the smaller; the stopping test is relative to
-the chosen start's residual, so it can only tighten.
+no halving makes acceptable raises.  Each solve belongs to a
+:class:`NewtonSequence`, which holds the sequence's targets, its LU and its
+last two successful solves; a solve may start from their second-order
+extrapolation instead of its plain start, when that start is admissible and
+its residual is the smaller; the stopping test is relative to the chosen
+start's residual, so it can only tighten.
 """
 
 import logging
@@ -95,22 +97,6 @@ def _jacobi_cap(n):
     leaves room for the attempt's fixed costs."""
     cap = min(JACOBI_CAP, int(np.sqrt(n) / 2))
     return cap if cap >= REFINE_CAP else 0
-
-
-class HeldLU:
-    """The LU factor of a system, held by :func:`solve` (``held=``) to solve
-    the later, nearby systems of a sequence, such as a run's y-Jacobians, by
-    refinement.  While it holds no factor, each system of the sequence tries
-    Jacobi before it is factorized."""
-
-    def __init__(self):
-        self.lu = None
-
-    def hold(self, lu):
-        # a refinement sweep costs about as much as factorizing 3 fill entries
-        # per row (measured from 32 to 25,520 unknowns): hold a factor only
-        # when REFINE_CAP sweeps cost less than refactorizing
-        self.lu = lu if lu.nnz >= 3 * REFINE_CAP * lu.shape[0] else None
 
 
 def _static_pivot_lu(A):
@@ -201,8 +187,8 @@ def solve(matrix, rhs, held=None):
     one factorization.  A dense matrix, or a sparse one of at most
     ``DENSE_MAX`` unknowns, is solved by LAPACK's dgesv and leaves ``held``
     untouched.  A larger sparse system takes the module's policy: refinement
-    with the LU of ``held`` (a :class:`HeldLU`, which keeps every new factor
-    worth holding), else, with no LU in hand, Jacobi sweeps when the diagonal
+    with the LU of ``held`` (a :class:`NewtonSequence`, which keeps every new
+    factor worth holding), else, with no LU in hand, Jacobi sweeps when the diagonal
     has no zero, then the two factorizations.  A final solution that misses
     the bound raises :class:`SolverError`.
     """
@@ -240,15 +226,30 @@ def solve(matrix, rhs, held=None):
     return x
 
 
-class NewtonHistory:
-    """The displacements d = x - x0 of the last two Newton solves of a
-    sequence, each from its own plain start x0.  Extrapolated, they give the
-    next solve the start x0 + 2 d_n - d_{n-1}, second order in the step of a
-    smooth sequence, as for the Newton iterations of implicit integrators
-    (Hairer & Wanner, *Solving ODEs II*, 1996, IV.8)."""
+class NewtonSequence:
+    """A sequence of Newton solves of nearby systems, such as the pressure
+    steps or the y-corrections of a run.
 
-    def __init__(self):
+    It holds the sequence's targets ``cfg``, the LU factor that :func:`solve`
+    (``held=``) keeps to solve its later Jacobians by refinement (while it
+    holds none, each system tries Jacobi before it is factorized), and the
+    displacements d = x - x0 of its last two successful solves, each from its
+    own plain start x0.  Extrapolated, they give the next solve the start
+    x0 + 2 d_n - d_{n-1}, second order in the step of a smooth sequence, as
+    for the Newton iterations of implicit integrators (Hairer & Wanner,
+    *Solving ODEs II*, 1996, IV.8).  Its owner chooses when to drop the LU.
+    """
+
+    def __init__(self, cfg=None):
+        self.cfg = cfg or NewtonConfig()
+        self.lu = None
         self._d = []
+
+    def hold(self, lu):
+        # a refinement sweep costs about as much as factorizing 3 fill entries
+        # per row (measured from 32 to 25,520 unknowns): hold a factor only
+        # when REFINE_CAP sweeps cost less than refactorizing
+        self.lu = lu if lu.nnz >= 3 * REFINE_CAP * lu.shape[0] else None
 
     def guess(self, x0, admissible):
         """The extrapolated start from the plain start ``x0``, or None before
@@ -262,41 +263,47 @@ class NewtonHistory:
         self._d = self._d[-1:] + [x - x0]
 
 
-def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
-                 held=None, guess=None):
-    """Damped Newton iteration.
+def newton_solve(residual_fn, jacobian_fn, x0, newton=None, admissible_fn=None,
+                 start_fn=None, abs_scale=1.0):
+    """Damped Newton iteration, one solve of the sequence ``newton`` (a
+    :class:`NewtonSequence`; None for a solve of its own).
 
-    Starts from ``guess``, an admissible alternative to ``x0`` such as a
-    :class:`NewtonHistory` extrapolation, when its ||r||_inf is below that of
-    ``x0``, and from ``x0`` otherwise; r(x0) below is the chosen start's
-    residual, so a guess costs one residual evaluation and can only tighten
-    the target.  Stops when ||r||_inf <= abs_tol + rel_tol * ||r(x0)||_inf.
-    The step is halved, at most ``MAX_HALVINGS`` times, until the iterate
-    satisfies ``admissible_fn`` and either ||r||_inf has not grown or
-    ||r||_2^2 lies below the worst of the last six merits (Grippo,
-    Lampariello & Lucidi, SIAM J. Numer. Anal. 23, 1986), so a stiff step may
-    overshoot briefly while global progress is still enforced.  A step that no halving makes
-    acceptable raises :class:`NewtonError`.  ``held`` (a :class:`HeldLU`)
-    carries one LU across the Jacobians of this and later Newton solves.
+    Starts from the sequence's extrapolated start when ``start_fn`` accepts it
+    and its ||r||_inf is below that of ``x0``, and from ``x0`` otherwise;
+    r(x0) below is the chosen start's residual, so the extrapolation costs one
+    residual evaluation and can only tighten the target.  Stops when ||r||_inf <= abs_tol * ``abs_scale`` +
+    rel_tol * ||r(x0)||_inf, the tolerances being the sequence's.  The step is
+    halved, at most ``MAX_HALVINGS`` times, until the iterate satisfies
+    ``admissible_fn`` and either ||r||_inf has not grown or ||r||_2^2 lies
+    below the worst of the last six merits (Grippo, Lampariello & Lucidi,
+    SIAM J. Numer. Anal. 23, 1986), so a stiff step may overshoot briefly
+    while global progress is still enforced.  A step that no halving makes
+    acceptable raises :class:`NewtonError`.  The Jacobians are solved with the
+    sequence's held LU, and only a solve that converges is recorded.
     """
-    cfg = cfg or NewtonConfig()
+    newton = newton or NewtonSequence()
+    cfg = newton.cfg
     x = np.array(x0, dtype=float)
     if admissible_fn is not None and not admissible_fn(x):
         raise NewtonError("initial Newton iterate is inadmissible")
     r = np.asarray(residual_fn(x), dtype=float)
     norm = float(np.abs(r).max())
+    guess = None if start_fn is None else newton.guess(x0, start_fn)
     if guess is not None:
         r_guess = np.asarray(residual_fn(guess), dtype=float)
         norm_guess = float(np.abs(r_guess).max())
         if norm_guess < norm:
             x, r, norm = np.asarray(guess, dtype=float), r_guess, norm_guess
-    target = cfg.abs_tol + cfg.rel_tol * norm
+    target = cfg.abs_tol * abs_scale + cfg.rel_tol * norm
     merits = [float(r @ r)]
-    for it in range(cfg.max_iter):
-        if norm <= target:
-            return NewtonResult(x=x, iterations=it, residual_norm=norm)
+    it = 0
+    while not norm <= target:  # a NaN residual never converges
+        if it == cfg.max_iter:
+            raise NewtonError(f"Newton did not converge in {cfg.max_iter} iterations "
+                              f"(residual {norm:.3e}, target {target:.3e})",
+                              residual_norm=norm, iterations=it)
         ref = max(merits[-6:])
-        delta = solve(jacobian_fn(x), -r, held=held)
+        delta = solve(jacobian_fn(x), -r, held=newton)
         alpha = 1.0
         for _ in range(MAX_HALVINGS + 1):
             x_new = x + alpha * delta
@@ -311,8 +318,6 @@ def newton_solve(residual_fn, jacobian_fn, x0, cfg=None, admissible_fn=None,
             raise NewtonError("Newton damping exhausted", residual_norm=norm, iterations=it)
         x, r, norm = x_new, r_new, norm_new
         merits.append(merit_new)
-    if norm <= target:
-        return NewtonResult(x=x, iterations=cfg.max_iter, residual_norm=norm)
-    raise NewtonError(f"Newton did not converge in {cfg.max_iter} iterations "
-                      f"(residual {norm:.3e}, target {target:.3e})",
-                      residual_norm=norm, iterations=cfg.max_iter)
+        it += 1
+    newton.record(x0, x)
+    return NewtonResult(x=x, iterations=it, residual_norm=norm)

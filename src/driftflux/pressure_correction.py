@@ -17,22 +17,22 @@ smooth, and the damped Newton of :mod:`driftflux.linalg`, with the analytic
 Jacobian of the state law on the iterate's pattern, is a semismooth Newton
 (Qi & Sun, Math. Programming 58, 1993).  The velocity is updated once from
 the converged pressure, and its volume fluxes equal, up to roundoff, those
-that chose the upwind cells of the returned mass fluxes.  All Newton
-iterations of a step share one held LU, and from the third step on Newton
-may start from the extrapolation of the corrector's last two steps
-(:class:`driftflux.linalg.NewtonHistory`) when its residual is below the
-plain start's; the renormalization system fills a bordered pattern of the
-elliptic operator.
+that chose the upwind cells of the returned mass fluxes.  The steps of a
+corrector are one :class:`driftflux.linalg.NewtonSequence`: all Newton
+iterations of a step share one held LU, dropped at the next step, and from
+the third step on Newton may start from the extrapolation of the last two
+steps when its residual is below the plain start's; the renormalization
+system fills a bordered pattern of the elliptic operator.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import eos as _eos
 from .errors import InvariantViolation
 from .fields import admissibility_violation, face_density
-from .linalg import HeldLU, NewtonConfig, NewtonHistory, newton_solve, solve
+from .linalg import NewtonSequence, newton_solve, solve
 from .mesh import (SparsePattern, edge_pair_index, edge_pair_values, inlet_split, upwind,
                    upwind_fluxes, volume_fluxes)
 
@@ -103,26 +103,25 @@ def _jacobian_pattern(m):
 
 
 class PressureCorrector:
-    """The pressure step of a problem.  Each step holds its own LU, so its
-    first Jacobian tries Jacobi before it is factorized; no factor is kept
-    across steps.  ``history`` holds the Newton displacements of the last
-    two steps."""
+    """The pressure step of a problem.  Its steps are one Newton sequence,
+    ``newton``, with the targets ``cfg``.  Each step drops the sequence's LU,
+    so its first Jacobian tries Jacobi before it is factorized; the last
+    step's factor fails refinement on the next step's Jacobians."""
 
-    def __init__(self, mesh, geom, eos, bc):
+    def __init__(self, mesh, geom, eos, bc, cfg=None):
         self.mesh = mesh
         self.geom = geom
         self.eos = eos
         self.bc = bc
-        self.history = NewtonHistory()
+        self.newton = NewtonSequence(cfg)
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
-    def step(self, state, u_tilde, dt, t_next, cfg=None, enforce_y_bound=True):
+    def step(self, state, u_tilde, dt, t_next, enforce_y_bound=True):
         """One pressure correction step; returns the end-of-step unknowns.
 
         ``enforce_y_bound=False`` drops the z/rho <= 1 validation, needed when
         a manufactured gas-fraction source legitimately pushes y above 1.
         """
-        cfg = cfg or NewtonConfig()
         eos = self.eos
         m = self.mesh
         M = m.n_cells
@@ -140,9 +139,6 @@ class PressureCorrector:
         v_tilde = v_all[:nint]
         split = vb_out, vb_in = inlet_split(m, v_all[nint:])
         inflow = self.bc.inflow(m, t_next, eos)
-
-        r_scale = max(1.0, float(vol_dt * np.max(rho_n)))
-        ncfg = replace(cfg, abs_tol=cfg.abs_tol * r_scale)
 
         def admissible(x):
             return bool((x[:M] > self._p_floor).all())
@@ -212,10 +208,10 @@ class PressureCorrector:
         bad = _eos.rho_from_pz(p_guess, rhoy_n, eos) < 0.5 * rho_n
         p_guess[bad] = np.maximum(p_guess, p_req)[bad]
         x = np.concatenate([p_guess, rhoy_n])
-        guess = self.history.guess(x, lambda g: admissible(g) and bool((g[M:] > 0).all()))
-        res = newton_solve(residual, jacobian, x, ncfg, admissible, held=HeldLU(),
-                           guess=guess)
-        self.history.record(x, res.x)
+        self.newton.lu = None
+        res = newton_solve(residual, jacobian, x, self.newton, admissible,
+                           lambda g: admissible(g) and bool((g[M:] > 0).all()),
+                           max(1.0, float(vol_dt * np.max(rho_n))))
 
         p, z = res.x[:M], res.x[M:]
         rho, v, up, (rho_in, _, _, _) = state_at(res.x)

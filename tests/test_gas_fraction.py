@@ -6,7 +6,7 @@ from driftflux.eos import EosParams
 from driftflux.errors import InvariantViolation
 from driftflux.gas_fraction import (FLUX_FUNCTIONS, DriftModel, _phi,
                                     correct_mass_fraction, drift_fluxes)
-from driftflux.linalg import NewtonConfig, NewtonHistory
+from driftflux.linalg import NewtonSequence
 from driftflux.mesh import build_uniform_mesh
 
 E51 = EosParams(5.0, 1.0)
@@ -115,7 +115,7 @@ def test_correct_two_cell_against_fsolve():
     G = np.array([0.8])
     dt = 0.1
     vol_dt = m.cell_measure / dt
-    y = correct_mass_fraction(m, rho, z, G, FS, 0.0, dt, NewtonConfig())
+    y = correct_mass_fraction(m, rho, z, G, FS, 0.0, dt, NewtonSequence())
 
     def residual(yv):
         g = float(FS.value(yv[0], yv[1]))
@@ -130,17 +130,17 @@ def test_correct_two_cell_against_fsolve():
 def test_correct_takes_no_inadmissible_or_worse_extrapolated_start():
     """The two-cell system above, with histories whose extrapolation leaves
     (0, 1] or has the larger residual: the result is bit-identical to a call
-    without history, as is one with an empty history."""
+    without a sequence, as is one with a sequence that has no history."""
     m = build_uniform_mesh(2, 1, 1.0, 1.0)
     args = (m, np.ones(2), np.array([0.3, 0.6]), np.array([0.8]), FS, 0.0, 0.1)
     plain = correct_mass_fraction(*args)
-    assert np.array_equal(correct_mass_fraction(*args, history=NewtonHistory()), plain)
+    assert np.array_equal(correct_mass_fraction(*args, newton=NewtonSequence()), plain)
     # extrapolated starts (0.3, 1.6), (-0.1, 0.6) and (0.9, 0.05)
     for d in ([0.0, 0.5], [-0.2, 0.0], [0.3, -0.275]):
-        history = NewtonHistory()
-        history.record(np.zeros(2), np.zeros(2))
-        history.record(np.zeros(2), np.array(d))
-        assert np.array_equal(correct_mass_fraction(*args, history=history), plain)
+        newton = NewtonSequence()
+        newton.record(np.zeros(2), np.zeros(2))
+        newton.record(np.zeros(2), np.array(d))
+        assert np.array_equal(correct_mass_fraction(*args, newton=newton), plain)
 
 
 def test_correct_preserves_gas_mass():

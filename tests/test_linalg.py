@@ -11,7 +11,7 @@ from driftflux.cases import build_case
 from driftflux.config import make_config
 from driftflux.driver import manufactured_errors, run_simulation, simulate
 from driftflux.errors import NewtonError, SolverError
-from driftflux.linalg import NewtonConfig, newton_solve, solve
+from driftflux.linalg import NewtonConfig, NewtonSequence, newton_solve, solve
 from driftflux.verification import random_wall_problem
 
 # sparse systems of this size skip the dense branch and stay below the 256
@@ -244,7 +244,7 @@ def test_dense_solve_leaves_held_untouched(caplog):
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     rng = np.random.default_rng(12)
     A, b = _held_sized(rng, n=linalg.DENSE_MAX)
-    held = linalg.HeldLU()
+    held = NewtonSequence()
     solve(A, b, held=held)
     assert held.lu is None
     assert _paths(caplog) == ["dense LU"]
@@ -282,7 +282,7 @@ def test_newton_nonconvergence_raises():
         # gradient never reaches the root within 4 iterations from far away
         newton_solve(lambda x: np.array([np.arctan(x[0])]),
                      lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
-                     np.array([1e8]), cfg)
+                     np.array([1e8]), NewtonSequence(cfg))
 
 
 def _counted(residual_fn):
@@ -330,46 +330,106 @@ def test_newton_config_validation():
         NewtonConfig(max_iter=0)
 
 
+def _guessing(x0, guess):
+    """A sequence whose extrapolated start from ``x0`` is ``guess``: its last
+    two displacements are x0 - guess and 0, so x0 + 2 * 0 - (x0 - guess)."""
+    newton = NewtonSequence()
+    newton.record(guess, x0)
+    newton.record(x0, x0)
+    return newton
+
+
+def _anywhere(x):
+    return True
+
+
 def test_newton_takes_a_guess_only_when_its_residual_is_smaller():
-    """A guess whose residual is below the plain start's replaces it, and the
-    target is relative to its residual; a worse one costs one residual
-    evaluation and leaves the solve bit-identical to one without it."""
+    """An extrapolated start whose residual is below the plain start's
+    replaces it, and the target is relative to its residual; a worse one
+    costs one residual evaluation and leaves the solve bit-identical to one
+    without it."""
     def jacobian(x):
         return np.array([[2.0 * x[0]]])
 
     residual, seen = _counted(lambda x: x * x - 4.0)
-    plain = newton_solve(residual, jacobian, np.array([3.0]))
+    x0 = np.array([3.0])
+    plain = newton_solve(residual, jacobian, x0)
     n_plain = len(seen)
     seen.clear()
-    worse = newton_solve(residual, jacobian, np.array([3.0]), guess=np.array([5.0]))
+    worse = newton_solve(residual, jacobian, x0, _guessing(x0, 5.0), start_fn=_anywhere)
     assert len(seen) == n_plain + 1 and seen[1] == 5.0
     assert np.array_equal(worse.x, plain.x)
     assert (worse.iterations, worse.residual_norm) == (plain.iterations, plain.residual_norm)
     seen.clear()
-    better = newton_solve(residual, jacobian, np.array([3.0]), guess=np.array([2.001]))
-    assert seen[1] == 2.001 and all(x[0] != 3.0 for x in seen[2:])
+    newton = _guessing(x0, 2.001)
+    guess = newton.guess(x0, _anywhere)[0]
+    better = newton_solve(residual, jacobian, x0, newton, start_fn=_anywhere)
+    assert seen[1] == guess == pytest.approx(2.001, abs=1e-15)
+    assert all(x[0] != 3.0 for x in seen[2:])
     assert better.iterations < plain.iterations
     cfg = NewtonConfig()
-    assert better.residual_norm <= cfg.abs_tol + cfg.rel_tol * (2.001**2 - 4.0)
+    assert better.residual_norm <= cfg.abs_tol + cfg.rel_tol * (guess**2 - 4.0)
 
 
-def test_newton_history_extrapolates_its_last_two_displacements():
-    history = linalg.NewtonHistory()
+def test_newton_takes_no_guess_without_a_start_predicate_or_past_it():
+    """The extrapolated start is offered only behind the caller's
+    ``start_fn``: without one, or when it refuses, the solve evaluates only
+    the plain start's residual first."""
+    residual, seen = _counted(lambda x: x * x - 4.0)
+    x0 = np.array([3.0])
+    for start_fn in (None, lambda x: bool((x < 2.0).all())):
+        seen.clear()
+        newton_solve(residual, lambda x: np.array([[2.0 * x[0]]]), x0,
+                     _guessing(x0, 2.001), start_fn=start_fn)
+        assert seen[1][0] != pytest.approx(2.001)
+
+
+def test_newton_scales_only_the_absolute_target():
+    """``abs_scale`` multiplies abs_tol alone: with rel_tol tiny, a scale of
+    1e12 stops at the start, whose residual 5 is below 1e-11 * 1e12."""
+    def jacobian(x):
+        return np.array([[2.0 * x[0]]])
+
+    newton = NewtonSequence(NewtonConfig(abs_tol=1e-11, rel_tol=1e-300))
+    res = newton_solve(lambda x: x * x - 4.0, jacobian, np.array([3.0]), newton,
+                       abs_scale=1e12)
+    assert res.iterations == 0
+    res = newton_solve(lambda x: x * x - 4.0, jacobian, np.array([3.0]), newton,
+                       abs_scale=1e10)
+    assert res.iterations > 0 and res.residual_norm <= 0.1
+
+
+def test_newton_sequence_extrapolates_its_last_two_displacements():
+    newton = NewtonSequence()
     x0 = np.array([1.0, 2.0])
-
-    def anywhere(x):
-        return True
-
-    assert history.guess(x0, anywhere) is None
-    history.record(np.zeros(2), np.array([0.5, 1.0]))
-    assert history.guess(x0, anywhere) is None
-    history.record(np.ones(2), np.array([2.0, 3.0]))
+    assert newton.guess(x0, _anywhere) is None
+    newton.record(np.zeros(2), np.array([0.5, 1.0]))
+    assert newton.guess(x0, _anywhere) is None
+    newton.record(np.ones(2), np.array([2.0, 3.0]))
     # x0 + 2 (1, 2) - (0.5, 1)
-    assert np.array_equal(history.guess(x0, anywhere), [2.5, 5.0])
-    assert history.guess(x0, lambda x: bool((x < 5.0).all())) is None
-    history.record(np.zeros(2), np.array([1.0, 3.0]))  # the oldest record drops
+    assert np.array_equal(newton.guess(x0, _anywhere), [2.5, 5.0])
+    assert newton.guess(x0, lambda x: bool((x < 5.0).all())) is None
+    newton.record(np.zeros(2), np.array([1.0, 3.0]))  # the oldest record drops
     # x0 + 2 (1, 3) - (1, 2)
-    assert np.array_equal(history.guess(x0, anywhere), [2.0, 6.0])
+    assert np.array_equal(newton.guess(x0, _anywhere), [2.0, 6.0])
+
+
+def test_a_converged_solve_is_recorded_and_a_failed_one_is_not():
+    """A solve that converges records its displacement from its plain start;
+    one that raises NewtonError leaves the history as it was, so the next
+    solve's start is not extrapolated from a failed solve."""
+    newton = NewtonSequence(NewtonConfig(max_iter=3))
+    newton_solve(lambda x: x - 1.0, lambda x: np.eye(1), np.array([0.0]), newton)
+    newton_solve(lambda x: x - 3.0, lambda x: np.eye(1), np.array([0.5]), newton)
+    # displacements 1 and 2.5 from the plain starts
+    assert np.array_equal(newton.guess(np.zeros(1), _anywhere), [4.0])
+    with pytest.raises(NewtonError, match="did not converge"):
+        newton_solve(lambda x: np.array([np.arctan(x[0])]),
+                     lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]), np.array([1e8]), newton)
+    with pytest.raises(NewtonError, match="damping exhausted"):
+        newton_solve(lambda x: (x - 1.0) ** 2 + 1.0, lambda x: np.array([[-2.0 * (x[0] - 1.0)]]),
+                     np.array([2.0]), newton)
+    assert np.array_equal(newton.guess(np.zeros(1), _anywhere), [4.0])
 
 
 W2_DT = 0.00078125
@@ -406,7 +466,7 @@ def test_solves_without_history_start_where_they_did(monkeypatch):
                                                     config.t_end)]
 
     extrapolated = states()
-    monkeypatch.setattr(linalg.NewtonHistory, "guess", lambda self, x0, admissible: None)
+    monkeypatch.setattr(NewtonSequence, "guess", lambda self, x0, admissible: None)
     plain = states()
     for a, b in zip(extrapolated[:3], plain[:3]):  # level 0, steps 1 and 2
         for name in ("p", "z", "rho", "u", "y"):
@@ -450,7 +510,7 @@ def test_held_lu_refines_a_nearby_system(splu_calls, caplog):
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     rng = np.random.default_rng(12)
     A, b = _held_sized(rng)
-    held = linalg.HeldLU()
+    held = NewtonSequence()
     solve(A, b, held=held)
     lu = held.lu
     assert lu is not None
@@ -468,7 +528,7 @@ def test_refinement_that_misses_refactorizes(splu_calls, caplog):
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     rng = np.random.default_rng(13)
     A, b = _held_sized(rng)
-    held = linalg.HeldLU()
+    held = NewtonSequence()
     solve(A, b, held=held)
     lu = held.lu
     # the same pattern with unrelated values: the held LU is no preconditioner
@@ -485,7 +545,7 @@ def test_refinement_that_misses_refactorizes(splu_calls, caplog):
 
 def test_factor_with_little_fill_is_not_held(splu_calls, caplog):
     caplog.set_level("DEBUG", logger="driftflux.linalg")
-    held = linalg.HeldLU()
+    held = NewtonSequence()
     A = _tridiagonal(N_SPARSE, 4.0, -1.0)
     b = np.ones(N_SPARSE)
     x = solve(A, b, held=held)
@@ -580,7 +640,7 @@ def test_held_sequence_tries_jacobi_until_it_holds_an_lu(splu_calls, caplog):
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     n = 400
     rng = np.random.default_rng(18)
-    held = linalg.HeldLU()
+    held = NewtonSequence()
     for diag in (100.0, 120.0):
         A = _tridiagonal(n, diag, -1.0)
         b = rng.normal(size=n)
@@ -603,7 +663,7 @@ def test_held_sequence_tries_jacobi_until_it_holds_an_lu(splu_calls, caplog):
 def test_held_sequence_retries_jacobi_while_no_lu_is_held(caplog):
     """The y-Jacobians of configs/manufactured.cfg (20x20, 400 unknowns): Jacobi
     fails on each of them after one sweep, and their LU is too thin to hold,
-    so the run's shared HeldLU remembers no failure and every y-Jacobian
+    so the run's y sequence remembers no failure and every y-Jacobian
     tries Jacobi before it is factorized."""
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     result = run_simulation(make_config("manufactured", nx=20, ny=20, dt=0.01, t_end=0.04))
@@ -643,7 +703,13 @@ def test_y_jacobian_is_factorized_once_per_run(monkeypatch):
     monkeypatch.setattr(linalg, "_static_pivot_lu", counting)
     result = run_simulation(config)
     assert sizes.count(result.problem.mesh.n_cells) == 1
-    monkeypatch.setattr(driver, "HeldLU", lambda: None)  # a fresh HeldLU per y-correction
+    correct = driver.correct_mass_fraction
+
+    def without_lu(*args, newton=None, **kwargs):
+        newton.lu = None  # each y-correction starts without an LU
+        return correct(*args, newton=newton, **kwargs)
+
+    monkeypatch.setattr(driver, "correct_mass_fraction", without_lu)
     fresh = manufactured_errors(run_simulation(config))
     assert sizes.count(result.problem.mesh.n_cells) > 2
     assert np.allclose(manufactured_errors(result), fresh, rtol=1e-12, atol=0.0)
@@ -652,7 +718,7 @@ def test_y_jacobian_is_factorized_once_per_run(monkeypatch):
 def test_debug_line_reports_the_lu_fill(caplog):
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     A, b = _held_sized(np.random.default_rng(12))
-    held = linalg.HeldLU()
+    held = NewtonSequence()
     solve(A, b, held=held)
     solve(A, b, held=held)
     static, refined = [r.getMessage() for r in caplog.records if r.name == "driftflux.linalg"]

@@ -164,7 +164,7 @@ def _capture_newton(monkeypatch, module, run):
     """(residual, jacobian, x0) of the first Newton solve ``run`` starts."""
     captured = {}
 
-    def spy(residual, jacobian, x0, cfg=None, admissible=None, held=None, guess=None):
+    def spy(residual, jacobian, x0, *args, **kwargs):
         captured.update(residual=residual, jacobian=jacobian, x0=np.array(x0))
         raise _Captured
 

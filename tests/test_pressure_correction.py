@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -61,7 +63,7 @@ def test_uniform_state_is_fixed_point():
     asm = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
     corr = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
     ut = predict_velocity(state, config.dt, asm, problem.bc, config.dt)
-    res = corr.step(state, ut, config.dt, config.dt, NewtonConfig())
+    res = corr.step(state, ut, config.dt, config.dt)
     assert np.max(np.abs(res.p - state.p)) < 1e-11
     assert np.max(np.abs(res.u)) < 1e-12
     assert np.max(np.abs(res.z - state.z)) < 1e-11
@@ -72,10 +74,10 @@ def test_interface_step_preserves_pressure_and_velocity():
     problem = build_case(config)
     state = initial_state(problem, config.dt)
     asm = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
-    corr = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
+    corr = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc,
+                             NewtonConfig(abs_tol=1e-13, rel_tol=1e-13))
     ut = predict_velocity(state, config.dt, asm, problem.bc, config.dt)
-    res = corr.step(state, ut, config.dt, config.dt,
-                    NewtonConfig(abs_tol=1e-13, rel_tol=1e-13))
+    res = corr.step(state, ut, config.dt, config.dt)
     p0 = problem.p_init[0]
     assert np.max(np.abs(res.p - p0)) <= 1e-9 * p0
     assert np.max(np.abs(res.u - problem.u_init[0])) <= 1e-9
@@ -95,7 +97,7 @@ def test_two_cell_against_dense_fsolve_oracle():
     state = State(t=0.0, u=u, p=p_n, rho=rho_n, z=rho_n * y_n, y=y_n,
                   rho_prev=rho_n.copy(), fluxes=np.zeros(m.n_faces))
     corr = PressureCorrector(m, g, E51, BoundaryConditions())
-    res = corr.step(state, u, dt, dt, NewtonConfig())
+    res = corr.step(state, u, dt, dt)
 
     # independent dense residual solved by scipy's own Newton machinery
     vol_dt = m.cell_measure / dt
@@ -129,7 +131,7 @@ def _random_wall_step(seed=31, nx=4, ny=3, dt=0.05):
     asm = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
     corr = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
     ut = predict_velocity(state, dt, asm, problem.bc, dt)
-    return problem, state, corr.step(state, ut, dt, dt, NewtonConfig()), dt
+    return problem, state, corr.step(state, ut, dt, dt), dt
 
 
 def test_step_conserves_mass_and_gas_mass():
@@ -174,22 +176,22 @@ def _step_closures():
     captured = []
     orig = pc.newton_solve
 
-    def spy(res, jac, x0, cfg=None, adm=None, held=None, guess=None):
+    def spy(res, jac, x0, *args, **kwargs):
         captured.append((res, jac, x0))
-        return orig(res, jac, x0, cfg, adm, held=held, guess=guess)
+        return orig(res, jac, x0, *args, **kwargs)
 
     pc.newton_solve = spy
     try:
-        corr.step(state, ut, config.dt, config.dt, NewtonConfig())
+        corr.step(state, ut, config.dt, config.dt)
     finally:
         pc.newton_solve = orig
     return captured[0]
 
 
 def test_step_takes_no_inadmissible_or_worse_extrapolated_start(monkeypatch):
-    """A corrector whose history extrapolates to z < 0 offers Newton no guess;
-    one whose guess doubles p offers it, and Newton keeps the plain start,
-    whose residual is smaller.  Both step bit-identically to a fresh
+    """A corrector whose sequence extrapolates to z < 0 offers Newton no
+    guess; one whose guess doubles p offers it, and Newton keeps the plain
+    start, whose residual is smaller.  Both step bit-identically to a fresh
     corrector."""
     import driftflux.pressure_correction as pc
 
@@ -202,9 +204,10 @@ def test_step_takes_no_inadmissible_or_worse_extrapolated_start(monkeypatch):
     guesses = []
     newton_solve = pc.newton_solve
 
-    def spy(*args, guess=None, **kwargs):
-        guesses.append(guess)
-        return newton_solve(*args, guess=guess, **kwargs)
+    def spy(*args, **kwargs):
+        solve = inspect.signature(newton_solve).bind(*args, **kwargs).arguments
+        guesses.append(solve["newton"].guess(solve["x0"], solve["start_fn"]))
+        return newton_solve(*args, **kwargs)
 
     monkeypatch.setattr(pc, "newton_solve", spy)
     M = problem.mesh.n_cells
@@ -212,9 +215,9 @@ def test_step_takes_no_inadmissible_or_worse_extrapolated_start(monkeypatch):
     def step(d):
         corr = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc)
         if d is not None:
-            corr.history.record(np.zeros(2 * M), np.zeros(2 * M))
-            corr.history.record(np.zeros(2 * M), d)
-        return corr.step(state, ut, config.dt, config.dt, NewtonConfig())
+            corr.newton.record(np.zeros(2 * M), np.zeros(2 * M))
+            corr.newton.record(np.zeros(2 * M), d)
+        return corr.step(state, ut, config.dt, config.dt)
 
     fresh = step(None)
     negative_z = np.concatenate([np.zeros(M), -state.rho * state.y])
@@ -328,20 +331,19 @@ def test_step_upwinds_edges_that_the_pressure_drives_across_zero(monkeypatch):
     solves = []
     newton_solve = pc.newton_solve
 
-    def spy(residual, jacobian, x0, cfg=None, admissible=None, held=None, guess=None):
-        solves.append((cfg, np.abs(residual(np.array(x0))).max(),
-                       newton_solve(residual, jacobian, x0, cfg, admissible, held=held,
-                                    guess=guess)))
-        return solves[-1][2]
+    def spy(residual, jacobian, x0, newton, *args):
+        solves.append((newton.cfg, args[-1], np.abs(residual(np.array(x0))).max(),
+                       newton_solve(residual, jacobian, x0, newton, *args)))
+        return solves[-1][3]
 
     monkeypatch.setattr(pc, "newton_solve", spy)
     cfg = NewtonConfig()
-    corr = PressureCorrector(m, g, E51, BoundaryConditions()).step(state, u_tilde, 0.05, 0.05,
-                                                                   cfg)
+    corr = PressureCorrector(m, g, E51, BoundaryConditions(), cfg).step(state, u_tilde, 0.05,
+                                                                        0.05)
 
-    (ncfg, r0, res), = solves
-    assert ncfg.rel_tol == cfg.rel_tol and ncfg.abs_tol >= cfg.abs_tol
-    assert corr.residual == res.residual_norm <= ncfg.abs_tol + ncfg.rel_tol * r0
+    (solve_cfg, abs_scale, r0, res), = solves
+    assert solve_cfg is cfg and abs_scale >= 1.0
+    assert corr.residual == res.residual_norm <= cfg.abs_tol * abs_scale + cfg.rel_tol * r0
     assert corr.newton_iters == res.iterations <= 8
 
     v = volume_fluxes(m, corr.u)
