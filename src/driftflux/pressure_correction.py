@@ -214,7 +214,16 @@ class PressureCorrector:
                            max(1.0, float(vol_dt * np.max(rho_n))))
 
         p, z = res.x[:M], res.x[M:]
-        rho, v, up, (rho_in, _, _, _) = state_at(res.x)
+        _, v, up, (rho_in, _, _, _) = state_at(res.x)
+        # y <= 1 by construction: where a^2 z exceeds p by at most 8 ulp, z goes
+        # to the pure-gas value p / a^2, stepped down until a^2 z <= p, and rho
+        # is formed as z + rho_l (p - a^2 z) / p, which then rounds to at least
+        # z; a larger excess is left to the check below
+        near = (eos.a2 * z > p) & (eos.a2 * z - p <= 8.0 * np.spacing(p))
+        z = np.where(near, p / eos.a2, z)
+        while (over := near & (eos.a2 * z > p)).any():
+            z = np.where(over, np.nextafter(z, 0.0), z)
+        rho = z + eos.rho_l * (p - eos.a2 * z) / p
         why = admissibility_violation(rho, z, p, y_ceiling=enforce_y_bound)
         if why:
             raise InvariantViolation(f"pressure correction: {why}")

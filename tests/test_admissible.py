@@ -118,3 +118,18 @@ def test_pressure_step_checks_end_state(monkeypatch):
     for p, z in ((0.5, 1.0), (1.0, 0.0), (1.0, -0.1), (0.0, 0.5), (-1.0, 0.5)):
         with pytest.raises(InvariantViolation):
             _pressure_step_end(monkeypatch, p, z, enforce_y_bound=False)
+
+
+def test_pressure_step_ends_with_y_at_most_one_within_8_ulp(monkeypatch):
+    """Where a^2 z exceeds p by at most 8 ulp, the step returns z with
+    a^2 z <= p and z / rho <= 1 exactly; a 9-ulp excess is returned as
+    Newton left it, y above 1 within the guard's slack."""
+    p = 1.0  # a^2 = 1 on E51, so a^2 z = z
+    for ulps in range(9):
+        z = p + ulps * np.spacing(p)
+        res = _pressure_step_end(monkeypatch, p, z)
+        assert np.all(E51.a2 * res.z <= res.p) and np.all(res.z / res.rho <= 1.0)
+        assert np.all(res.z >= p - np.spacing(p))
+    z = p + 9 * np.spacing(p)
+    res = _pressure_step_end(monkeypatch, p, z)
+    assert np.all(res.z == z) and np.all(res.z / res.rho > 1.0)

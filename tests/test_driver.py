@@ -229,16 +229,10 @@ def test_sloshing_stops_when_a_step_breaks_the_y_floor():
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-Y_CEILING_DEFECT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="known defect: at its shipped size bubble_column runs, but each scheme step "
-           "ends with y_max above 1 by roundoff (1 + 3.2e-13 within 2 steps, "
-           "1 + 5.2e-13 within 20), so bounds_ok is False")
 
 
 @pytest.mark.parametrize("path", [
-    pytest.param(path, id=os.path.basename(path)[:-4],
-                 marks=Y_CEILING_DEFECT if path.endswith("bubble_column.cfg") else ())
+    pytest.param(path, id=os.path.basename(path)[:-4])
     for path in sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))])
 def test_shipped_config_runs_at_its_shipped_size(path):
     config = load_config(path)
