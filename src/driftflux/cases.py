@@ -156,17 +156,6 @@ class SloshingCase:
     visc_c: float = 1000.0
     y_floor: float = 1e-9
 
-    def omega(self, n):
-        """Dispersion relation; wave number k_n = n pi / L."""
-        k = self.wave_number(n)
-        rho_g = 1.2
-        num = self.g * k * (self.rho_l - rho_g)
-        den = rho_g / np.tanh(k * self.h_g) + self.rho_l / np.tanh(k * self.h_l)
-        return np.sqrt(num / den)
-
-    def wave_number(self, n):
-        return np.pi * np.asarray(n, dtype=float) / self.L
-
 
 @dataclass
 class BubbleColumnCase:
