@@ -104,9 +104,10 @@ def _jacobian_pattern(m):
 
 class PressureCorrector:
     """The pressure step of a problem.  Its steps are one Newton sequence,
-    ``newton``, with the targets ``cfg``.  Each step drops the sequence's LU,
-    so its first Jacobian tries Jacobi before it is factorized; the last
-    step's factor fails refinement on the next step's Jacobians."""
+    ``newton``, with the targets ``cfg``.  Each step drops the sequence's LU
+    when its solve ends, so the next step's first Jacobian tries Jacobi before
+    it is factorized; the last step's factor fails refinement on the next
+    step's Jacobians."""
 
     def __init__(self, mesh, geom, eos, bc, cfg=None):
         self.mesh = mesh
@@ -208,10 +209,12 @@ class PressureCorrector:
         bad = _eos.rho_from_pz(p_guess, rhoy_n, eos) < 0.5 * rho_n
         p_guess[bad] = np.maximum(p_guess, p_req)[bad]
         x = np.concatenate([p_guess, rhoy_n])
-        self.newton.lu = None
-        res = newton_solve(residual, jacobian, x, self.newton, admissible,
-                           lambda g: admissible(g) and bool((g[M:] > 0).all()),
-                           max(1.0, float(vol_dt * np.max(rho_n))))
+        try:
+            res = newton_solve(residual, jacobian, x, self.newton, admissible,
+                               lambda g: admissible(g) and bool((g[M:] > 0).all()),
+                               max(1.0, float(vol_dt * np.max(rho_n))))
+        finally:
+            self.newton.lu = None  # freed before the next step's momentum solve
 
         p, z = res.x[:M], res.x[M:]
         _, v, up, (rho_in, _, _, _) = state_at(res.x)
