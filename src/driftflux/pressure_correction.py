@@ -222,11 +222,14 @@ class PressureCorrector:
         # to the pure-gas value p / a^2, stepped down until a^2 z <= p, and rho
         # is formed as z + rho_l (p - a^2 z) / p, which then rounds to at least
         # z; a larger excess is left to the check below
-        near = (eos.a2 * z > p) & (eos.a2 * z - p <= 8.0 * np.spacing(p))
-        z = np.where(near, p / eos.a2, z)
-        while (over := near & (eos.a2 * z > p)).any():
-            z = np.where(over, np.nextafter(z, 0.0), z)
-        rho = z + eos.rho_l * (p - eos.a2 * z) / p
+        a2z = eos.a2 * z
+        near = (a2z > p) & (a2z - p <= 8.0 * np.spacing(p))
+        if near.any():
+            z = np.where(near, p / eos.a2, z)
+            while (over := near & (eos.a2 * z > p)).any():
+                z = np.where(over, np.nextafter(z, 0.0), z)
+            a2z = eos.a2 * z
+        rho = z + eos.rho_l * (p - a2z) / p
         why = admissibility_violation(rho, z, p, y_ceiling=enforce_y_bound)
         if why:
             raise InvariantViolation(f"pressure correction: {why}")
