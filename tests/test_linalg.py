@@ -399,7 +399,7 @@ def test_newton_scales_only_the_absolute_target():
     assert res.iterations > 0 and res.residual_norm <= 0.1
 
 
-def test_newton_sequence_extrapolates_its_last_two_displacements():
+def test_newton_history_extrapolates_its_last_two_displacements():
     newton = NewtonSequence()
     x0 = np.array([1.0, 2.0])
     assert newton.guess(x0, _anywhere) is None
