@@ -10,15 +10,15 @@ from a nearby system (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10,
 1989), held by a :class:`NewtonSequence`, so the Newton Jacobians of a
 pressure step, or of a run's y-corrections, share one factorization (lagged
 Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004); (3) when no LU is in
-hand, Jacobi sweeps
-x <- x + D^-1 (b - A x), which the lumped inertia of the momentum matrix and
-the vol/dt d(rho)/dp diagonal of the pressure Jacobian make converge (Varga,
-*Matrix Iterative Analysis*, 1962); (4) SuperLU with static diagonal pivots
-on the MMD(A^t + A) ordering, as in SuperLU_DIST (Li & Demmel, ACM TOMS 29,
-2003); (5) SuperLU's threshold pivoting.  Both iterations run until a sweep
-fails to halve the residual, so an accepted iterate is as accurate as a
-fresh factorization's, and an iterate must meet the bound itself, without
-the floor relative to ||b|| that a factorization's result may use.
+hand, Jacobi sweeps x <- x + D^-1 (b - A x), which the lumped inertia of the
+momentum matrix and the vol/dt d(rho)/dp diagonal of the pressure Jacobian
+make converge (Varga, *Matrix Iterative Analysis*, 1962); (4) SuperLU with
+static diagonal pivots on the MMD(A^t + A) ordering, as in SuperLU_DIST
+(Li & Demmel, ACM TOMS 29, 2003); (5) SuperLU's threshold pivoting.  Both
+iterations run until a sweep fails to halve the residual, so an accepted
+iterate is as accurate as a fresh factorization's, and an iterate must meet
+the bound itself, without the floor relative to ||b|| that a factorization's
+result may use.
 
 :func:`newton_solve` has one globalization rule: halve the step until the
 iterate is admissible, which is required because the state law is singular
@@ -28,9 +28,9 @@ Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986).  A step that
 no halving makes acceptable raises.  Each solve belongs to a
 :class:`NewtonSequence`, which holds the sequence's targets, its LU and its
 last two successful solves; a solve may start from their second-order
-extrapolation instead of its plain start, when that start is admissible and
-its residual is the smaller; the stopping test is relative to the chosen
-start's residual, so it can only tighten.
+extrapolation instead of its plain start, when the caller's start predicate
+accepts it and its residual is the smaller; the stopping test is relative
+to the chosen start's residual, so it can only tighten.
 """
 
 import logging
@@ -188,9 +188,9 @@ def solve(matrix, rhs, held=None):
     ``DENSE_MAX`` unknowns, is solved by LAPACK's dgesv and leaves ``held``
     untouched.  A larger sparse system takes the module's policy: refinement
     with the LU of ``held`` (a :class:`NewtonSequence`, which keeps every new
-    factor worth holding), else, with no LU in hand, Jacobi sweeps when the diagonal
-    has no zero, then the two factorizations.  A final solution that misses
-    the bound raises :class:`SolverError`.
+    factor worth holding), else, with no LU in hand, Jacobi sweeps when the
+    diagonal has no zero, then the two factorizations.  A final solution that
+    misses the bound raises :class:`SolverError`.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -271,15 +271,16 @@ def newton_solve(residual_fn, jacobian_fn, x0, newton=None, admissible_fn=None,
     Starts from the sequence's extrapolated start when ``start_fn`` accepts it
     and its ||r||_inf is below that of ``x0``, and from ``x0`` otherwise;
     r(x0) below is the chosen start's residual, so the extrapolation costs one
-    residual evaluation and can only tighten the target.  Stops when ||r||_inf <= abs_tol * ``abs_scale`` +
-    rel_tol * ||r(x0)||_inf, the tolerances being the sequence's.  The step is
-    halved, at most ``MAX_HALVINGS`` times, until the iterate satisfies
-    ``admissible_fn`` and either ||r||_inf has not grown or ||r||_2^2 lies
-    below the worst of the last six merits (Grippo, Lampariello & Lucidi,
-    SIAM J. Numer. Anal. 23, 1986), so a stiff step may overshoot briefly
-    while global progress is still enforced.  A step that no halving makes
-    acceptable raises :class:`NewtonError`.  The Jacobians are solved with the
-    sequence's held LU, and only a solve that converges is recorded.
+    residual evaluation and can only tighten the target.  Stops when
+    ||r||_inf <= abs_tol * ``abs_scale`` + rel_tol * ||r(x0)||_inf, with the
+    sequence's tolerances.  The step is halved, at most ``MAX_HALVINGS``
+    times, until the iterate satisfies ``admissible_fn`` and either ||r||_inf
+    has not grown or ||r||_2^2 lies below the worst of the last six merits
+    (Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 23, 1986), so a stiff
+    step may overshoot briefly while global progress is still enforced.  A
+    step that no halving makes acceptable raises :class:`NewtonError`.  The
+    Jacobians are solved with the sequence's held LU, and only a solve that
+    converges is recorded.
     """
     newton = newton or NewtonSequence()
     cfg = newton.cfg
