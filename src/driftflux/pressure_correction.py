@@ -19,10 +19,11 @@ Jacobian of the state law on the iterate's pattern, is a semismooth Newton
 the converged pressure, and its volume fluxes equal, up to roundoff, those
 that chose the upwind cells of the returned mass fluxes.  The steps of a
 corrector are one :class:`driftflux.linalg.NewtonSequence`: all Newton
-iterations of a step share one held LU, dropped at the next step, and from
-the third step on Newton may start from the extrapolation of the last two
-steps when its residual is below the plain start's; the renormalization
-system fills a bordered pattern of the elliptic operator.
+iterations of a step share one held LU, dropped when the step's solve ends,
+and from the third step on Newton may start from the extrapolation of the
+last two steps when its residual is below the plain start's; the step ends
+with y <= 1 by construction; the renormalization system fills a bordered
+pattern of the elliptic operator.
 """
 
 from dataclasses import dataclass
