@@ -88,8 +88,8 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
     The time loop of every run: each stepped state has passed the driver's
     guard before it is yielded.  The run's pressure steps and its
     y-corrections are two :class:`~driftflux.linalg.NewtonSequence`, both
-    with the targets ``ncfg``: the corrector's drops its LU at each step, and
-    the y sequence holds one LU for the whole run.
+    with the targets ``ncfg``: the corrector's drops its factor at each step,
+    and the y sequence holds one LU for the whole run.
     """
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):

@@ -7,18 +7,24 @@ stable (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002) and,
 at these sizes, cheaper than the fixed per-call cost of the sparse paths and
 of numpy's wrapper; (2) refinement x <- x + LU^-1 (b - A x) with the LU held
 from a nearby system (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10,
-1989), held by a :class:`NewtonSequence`, so the Newton Jacobians of a
-pressure step, or of a run's y-corrections, share one factorization (lagged
-Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004); (3) when no LU is in
-hand, Jacobi sweeps x <- x + D^-1 (b - A x), which the lumped inertia of the
-momentum matrix and the vol/dt d(rho)/dp diagonal of the pressure Jacobian
-make converge (Varga, *Matrix Iterative Analysis*, 1962); (4) SuperLU with
-static diagonal pivots on the MMD(A^t + A) ordering, as in SuperLU_DIST
-(Li & Demmel, ACM TOMS 29, 2003); (5) SuperLU's threshold pivoting.  Both
-iterations run until a sweep fails to halve the residual, so an accepted
-iterate is as accurate as a fresh factorization's, and an iterate must meet
-the bound itself, without the floor relative to ||b|| that a factorization's
-result may use.
+1989), held by a :class:`NewtonSequence`, so the Newton Jacobians of a run's
+y-corrections, or of a small pressure step, share one factorization (lagged
+Jacobians: Knoll & Keyes, J. Comput. Phys. 193, 2004); (3) when no factor is
+in hand, Jacobi sweeps x <- x + D^-1 (b - A x), which the lumped inertia of
+the momentum matrix and the vol/dt d(rho)/dp diagonal of the pressure
+Jacobian make converge (Varga, *Matrix Iterative Analysis*, 1962); (4) for
+the 2M systems of a block sequence, the pressure steps' (p, z) Jacobians,
+from ``CPR_MIN`` unknowns, GMRES with the two-stage CPR preconditioner in
+place of (2): the sequence holds the LU of the M-unknown pressure matrix
+instead of J's, and a miss refactorizes it from the current Jacobian once,
+then factorizes J, whose LU, when held, the sequence refines as in (2);
+(5) SuperLU with static diagonal pivots on the MMD(A^t + A) ordering, as in
+SuperLU_DIST (Li & Demmel, ACM TOMS 29, 2003); (6) SuperLU's threshold
+pivoting.  Refinement and Jacobi run until a sweep fails to halve the
+residual, and GMRES to 1% of the bound, so an accepted iterate is as
+accurate as a fresh factorization's, and an iterate must meet the bound
+itself, without the floor relative to ||b|| that a factorization's result
+may use.
 
 :func:`newton_solve` has one globalization rule: halve the step until the
 iterate is admissible, which is required because the state law is singular
@@ -26,8 +32,8 @@ at p = 0, and either the max-norm residual has not grown or the merit
 ||r||_2^2 lies below the worst of the last six, the nonmonotone test of
 Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986).  A step that
 no halving makes acceptable raises.  Each solve belongs to a
-:class:`NewtonSequence`, which holds the sequence's targets, its LU and its
-last two successful solves; a solve may start from their second-order
+:class:`NewtonSequence`, which holds the sequence's targets, its factor and
+its last two successful solves; a solve may start from their second-order
 extrapolation instead of its plain start, when the caller's start predicate
 accepts it and its residual is the smaller; the stopping test is relative
 to the chosen start's residual, so it can only tighten.
@@ -87,6 +93,14 @@ def _residual_miss(A, x, rhs, norm_A, floor=1e-8):
 DENSE_MAX = 128
 REFINE_CAP = 8
 JACOBI_CAP = 50
+CPR_SWEEPS = 4
+# a block sequence's Jacobians take CPR from CPR_MIN unknowns.  Its fixed cost
+# (the blocks, P and GMRES's small calls) is about that of factorizing a J of
+# 2,000 unknowns, which grows as n^1.5: measured per run on sloshing 14x18 to
+# 50x64, bubble_column, interface and manufactured 20x20 and 32x32, its
+# pressure solves cost 1.1-3x those of J's LU and refinement from 320 to 2,048
+# unknowns, 0.95x at 2,016, 0.8x at 2,850, 0.55x at 3,150 and 0.4x at 6,400
+CPR_MIN = 2500
 MAX_HALVINGS = 30
 
 
@@ -147,14 +161,86 @@ def _accepted(A, x, rhs, norm_A, floor=1e-8):
     return np.all(np.isfinite(x)) and _residual_miss(A, x, rhs, norm_A, floor) is None
 
 
+def _gmres(A, rhs, precondition, norm_A):
+    """(x, iterations) of right-preconditioned GMRES from x = 0 (Saad & Schultz,
+    SIAM J. Sci. Stat. Comput. 7, 1986), stopped once the least-squares
+    residual is 1% of the bound at its iterate, or after ``REFINE_CAP``
+    iterations."""
+    norm_b = np.abs(rhs).max(initial=0.0)
+    beta = np.linalg.norm(rhs)
+    if not 0.0 < beta < np.inf:  # x = 0 solves a zero rhs; a non-finite one stays so
+        return 0.0 * rhs, 0
+    V, Z = [rhs / beta], []
+    H = np.zeros((REFINE_CAP + 1, REFINE_CAP))
+    for k in range(REFINE_CAP):
+        Z.append(precondition(V[k]))
+        v = A @ Z[k]
+        for i in range(k + 1):  # modified Gram-Schmidt
+            H[i, k] = V[i] @ v
+            v -= H[i, k] * V[i]
+        H[k + 1, k] = np.linalg.norm(v)
+        if not np.isfinite(H[k + 1, k]):  # a non-finite A or P factor
+            return np.full_like(rhs, np.nan), k + 1
+        e = np.zeros(k + 2)
+        e[0] = beta
+        y, *_ = np.linalg.lstsq(H[:k + 2, :k + 1], e, rcond=None)
+        x = np.array(Z).T @ y
+        if not H[k + 1, k] or (np.linalg.norm(H[:k + 2, :k + 1] @ y - e)
+                               <= 0.01 * _bound(norm_A, x, norm_b)):
+            break
+        V.append(v / H[k + 1, k])
+    return x, k + 1
+
+
+def _cpr_solve(A, rhs, norm_A, held):
+    """(x, GMRES iterations, fresh P factor or None) of GMRES with the
+    two-stage CPR preconditioner on the 2M system A = [[A11, B], [C, D]] of the
+    block sequence ``held`` (Wallis, SPE 12265, 1983; Scheichl, Masson &
+    Wendebourg, Comput. Geosci. 7, 2003): solve P dp = r1 - w r2 with the LU of
+    the pressure matrix P = A11 - diag(w) C, w = diag(B) / diag(D), which
+    decouples p exactly where B = D diag(w), then D dz = r2 - C dp by
+    ``CPR_SWEEPS`` Jacobi sweeps.  It tries the held P factor, then one made
+    from A; x is None when neither result meets the strict bound."""
+    M = held.block
+    C, D = A[M:, :M], A[M:, M:]
+    d = D.diagonal()
+    w = A.diagonal(M) / d
+
+    def precondition(r):
+        dp = lu.solve(r[:M] - w * r[M:])
+        s = r[M:] - C @ dp
+        dz = s / d
+        for _ in range(CPR_SWEEPS - 1):
+            dz += (s - D @ dz) / d
+        return np.concatenate([dp, dz])
+
+    iterations = 0
+    for lu in [held.lu, None] if held.lu is not None else [None]:
+        fresh = lu is None
+        if fresh:
+            lu = _static_pivot_lu((A[:M, :M] - sp.diags(w) @ C).tocsc())
+            if lu is None:
+                break
+            held.hold(lu)
+        x, its = _gmres(A, rhs, precondition, norm_A)
+        iterations += its
+        if _accepted(A, x, rhs, norm_A, floor=0.0):
+            return x, iterations, lu if fresh else None
+    return None, iterations, None
+
+
 def _sparse_solve(A, rhs, norm_A, held):
     """(x, accepted, path, lu) of the first path of the module's policy whose
     result meets the bound, else of the fallback; ``lu`` is the new factor, or
     None when an iteration was accepted."""
     iteration, after = None, ""
-    if held is not None and held.lu is not None:
-        iteration = "refined", held.lu.solve(rhs), held.lu.solve, REFINE_CAP
-    elif _jacobi_cap(A.shape[0]):
+    lu = None if held is None else held.lu
+    # a block sequence takes CPR unless it holds J's LU, made when CPR missed
+    cpr = (held is not None and held.block is not None and A.shape[0] >= CPR_MIN
+           and (lu is None or lu.shape[0] == held.block))
+    if lu is not None and not cpr:
+        iteration = "refined", lu.solve(rhs), lu.solve, REFINE_CAP
+    elif lu is None and _jacobi_cap(A.shape[0]):
         d = A.diagonal() if rhs.ndim == 1 else A.diagonal()[:, None]
         if np.all(d != 0):
             iteration = "Jacobi", rhs / d, lambda r: r / d, _jacobi_cap(A.shape[0])
@@ -166,6 +252,11 @@ def _sparse_solve(A, rhs, norm_A, held):
         if _accepted(A, x, rhs, norm_A, floor=0.0):
             return x, True, f"{name}, {sweeps} sweeps", None
         after = f" after {sweeps} {name} sweeps"
+    if cpr:
+        x, its, lu = _cpr_solve(A, rhs, norm_A, held)
+        if x is not None:
+            return x, True, f"CPR, {its} GMRES iterations{after}", lu
+        after += f"{' and' if after else ' after'} {its} GMRES iterations"
     lu = _static_pivot_lu(A)
     x = None if lu is None else lu.solve(rhs)
     accepted = x is not None and _accepted(A, x, rhs, norm_A)
@@ -189,8 +280,12 @@ def solve(matrix, rhs, held=None):
     untouched.  A larger sparse system takes the module's policy: refinement
     with the LU of ``held`` (a :class:`NewtonSequence`, which keeps every new
     factor worth holding), else, with no LU in hand, Jacobi sweeps when the
-    diagonal has no zero, then the two factorizations.  A final solution that
-    misses the bound raises :class:`SolverError`.
+    diagonal has no zero, then the two factorizations.  When ``held`` is a
+    block sequence and the system has at least ``CPR_MIN`` unknowns, CPR
+    GMRES with the held or a fresh pressure factor takes the place of
+    refinement, after Jacobi while no factor is held, until CPR misses and
+    J's LU is held.  A final solution that misses the bound raises
+    :class:`SolverError`.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -237,11 +332,15 @@ class NewtonSequence:
     own plain start x0.  Extrapolated, they give the next solve the start
     x0 + 2 d_n - d_{n-1}, second order in the step of a smooth sequence, as
     for the Newton iterations of implicit integrators (Hairer & Wanner,
-    *Solving ODEs II*, 1996, IV.8).  Its owner chooses when to drop the LU.
+    *Solving ODEs II*, 1996, IV.8).  A block sequence, ``block`` = M, solves
+    2M Jacobians [[A, B], [C, D]] with B = D diag(w), such as the pressure
+    step's in (p, z); from ``CPR_MIN`` unknowns its factor is that of the
+    CPR pressure matrix.  Its owner chooses when to drop the factor.
     """
 
-    def __init__(self, cfg=None):
+    def __init__(self, cfg=None, block=None):
         self.cfg = cfg or NewtonConfig()
+        self.block = block
         self.lu = None
         self._d = []
 
@@ -279,8 +378,8 @@ def newton_solve(residual_fn, jacobian_fn, x0, newton=None, admissible_fn=None,
     (Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 23, 1986), so a stiff
     step may overshoot briefly while global progress is still enforced.  A
     step that no halving makes acceptable raises :class:`NewtonError`.  The
-    Jacobians are solved with the sequence's held LU, and only a solve that
-    converges is recorded.
+    Jacobians are solved with the sequence's held factor, and only a solve
+    that converges is recorded.
     """
     newton = newton or NewtonSequence()
     cfg = newton.cfg

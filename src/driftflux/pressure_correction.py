@@ -18,12 +18,15 @@ Jacobian of the state law on the iterate's pattern, is a semismooth Newton
 (Qi & Sun, Math. Programming 58, 1993).  The velocity is updated once from
 the converged pressure, and its volume fluxes equal, up to roundoff, those
 that chose the upwind cells of the returned mass fluxes.  The steps of a
-corrector are one :class:`driftflux.linalg.NewtonSequence`: all Newton
-iterations of a step share one held LU, dropped when the step's solve ends,
-and from the third step on Newton may start from the extrapolation of the
-last two steps when its residual is below the plain start's; the step ends
-with y <= 1 by construction; the renormalization system fills a bordered
-pattern of the elliptic operator.
+corrector are one block :class:`driftflux.linalg.NewtonSequence`: all
+Newton iterations of a step share one held factor, dropped when the step's
+solve ends (from ``linalg.CPR_MIN`` unknowns the LU of the CPR pressure
+matrix A - diag(d(rho)/dz) C, because the mass rows' z-block of the Jacobian
+[[A, B], [C, D]] is B = D diag(d(rho)/dz)), and from the third step on
+Newton may start from the extrapolation of the last two steps when its
+residual is below the plain start's; the step ends with y <= 1 by
+construction; the renormalization system fills a bordered pattern of the
+elliptic operator.
 """
 
 from dataclasses import dataclass
@@ -104,18 +107,20 @@ def _jacobian_pattern(m):
 
 
 class PressureCorrector:
-    """The pressure step of a problem.  Its steps are one Newton sequence,
-    ``newton``, with the targets ``cfg``.  Each step drops the sequence's LU
-    when its solve ends, so the next step's first Jacobian tries Jacobi before
-    it is factorized; the last step's factor fails refinement on the next
-    step's Jacobians."""
+    """The pressure step of a problem.  Its steps are one block Newton
+    sequence, ``newton``, with the targets ``cfg`` and the block size M =
+    ``mesh.n_cells``, so that from ``linalg.CPR_MIN`` unknowns its Jacobians
+    are solved by CPR GMRES with a factor of the M-unknown pressure matrix.
+    Each step drops the sequence's factor when its solve ends, so the next
+    step's first Jacobian tries Jacobi before it is factorized: the last
+    step's factor fails refinement, or GMRES, on the next step's Jacobians."""
 
     def __init__(self, mesh, geom, eos, bc, cfg=None):
         self.mesh = mesh
         self.geom = geom
         self.eos = eos
         self.bc = bc
-        self.newton = NewtonSequence(cfg)
+        self.newton = NewtonSequence(cfg, block=mesh.n_cells)
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
     def step(self, state, u_tilde, dt, t_next, enforce_y_bound=True):

@@ -726,6 +726,124 @@ def test_debug_line_reports_the_lu_fill(caplog):
     assert refined.startswith(f"solve n={N_SPARSE}: refined, ") and "L+U" not in refined
 
 
+# --- CPR on block sequences ------------------------------------------------
+
+M_CPR = linalg.CPR_MIN // 2 + 16  # the block size of a system that takes CPR
+
+
+def _block_system(D, w=2.0, c=0.1):
+    """(J, P, b) of the 2M system [[A, D w], [c I, D]] with A tridiagonal: the
+    structure B = D diag(w) of the pressure Jacobian, whose CPR pressure
+    matrix P = A - w c I is its exact Schur complement."""
+    M = D.shape[0]
+    A = _tridiagonal(M, 4.0, -1.0)
+    J = sp.bmat([[A, w * D], [c * sp.eye(M), D]], format="csc")
+    return J, (A - w * c * sp.eye(M)).tocsc(), np.random.default_rng(22).normal(size=2 * M)
+
+
+def _meets_the_bound(A, x, b):
+    """max|A x - b| <= 1e-12 (||A|| ||x|| + ||b||), the strict bound in max norms."""
+    norm_A = np.abs(A).sum(axis=1).max()
+    return np.abs(A @ x - b).max() <= linalg._bound(norm_A, x, np.abs(b).max())
+
+
+def test_debug_line_reports_cpr_iterations_and_the_fresh_p_fill(splu_calls, caplog):
+    """A block sequence without a P factor tries Jacobi, which diverges on
+    the coupling, then factorizes P (M unknowns) and logs its fill; with the
+    factor held, GMRES needs no factorization and the line no fill."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    J, P, b = _block_system(_tridiagonal(M_CPR, 8.0, -1.0))
+    p_lu = linalg._static_pivot_lu(P)
+    splu_calls.clear()
+    held = NewtonSequence(block=M_CPR)
+    x = solve(J, b, held=held)
+    assert held.lu is None and splu_calls == [(M_CPR, True)]  # too thin to hold
+    assert _meets_the_bound(J, x, b)
+    held.lu = p_lu
+    x = solve(J, b, held=held)
+    assert splu_calls == [(M_CPR, True)]
+    assert _meets_the_bound(J, x, b)
+    fresh, held_p = [r.getMessage() for r in caplog.records if r.name == "driftflux.linalg"]
+    assert re.fullmatch(rf"solve n={2 * M_CPR}: CPR, \d GMRES iterations after 1 Jacobi "
+                        rf"sweeps; nnz {J.nnz}, L\+U {p_lu.nnz}, .*", fresh)
+    assert re.fullmatch(rf"solve n={2 * M_CPR}: CPR, \d GMRES iterations; nnz {J.nnz}, "
+                        rf"[^,]* s, .*", held_p)
+
+
+def test_cpr_that_misses_with_a_fresh_p_falls_back_to_the_lu_of_j(splu_calls, caplog):
+    """D made of 2x2 blocks [[1, a], [-a, 1]], a in [1.5, 3]: well conditioned,
+    but far from diagonal, so CPR's Jacobi sweeps on D diverge.  GMRES misses
+    with the held P, then with P refactorized from J, and the static-pivot LU
+    of J meets the bound."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    a = np.where(np.arange(M_CPR - 1) % 2 == 0,
+                 np.random.default_rng(23).uniform(1.5, 3.0, M_CPR - 1), 0.0)
+    J, P, b = _block_system(sp.diags([np.ones(M_CPR), a, -a], [0, 1, -1]))
+    held = NewtonSequence(block=M_CPR)
+    held.lu = linalg._static_pivot_lu(P)
+    splu_calls.clear()
+    x = solve(J, b, held=held)
+    cap = linalg.REFINE_CAP
+    assert _paths(caplog) == [f"static LU after {2 * cap} GMRES iterations"]
+    assert splu_calls == [(M_CPR, True), (2 * M_CPR, True)]
+    assert _meets_the_bound(J, x, b)
+
+
+def test_a_step_whose_cpr_misses_holds_and_refines_the_lu_of_j(splu_calls, caplog):
+    """Manufactured 40x40 at dt 0.1, one step of criterion 2's study: at this
+    Courant number the transport block D is far from diagonal, and CPR with
+    a fresh P misses on the step's first Jacobian.  J's LU is then held, and
+    the step's later Jacobians are refined with it, as below CPR_MIN."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    result = run_simulation(make_config("manufactured", nx=40, ny=40, dt=0.1, t_end=0.1))
+    M = result.problem.mesh.n_cells
+    first, *later = [path for n, path, _ in _solves(caplog) if n == 2 * M]
+    cap = linalg.REFINE_CAP
+    assert re.fullmatch(rf"static LU after \d+ Jacobi sweeps and {cap} GMRES iterations", first)
+    assert later and all(path == "refined" or re.fullmatch(r"static LU after \d+ refined sweeps",
+                                                            path) for path in later)
+    factorized = sum(path.startswith("static LU") for path in [first] + later)
+    assert [n for n, _ in splu_calls].count(2 * M) == factorized
+    assert all(static for _, static in splu_calls)
+
+
+@pytest.mark.parametrize("where", ["rhs", "matrix"])
+def test_cpr_on_a_non_finite_system_raises_the_named_error(where):
+    """A NaN right-hand side or an infinite Jacobian entry reaches GMRES's
+    least squares, where numpy would raise LinAlgError; the solve falls
+    through to the factorizations and raises SolverError instead."""
+    J, P, b = _block_system(_tridiagonal(M_CPR, 8.0, -1.0))
+    held = NewtonSequence(block=M_CPR)
+    held.lu = linalg._static_pivot_lu(P)
+    if where == "rhs":
+        b[3] = np.nan
+    else:
+        J.data[J.indptr[3]] = np.inf
+    with pytest.raises(SolverError):
+        solve(J, b, held=held)
+
+
+def test_sloshing_above_cpr_min_factorizes_p_and_never_j(splu_calls, caplog):
+    """Sloshing 35x45 (3,150 unknowns): each step's first pressure Jacobian
+    tries Jacobi, then factorizes P (M unknowns) with static pivots, and the
+    step's later Jacobians take GMRES with that P; J is never factorized and
+    nothing falls back."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    result = run_simulation(make_config("sloshing", nx=35, ny=45, dt=0.01, t_end=0.03))
+    reports = result.reports
+    M = result.problem.mesh.n_cells
+    assert 2 * M >= linalg.CPR_MIN
+    assert sum(r.newton_iters for r in reports) == 9
+    pressure = [path for n, path, _ in _solves(caplog) if n == 2 * M]
+    assert len(pressure) == 9 and all(path == "CPR" for path in pressure)
+    first = [r.getMessage() for r in caplog.records
+             if f"n={2 * M}: CPR" in r.getMessage() and "Jacobi" in r.getMessage()]
+    assert len(first) == len(reports) - 1 and all("L+U" in line for line in first)
+    assert [n for n, _ in splu_calls if n in (M, 2 * M)] == [M] * (len(reports) - 1)
+    assert all(static for _, static in splu_calls)
+    assert all(r.bounds_ok for r in reports)
+
+
 def test_manufactured_pressure_jacobians_take_jacobi(splu_calls, caplog):
     """A small W2: every pressure Jacobian (512 unknowns), the first of each
     step included, is solved by Jacobi sweeps and none is factorized."""
@@ -807,12 +925,13 @@ def test_entropy_suite_totals_are_pinned(monkeypatch):
 
 def test_sloshing_keeps_the_y_floor_under_refinement_to_stagnation():
     """Guards the componentwise y floor (y_floor 1e-9) of the pressure step's
-    held-LU refinement.  The residual bound is norm-wise, so it lets the
-    tiny z entries of near-pure-liquid cells drift; only refining until a
-    sweep stops halving the residual keeps them.  Two variants that look like
-    speed-ups each break this run with y_min just below 1e-9: holding the
-    pressure LU across steps, and stopping refinement at the first iterate
-    that passes the residual check."""
+    solves, which on this mesh (3,150 unknowns) take CPR GMRES to 1% of the
+    bound.  The residual bound is norm-wise, so it lets the tiny z entries of
+    near-pure-liquid cells drift; only solving well below it keeps them.
+    Under the held-LU refinement that these systems took before CPR, two
+    variants that look like speed-ups each broke this run with y_min just
+    below 1e-9: holding the pressure LU across steps, and stopping refinement
+    at the first iterate that passes the residual check."""
     result = run_simulation(make_config("sloshing", nx=35, ny=45, dt=0.01, t_end=0.04))
     assert len(result.reports) == 5
     assert all(r.bounds_ok for r in result.reports)
