@@ -46,11 +46,11 @@ CSV_COLUMNS = ["step", "time", "mass", "gas_mass", "mom_x", "mom_y", "kinetic",
                "p_max", "newton_iters", "outer_iters"]
 
 
-def conservation_report(state, mesh, geom):
-    """(total mass, total gas mass, momentum vector)."""
+def conservation_report(state, mesh, geom, rho_face):
+    """(total mass, total gas mass, momentum vector); ``rho_face`` is the face
+    density of ``state.rho_prev``, the momentum's weight."""
     mass = float(mesh.cell_measure * np.sum(state.rho))
     gas_mass = float(mesh.cell_measure * np.sum(state.z))
-    rho_face = face_density(state.rho_prev, geom)
     n = mesh.n_internal
     mom = np.sum((geom.diamond * rho_face)[:, None] * np.asarray(state.u)[:n], axis=0)
     return mass, gas_mass, mom
@@ -69,7 +69,7 @@ def bounds_ok(state, y_floor=0.0, y_ceiling=True):
 def _state_fields(state, rho_face, mesh, geom, eos, dt, y_floor, y_ceiling):
     """Report fields of ``state`` alone; ``rho_face`` is the face density of
     ``state.rho_prev``, the weight of the kinetic and pressure terms."""
-    mass, gas_mass, mom = conservation_report(state, mesh, geom)
+    mass, gas_mass, mom = conservation_report(state, mesh, geom, rho_face)
     return dict(
         time=state.t, mass=mass, gas_mass=gas_mass,
         mom_x=float(mom[0]), mom_y=float(mom[1]),

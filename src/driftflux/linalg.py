@@ -277,7 +277,8 @@ def solve(matrix, rhs, held=None):
     ``rhs`` may be a vector or an (n, k) array of right-hand sides that share
     one factorization.  A dense matrix, or a sparse one of at most
     ``DENSE_MAX`` unknowns, is solved by LAPACK's dgesv and leaves ``held``
-    untouched.  A larger sparse system takes the module's policy: refinement
+    untouched; a :class:`driftflux.mesh.SparsePattern` fill of that size
+    arrives dense.  A larger sparse system takes the module's policy: refinement
     with the LU of ``held`` (a :class:`NewtonSequence`, which keeps every new
     factor worth holding), else, with no LU in hand, Jacobi sweeps when the
     diagonal has no zero, then the two factorizations.  When ``held`` is a

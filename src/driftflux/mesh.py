@@ -13,11 +13,12 @@ fluxes in the K orientation into the net outflow of each cell, and
 :func:`edge_pair_index` / :func:`edge_pair_values` give the matching matrix
 entries.
 
-Every sparse matrix the solver assembles (the momentum matrix, both Newton
+Every matrix the solver assembles (the momentum matrix, both Newton
 Jacobians, the renormalization system and the transport matrices) keeps a
 fixed sparsity on a mesh: each is a :class:`SparsePattern`, built on first
-use and cached by :meth:`Mesh2D.pattern`, whose CSC structure is filled with
-each call's values.
+use and cached by :meth:`Mesh2D.pattern`, and filled with each call's
+values: as a dense ndarray up to ``linalg.DENSE_MAX`` unknowns, the size that
+:func:`driftflux.linalg.solve` solves dense, and in its CSC structure above.
 """
 
 import copy
@@ -27,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
+from .linalg import DENSE_MAX
 
 WALL = "wall"
 SLIP = "slip"
@@ -312,7 +314,7 @@ def _triplet_keys(n, blocks):
 
 
 class SparsePattern:
-    """CSC structure of an n-by-n matrix whose triplet positions never change.
+    """Structure of an n-by-n matrix whose triplet positions never change.
 
     Built once from the (rows, cols) blocks of every triplet an assembly
     writes, in the order it writes them; the rows and cols of a block
@@ -320,7 +322,9 @@ class SparsePattern:
     order of that shape.  Triplets in a negative row are dropped.  Each
     :meth:`matrix` call sums the value blocks into their slots in place, with
     no concatenated copy above 8192 triplets, so duplicates add as in a COO
-    matrix; every matrix shares ``indices`` and ``indptr`` (sorted,
+    matrix.  Up to ``DENSE_MAX`` unknowns each matrix is an (n, n) ndarray,
+    summed by one ``np.bincount`` over the triplets' row-major positions; above,
+    it is CSC, and every matrix shares ``indices`` and ``indptr`` (sorted,
     read-only) but owns its ``data``.
 
     The triplet-to-compressed-column step follows Davis (*Direct Methods for
@@ -350,6 +354,9 @@ class SparsePattern:
         slot[:dropped] = self.nnz
         self._slot = np.empty_like(slot)
         self._slot[order] = slot
+        # row-major position of each triplet, dropped ones in bin n * n
+        self._dense = (np.append(unique % n * n + unique // n, n * n)[self._slot]
+                       if n <= DENSE_MAX else None)
         # validated once here; matrix() shallow-copies it, which skips scipy's
         # per-construction index checks and keeps indices/indptr shared.  Its
         # data is a zero-stride view: every matrix() replaces it
@@ -357,7 +364,11 @@ class SparsePattern:
             (np.broadcast_to(0.0, self.nnz), self.indices, self.indptr), shape=(n, n))
 
     def matrix(self, blocks):
-        """The CSC matrix of the slot sums of ``blocks``, an iterable of value blocks."""
+        """The matrix of the slot sums of ``blocks``, an iterable of value blocks."""
+        if self._dense is not None:
+            n = self._template.shape[0]
+            return np.bincount(self._dense, np.concatenate(list(blocks)),
+                               minlength=n * n + 1)[:-1].reshape(n, n)
         A = copy.copy(self._template)
         # np.add.at reads int32 slots as they are (np.bincount copies them to
         # int64); up to 8192 triplets, copying beats one call per value block

@@ -1,5 +1,6 @@
 """Randomized property suites behind ``driftflux verify`` and the acceptance tests."""
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +39,19 @@ def _random_admissible(rng, n, eos, y_lo=0.15, y_hi=0.9, p_lo=0.5, p_hi=2.5):
     return p, y, rho, rho * y
 
 
+@functools.cache
+def _unit_box(nx, ny):
+    """Mesh and diamond geometry of the unit square's nx x ny box, built once
+    per shape, so that the patterns cached on the mesh are too: the suites
+    draw thousands of problems on a few shapes."""
+    mesh = build_uniform_mesh(nx, ny, 1.0, 1.0)
+    return mesh, build_diamond_geometry(mesh)
+
+
 def random_wall_problem(rng, nx=4, ny=4):
     """Closed box with randomized admissible data and velocities up to 0.1,
     used by the entropy and conservation suites."""
-    mesh = build_uniform_mesh(nx, ny, 1.0, 1.0)
-    geom = build_diamond_geometry(mesh)
+    mesh, geom = _unit_box(nx, ny)
     p, y, rho, _ = _random_admissible(rng, mesh.n_cells, BOX_EOS)
     u = np.zeros((mesh.n_faces, 2))
     u[: mesh.n_internal] = rng.uniform(-0.1, 0.1, (mesh.n_internal, 2))
@@ -63,8 +72,7 @@ def pressure_work_instance(rng, eos, dt=0.1):
     """Build (rho*, z*) admissible, random antisymmetric fluxes, and solve the
     implicit upwind balances for (rho, z); rejects draws that leave C."""
     for _ in range(50):
-        nx, ny = _strip_meshes(rng)
-        mesh = build_uniform_mesh(nx, ny, 1.0, 1.0)
+        mesh, _ = _unit_box(*_strip_meshes(rng))
         M = mesh.n_cells
         _, _, rho_star, z_star = _random_admissible(rng, M, eos)
         v = rng.uniform(-0.4, 0.4, mesh.n_internal) * mesh.cell_measure / dt
@@ -118,7 +126,7 @@ def suite_pressure_work(seed=0, n_instances=1000, n_pairs=1000):
 
 
 def drift_instance(rng, eos, nx=3, ny=3, dt=0.05):
-    mesh = build_uniform_mesh(nx, ny, 1.0, 1.0)
+    mesh, _ = _unit_box(nx, ny)
     p, y, rho, z = _random_admissible(rng, mesh.n_cells, eos, y_lo=0.1, y_hi=0.9)
     v_mean = rng.uniform(-1.0, 1.0, mesh.n_internal)
     lam = rng.uniform(0.2, 5.0)

@@ -20,7 +20,7 @@ def test_conservation_report_uniform():
     state = State(t=0.0, u=np.zeros((m.n_faces, 2)), p=np.ones(m.n_cells),
                   rho=rho, z=0.5 * rho, y=np.full(m.n_cells, 0.5),
                   rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces))
-    mass, gas, mom = D.conservation_report(state, m, g)
+    mass, gas, mom = D.conservation_report(state, m, g, face_density(rho, g))
     assert mass == pytest.approx(2.0)
     assert gas == pytest.approx(1.0)
     assert np.allclose(mom, 0.0)
@@ -34,8 +34,8 @@ def test_conservation_report_momentum_sum():
     u[: m.n_internal] = [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, -1.0]]
     state = State(t=0.0, u=u, p=np.ones(4), rho=rho, z=0.5 * rho,
                   y=np.full(4, 0.5), rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces))
-    _, _, mom = D.conservation_report(state, m, g)
     rf = face_density(rho, g)
+    _, _, mom = D.conservation_report(state, m, g, rf)
     brute = sum(g.diamond[e] * rf[e] * u[e] for e in range(m.n_internal))
     assert np.allclose(mom, brute)
 

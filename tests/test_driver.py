@@ -228,6 +228,20 @@ def test_sloshing_stops_when_a_step_breaks_the_y_floor():
         run_simulation(make_config("sloshing", nx=35, ny=45, dt=0.16, t_end=0.32))
 
 
+def test_sloshing_10x10_stops_with_a_named_error():
+    """Sloshing 10x10 at dt 0.01 ends its second step below the y floor,
+    which 14x18 and larger meshes keep.  At this stress input the run stops
+    with a named error at that step, and the reports it carries are finite
+    and in bounds: no NaN, no silent bound break, no hang."""
+    with pytest.raises(SimulationError,
+                       match="aborted at step 2: y must stay above 1e-09") as info:
+        run_simulation(make_config("sloshing", nx=10, ny=10, dt=0.01, t_end=0.5))
+    reports = info.value.reports
+    assert info.value.step == 2 and [r.step for r in reports] == [0, 1]
+    assert all(r.bounds_ok for r in reports)
+    assert np.all(np.isfinite([dataclasses.astuple(r) for r in reports]))
+
+
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 

@@ -2,11 +2,15 @@
 
 Each pattern-filled matrix is compared with a COO matrix of the same
 triplets, written out here as the assembly wrote them before the patterns;
-a short run checks that every pattern is built once and that successive
-matrices share its structure but not their values.  The sort-based pattern
-build is checked against the np.unique construction it replaced, and its
-traced memory is bounded.
+a fill of at most ``DENSE_MAX`` unknowns is an ndarray, so the comparisons
+go through :func:`dense`, and on every pattern of two small boxes the dense
+fill equals the CSC fill entry for entry.  A short run checks that every
+pattern is built once and that successive CSC matrices share its structure
+but not their values.  The sort-based pattern build is checked against the
+np.unique construction it replaced, and its traced memory is bounded.
 """
+
+import copy
 
 import tracemalloc
 
@@ -20,12 +24,14 @@ import driftflux.gas_fraction as gf
 import driftflux.mesh as mesh_mod
 import driftflux.momentum as momentum
 import driftflux.pressure_correction as pc
+import driftflux.verification as verification
 from driftflux import eos as E
 from driftflux.boundary import BoundaryConditions, mirror_partners
 from driftflux.config import make_config
 from driftflux.eos import EosParams
 from driftflux.fields import State, face_density
 from driftflux.gas_fraction import FLUX_FUNCTIONS
+from driftflux.linalg import DENSE_MAX
 from driftflux.mesh import (SparsePattern, build_diamond_geometry, build_uniform_mesh,
                             inlet_split, upwind, volume_fluxes)
 from driftflux.momentum import (MomentumAssembler, ViscosityModel, assemble_dual_mass_fluxes,
@@ -40,10 +46,19 @@ class _Captured(Exception):
     pass
 
 
+def dense(A):
+    """The entries of a pattern fill, an ndarray or a sparse matrix."""
+    return A.toarray() if sp.issparse(A) else A
+
+
 def _assert_same_matrix(A, oracle):
-    assert A.format == "csc" and A.shape == oracle.shape
+    if A.shape[0] <= DENSE_MAX:
+        assert type(A) is np.ndarray
+    else:
+        assert A.format == "csc"
+    assert A.shape == oracle.shape
     scale = np.max(np.abs(oracle.toarray()))
-    assert np.max(np.abs((A - oracle).toarray())) <= 1e-14 * scale
+    assert np.max(np.abs(dense(A) - oracle.toarray())) <= 1e-14 * scale
 
 
 def _coo(n, triplets):
@@ -149,7 +164,7 @@ def test_momentum_matrix_matches_coo_oracle(tags, constant):
     asm = MomentumAssembler(mesh, geom, visc)
     A, rhs = asm.assemble(*args, **kw)
     _assert_same_matrix(A, oracle)
-    assert A.nnz == oracle.nnz
+    assert mesh.pattern("momentum", None).nnz == oracle.nnz
     assert np.max(np.abs(rhs - rhs_oracle)) <= 1e-14 * np.max(np.abs(rhs_oracle))
     # a second fill of the same pattern with other values
     A2, _ = asm.assemble(*args[:-1], 2.0 * mu, **kw)
@@ -292,23 +307,111 @@ def test_renormalization_system_matches_bmat_oracle():
 
 
 def test_successive_fills_own_their_data():
-    pattern = SparsePattern(3, [(np.array([0, 1, 2, 0, -1]), np.array([0, 1, 2, 2, 0])),
-                                (np.array([0]), np.array([0]))])
-    A = pattern.matrix([np.array([1.0, 2.0, 3.0, 4.0, 9.0]), np.array([0.5])])
-    B = pattern.matrix([np.array([5.0, 6.0, 7.0, 8.0, 9.0]), np.array([0.5])])
-    assert A.format == "csc" and A.has_canonical_format
-    assert np.shares_memory(A.indices, B.indices) and np.shares_memory(A.indptr, B.indptr)
-    assert not np.shares_memory(A.data, B.data)
-    B.data[:] = 0.0
-    assert np.array_equal(A.toarray(), [[1.5, 0.0, 4.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
-    C = pattern.matrix([np.array([1.0, 1.0, 1.0, 1.0, 9.0]), np.array([1.0])])
-    assert np.array_equal(C.toarray(), [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    # the value blocks may split the triplets anywhere, but must cover them all
-    D = pattern.matrix([np.array([1.0, 1.0]), np.array([1.0, 1.0, 9.0, 1.0])])
-    assert np.array_equal(D.data, C.data)
-    for short_or_long in ([np.ones(5)], [np.ones(5), np.ones(2)]):
-        with pytest.raises(ValueError):
-            pattern.matrix(short_or_long)
+    """The same triplets in a 3-by-3 pattern, filled dense, and in the top
+    left corner of a pattern just above DENSE_MAX, filled CSC."""
+    for n in (3, DENSE_MAX + 1):
+        pattern = SparsePattern(n, [(np.array([0, 1, 2, 0, -1]), np.array([0, 1, 2, 2, 0])),
+                                    (np.array([0]), np.array([0]))])
+
+        def expected(corner):
+            out = np.zeros((n, n))
+            out[:3, :3] = corner
+            return out
+
+        A = pattern.matrix([np.array([1.0, 2.0, 3.0, 4.0, 9.0]), np.array([0.5])])
+        B = pattern.matrix([np.array([5.0, 6.0, 7.0, 8.0, 9.0]), np.array([0.5])])
+        if n <= DENSE_MAX:
+            assert type(A) is np.ndarray and A.shape == (n, n)
+            assert not np.shares_memory(A, B)
+            B[:] = 0.0
+        else:
+            assert A.format == "csc" and A.has_canonical_format
+            assert np.shares_memory(A.indices, B.indices)
+            assert np.shares_memory(A.indptr, B.indptr)
+            assert not np.shares_memory(A.data, B.data)
+            B.data[:] = 0.0
+        assert np.array_equal(dense(A), expected([[1.5, 0.0, 4.0], [0.0, 2.0, 0.0],
+                                                  [0.0, 0.0, 3.0]]))
+        C = pattern.matrix([np.array([1.0, 1.0, 1.0, 1.0, 9.0]), np.array([1.0])])
+        assert np.array_equal(dense(C), expected([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                                  [0.0, 0.0, 1.0]]))
+        # the value blocks may split the triplets anywhere, but must cover them all
+        D = pattern.matrix([np.array([1.0, 1.0]), np.array([1.0, 1.0, 9.0, 1.0])])
+        assert np.array_equal(dense(D), dense(C))
+        for short_or_long in ([np.ones(5)], [np.ones(5), np.ones(2)]):
+            with pytest.raises(ValueError):
+                pattern.matrix(short_or_long)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 3)])
+def test_dense_fill_equals_the_csc_fill(monkeypatch, shape):
+    """Every fill of every pattern of a small closed box (the momentum
+    matrix, whose wall rows are dropped and whose element entries repeat,
+    the pressure Jacobian, the bordered renormalization system, the density
+    prediction's transport matrix and the y Jacobian on the same pattern),
+    and of a random pattern with duplicate and dropped triplets, is dense and
+    equals the CSC fill of the same blocks entry for entry."""
+    fills = []
+    fill = mesh_mod.SparsePattern.matrix
+
+    def recording_fill(self, blocks):
+        blocks = list(blocks)
+        fills.append((self, blocks, fill(self, blocks)))
+        return fills[-1][2]
+
+    monkeypatch.setattr(mesh_mod.SparsePattern, "matrix", recording_fill)
+    problem = verification.random_wall_problem(np.random.default_rng(3), *shape)
+    driver.simulate(problem, dt=0.05, t_end=0.1, renormalize=True)
+    mesh = problem.mesh
+    n_run = len(fills)
+    rng = np.random.default_rng(9)
+    _, rho, z, p, G = verification.drift_instance(rng, E51, *shape)
+    gf.correct_mass_fraction(mesh, rho, z, G, FLUX_FUNCTIONS["godunov"], 0.0, 0.05)
+    assert len(fills) > n_run  # y Jacobians
+    rows = rng.integers(-3, 9, 200)
+    random = SparsePattern(9, [(rows, rng.integers(0, 9, 200)),
+                               (np.array([-1, 2]), np.array([4, 2]))])
+    random.matrix([rng.normal(size=200), rng.normal(size=2)])
+
+    assert sorted(mesh._patterns) == ["bordered_pressure_operator", "momentum",
+                                      "pressure_jacobian", "transport"]
+    assert {id(pattern) for pattern, _, _ in fills} == {
+        id(pattern) for pattern in [random, *mesh._patterns.values()]}
+    for pattern, blocks, A in fills:
+        assert type(A) is np.ndarray and A.shape[0] <= DENSE_MAX
+        as_csc = copy.copy(pattern)
+        as_csc._dense = None
+        B = fill(as_csc, blocks)
+        assert B.format == "csc"
+        assert np.array_equal(A, B.toarray())
+
+
+def test_closed_box_step_builds_no_sparse_matrix(monkeypatch):
+    """Once its patterns exist, a 4x4 closed-box run with renormalization
+    constructs and copies no scipy sparse matrix: every system it fills has
+    at most DENSE_MAX unknowns and goes to the dense solve as an ndarray."""
+    problem = verification.random_wall_problem(np.random.default_rng(4))
+    driver.simulate(problem, dt=0.05, t_end=0.1, renormalize=True)  # the patterns
+    built, copied = [], []
+    init, shallow = sp.csc_matrix.__init__, copy.copy
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_copy(x):
+        if sp.issparse(x):
+            copied.append(1)
+        return shallow(x)
+
+    monkeypatch.setattr(sp.csc_matrix, "__init__", counting_init)
+    monkeypatch.setattr(mesh_mod.copy, "copy", counting_copy)
+    copy.copy(sp.csc_matrix((1, 1)))  # the spies are in place
+    assert (built, copied) == ([1], [1])
+    problem = verification.random_wall_problem(np.random.default_rng(5))
+    res = driver.simulate(problem, dt=0.05, t_end=0.1, renormalize=True)
+    assert len(res.reports) == 3
+    assert (built, copied) == ([1], [1])
 
 
 # --- the pattern build -----------------------------------------------------
@@ -479,9 +582,12 @@ def test_patterns_built_once_and_matrices_do_not_alias(monkeypatch):
     monkeypatch.setattr(driver, "advance", counting_advance)
 
     sp.coo_matrix((1, 1))  # the spy is in place
-    config = make_config("manufactured", nx=8, ny=8, dt=0.01, t_end=0.03)
+    # 12x12, so that every pattern has more than DENSE_MAX unknowns and is
+    # filled CSC
+    config = make_config("manufactured", nx=12, ny=12, dt=0.01, t_end=0.03)
     result = driver.run_simulation(config)
     mesh = result.problem.mesh
+    assert mesh.n_cells > DENSE_MAX
 
     # momentum, pressure Jacobian and the transport pattern that the density
     # prediction and the y Jacobian share, each built once
