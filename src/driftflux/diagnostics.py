@@ -61,9 +61,9 @@ def free_energy_integral(rho, z, mesh, eos):
 
 
 def bounds_ok(state, y_floor=0.0, y_ceiling=True):
-    """Admissibility as the step report states it: y <= 1 with no slack."""
+    """Whether ``state`` lies in the one admissible set, the driver's guard."""
     return admissibility_violation(state.rho, state.z, state.p, state.y, y_ceiling,
-                                   y_floor, ceiling_slack=0.0) is None
+                                   y_floor) is None
 
 
 def _state_fields(state, rho_face, mesh, geom, eos, dt, y_floor, y_ceiling):

@@ -34,17 +34,16 @@ def initial_state(problem, dt):
 
     The given initial pressure is kept as data; the state law ties rho, p and
     z together only from the first correction step on.  The mass fraction is
-    re-paired with the predicted fields (y^0 = z^0 / rho^0, which the shared
-    transport operator keeps inside the initial range).
+    re-paired with the predicted fields, y^0 = z^0 / rho^0; the driver's guard
+    checks this level like every other.
     """
     z_guess = problem.rho_init * problem.y_init
     rho0, z0, fluxes = init_density_prediction(
         problem.mesh, problem.bc, problem.eos, problem.rho_init, problem.u_init,
         problem.p_init, z_guess, dt)
-    y0 = np.minimum(z0 / rho0, 1.0)
     return State(t=0.0, u=np.array(problem.u_init, dtype=float),
                  p=np.array(problem.p_init, dtype=float), rho=rho0,
-                 z=z0, y=y0,
+                 z=z0, y=z0 / rho0,
                  rho_prev=np.array(problem.rho_init, dtype=float), fluxes=fluxes)
 
 
@@ -62,7 +61,7 @@ def advance(problem, state, dt, t_next, assembler, corrector, y_newton=None,
     u_tilde = predict_velocity(work, dt, assembler, problem.bc, t_next,
                                body_accel=problem.body_accel,
                                source=problem.momentum_source)
-    corr = corrector.step(work, u_tilde, dt, t_next, enforce_y_bound=problem.y_ceiling)
+    corr = corrector.step(work, u_tilde, dt, t_next, y_ceiling=problem.y_ceiling)
     v_mean = volume_fluxes(problem.mesh, corr.u)[: problem.mesh.n_internal]
     G = drift_fluxes(problem.mesh, problem.eos, problem.drift,
                      corr.rho, corr.p, corr.z, v_mean)
@@ -85,8 +84,8 @@ def _guard(state, problem):
 def steps(problem, dt, t_end, ncfg=None, renormalize=False):
     """Yield (state, report) for level 0, then for each scheme step up to t_end.
 
-    The time loop of every run: each stepped state has passed the driver's
-    guard before it is yielded.  The run's pressure steps and its
+    The time loop of every run: every state, level 0 included, passes the
+    driver's guard before it is yielded.  The run's pressure steps and its
     y-corrections are two :class:`~driftflux.linalg.NewtonSequence`, both
     with the targets ``ncfg``: the corrector's drops its factor at each step,
     and the y sequence holds one LU for the whole run.
@@ -99,6 +98,7 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
     corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc, ncfg)
     y_newton = NewtonSequence(ncfg)
     state = initial_state(problem, dt)
+    _guard(state, problem)
     report = initial_step_report(problem.mesh, problem.geom, problem.eos, state,
                                  dt, problem.y_floor, problem.y_ceiling)
     yield state, report
@@ -114,11 +114,7 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
 
 def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
              dump_interval=0):
-    """Run the three-step scheme from t = 0 to t_end with constant dt.
-
-    A run that completes with reports out of the physical bounds logs one
-    warning that counts them.
-    """
+    """Run the three-step scheme from t = 0 to t_end with constant dt."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     reports = []
@@ -135,10 +131,6 @@ def simulate(problem, dt, t_end, ncfg=None, renormalize=False, out_dir=None,
                                   abort_note=f"step {len(reports)}: {exc}")
         raise SimulationError(f"aborted at step {len(reports)}: {exc}",
                               step=len(reports), reports=reports) from exc
-    broken = [r.step for r in reports if not r.bounds_ok]
-    if broken:
-        log.warning("%d of %d step reports are out of bounds (bounds_ok False), "
-                    "the first at step %d", len(broken), len(reports), broken[0])
     if out_dir:
         write_diagnostics_csv(reports, os.path.join(out_dir, "diagnostics.csv"))
         if dump_interval and report.step % dump_interval:

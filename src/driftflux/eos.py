@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
+from .fields import admissibility_violation
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,17 @@ def drho_dp_py(p, y, eos):
     return eos.rho_l**2 * y / eos.a2 / denom**2
 
 
-def check_admissible(rho, z, eos):
-    rho = np.asarray(rho)
-    z = np.asarray(z)
-    if np.any(rho <= 0) or np.any(z <= 0) or np.any(z - rho + eos.rho_l <= 0):
-        raise InvariantViolation("point outside the admissible convex set C")
-
-
 def gas_density_from_rho_z(rho, z, eos):
-    """rho_g^{rho,z}(rho, z) = z rho_l / (z + rho_l - rho) on C."""
-    check_admissible(rho, z, eos)
-    return np.asarray(z) * eos.rho_l / (np.asarray(z) + eos.rho_l - np.asarray(rho))
+    """rho_g^{rho,z}(rho, z) = z rho_l / (z + rho_l - rho) on C, where (rho, z,
+    p = a^2 rho_g) lies in the admissible set of
+    :func:`~driftflux.fields.admissibility_violation` without the y ceiling."""
+    rho, z = np.asarray(rho), np.asarray(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rg = z * eos.rho_l / (z + eos.rho_l - rho)
+    why = admissibility_violation(rho, z, eos.a2 * rg, y_ceiling=False)
+    if why:
+        raise InvariantViolation(f"outside the admissible convex set C: {why}")
+    return rg
 
 
 def p_from_rho_z(rho, z, eos):

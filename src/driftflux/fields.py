@@ -1,4 +1,4 @@
-"""Field containers, the admissible set and the discrete norms.
+"""Field containers, the one admissible set and the discrete norms.
 
 Cell fields are plain (M,) arrays; face velocity fields are (F, 2) arrays
 covering internal and boundary faces (boundary rows hold the prescribed
@@ -11,9 +11,6 @@ import numpy as np
 
 from .errors import InvariantViolation
 
-# The step guards accept roundoff above the y ceiling; the step report
-# (bounds_ok) checks y <= 1 with no slack.
-Y_CEILING_SLACK = 1e-11
 # relative slack under a positive reporting floor on y
 Y_FLOOR_RTOL = 1e-12
 
@@ -38,20 +35,20 @@ class State:
     fluxes: np.ndarray     # (F,) F_{sigma,K}, K orientation
 
 
-def admissibility_violation(rho, z, p=None, y=None, y_ceiling=True, y_floor=0.0,
-                            ceiling_slack=Y_CEILING_SLACK):
-    """The first bound of the admissible set that the cell fields break, or None.
-
-    rho, z and p (when given), all arrays, must be positive; y (z / rho when
-    not given) must exceed y_floor (1 - Y_FLOOR_RTOL) and, with
-    ``y_ceiling``, stay at or below 1 + ``ceiling_slack``.
+def admissibility_violation(rho, z, p=None, y=None, y_ceiling=True, y_floor=0.0):
+    """The first bound of the one admissible set that the cell fields break,
+    or None: rho, z and p (when given), all arrays, must be positive, and p
+    finite; y (z / rho when not given) must exceed y_floor (1 - Y_FLOOR_RTOL)
+    and, with ``y_ceiling``, stay at or below 1.  Every guard of a step, the
+    step report and the state laws of C test exactly this.
     """
-    if (rho <= 0).any() or (z <= 0).any() or (p is not None and (p <= 0).any()):
-        return "rho, p, z must stay positive"
+    if (rho <= 0).any() or (z <= 0).any() or (
+            p is not None and ((p <= 0) | (p == np.inf)).any()):
+        return "rho, p, z must stay positive, p finite"
     y = z / rho if y is None else y
     if (y <= y_floor * (1.0 - Y_FLOOR_RTOL)).any():
         return f"y must stay above {y_floor:g}"
-    if y_ceiling and (y > 1.0 + ceiling_slack).any():
+    if y_ceiling and (y > 1.0).any():
         return "y must stay at or below 1"
     return None
 

@@ -183,7 +183,7 @@ def correct_mass_fraction(mesh, rho, z, G, flux_fn, diffusion, dt, newton=None,
         return pattern.matrix([edge_pair_values([d_K + dcoef, d_L - dcoef]), vol_dt * rho])
 
     cap = 1.0 if source is None else max(1.0, float(np.max(y0)))
-    y = newton_solve(residual, jacobian, np.clip(y0, 1e-300, cap), newton,
+    y = newton_solve(residual, jacobian, y0, newton,
                      start_fn=lambda y: bool(((y > 0) & (y <= cap)).all()),
                      abs_scale=max(1.0, float(np.max(vol_dt * rho)))).x
     why = admissibility_violation(rho, z, y=y, y_ceiling=y_ceiling)

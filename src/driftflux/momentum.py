@@ -266,6 +266,4 @@ def init_density_prediction(mesh, bc, eos, rho_init, u_init, p_init, z_init, dt)
     A = upwind_transport_matrix(mesh, up, v, mesh.cell_measure / dt + bnd[:, 0])
     rhs = mesh.cell_measure / dt * np.column_stack([rho_init, z_init]) + bnd[:, 1:]
     rho0, z0 = solve(A, rhs).T.copy()
-    if np.any(rho0 <= 0) or np.any(z0 <= 0):
-        raise InvariantViolation("density prediction produced nonpositive values")
     return rho0, z0, upwind_fluxes(mesh, v, up, split, rho0, rho_in)

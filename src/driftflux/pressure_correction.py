@@ -123,11 +123,11 @@ class PressureCorrector:
         self.newton = NewtonSequence(cfg, block=mesh.n_cells)
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
-    def step(self, state, u_tilde, dt, t_next, enforce_y_bound=True):
+    def step(self, state, u_tilde, dt, t_next, y_ceiling=True):
         """One pressure correction step; returns the end-of-step unknowns.
 
-        ``enforce_y_bound=False`` drops the z/rho <= 1 validation, needed when
-        a manufactured gas-fraction source legitimately pushes y above 1.
+        ``y_ceiling=False`` drops the z/rho <= 1 validation, needed when a
+        manufactured gas-fraction source legitimately pushes y above 1.
         """
         eos = self.eos
         m = self.mesh
@@ -236,7 +236,7 @@ class PressureCorrector:
                 z = np.where(over, np.nextafter(z, 0.0), z)
             a2z = eos.a2 * z
         rho = z + eos.rho_l * (p - a2z) / p
-        why = admissibility_violation(rho, z, p, y_ceiling=enforce_y_bound)
+        why = admissibility_violation(rho, z, p, y_ceiling=y_ceiling)
         if why:
             raise InvariantViolation(f"pressure correction: {why}")
 

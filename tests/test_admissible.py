@@ -1,17 +1,21 @@
 """The one admissible set: each site that checks it keeps its decision at
-the boundary of the set."""
+the boundary of the set, with no slack above the y ceiling."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from driftflux import cases
 from driftflux import eos as E
 from driftflux.boundary import BoundaryConditions
+from driftflux.cases import build_case
+from driftflux.config import make_config
 from driftflux.diagnostics import bounds_ok
-from driftflux.driver import _guard
+from driftflux.driver import _guard, run_simulation, simulate
 from driftflux.eos import EosParams
-from driftflux.errors import InvariantViolation
+from driftflux.errors import InvariantViolation, SimulationError
 from driftflux.fields import State
 from driftflux.gas_fraction import FLUX_FUNCTIONS, correct_mass_fraction
 from driftflux.linalg import NewtonResult
@@ -20,6 +24,7 @@ from driftflux.pressure_correction import PressureCorrector
 
 E51 = EosParams(5.0, 1.0)
 MESH = build_uniform_mesh(2, 1, 1.0, 1.0)
+ONE_ULP_ABOVE_ONE = np.nextafter(1.0, 2.0)
 
 
 def _state(y, rho=1.0, p=1.0, z=None):
@@ -48,8 +53,10 @@ def _y_correction_accepts(rho, z, source=None):
 
 
 def test_step_guard_y_ceiling_slack():
-    assert _guard_accepts(_state(1.0 + 1e-11))
-    assert not _guard_accepts(_state(1.0 + 2e-11))
+    """The guard has no slack above y = 1: it rejects 1 ulp above it."""
+    assert _guard_accepts(_state(1.0))
+    assert not _guard_accepts(_state(ONE_ULP_ABOVE_ONE))
+    assert not _guard_accepts(_state(1.0 + 1e-11))
     assert _guard_accepts(_state(1.5), ceiling=False)
 
 
@@ -60,15 +67,17 @@ def test_step_guard_y_floor_slack():
 
 
 def test_y_correction_ceiling_slack():
-    assert _y_correction_accepts(1.0, 1.0 + 1e-11)
-    assert not _y_correction_accepts(1.0, 1.0 + 2e-11)
+    """The y-correction takes z / rho = 1 and rejects 1 ulp above it."""
+    assert _y_correction_accepts(1.0, 1.0)
+    assert not _y_correction_accepts(1.0, ONE_ULP_ABOVE_ONE)
+    assert not _y_correction_accepts(1.0, 1.0 + 1e-11)
     # a manufactured source lifts the ceiling
     assert _y_correction_accepts(1.0, 1.5, source=lambda x, t: np.zeros(len(x)))
 
 
 def test_bounds_ok_has_no_ceiling_slack():
     assert bounds_ok(_state(1.0))
-    assert not bounds_ok(_state(1.0 + 1e-15))
+    assert not bounds_ok(_state(ONE_ULP_ABOVE_ONE))
     assert bounds_ok(_state(1.5), y_ceiling=False)
 
 
@@ -91,7 +100,7 @@ def test_nonpositive_fields_rejected_by_y_correction(rho, z):
     assert not _y_correction_accepts(rho, z, source=lambda x, t: np.zeros(len(x)))
 
 
-def _pressure_step_end(monkeypatch, p, z, enforce_y_bound=True):
+def _pressure_step_end(monkeypatch, p, z, y_ceiling=True):
     """Run one correction step whose Newton solve returns (p, z) in every cell."""
     geom = build_diamond_geometry(MESH)
     corrector = PressureCorrector(MESH, geom, E51, BoundaryConditions())
@@ -99,37 +108,70 @@ def _pressure_step_end(monkeypatch, p, z, enforce_y_bound=True):
     monkeypatch.setattr("driftflux.pressure_correction.newton_solve",
                         lambda *args, **kw: NewtonResult(x=x, iterations=1, residual_norm=0.0))
     state = _state(0.5, rho=E.rho_from_py(1.0, 0.5, E51))
-    return corrector.step(state, state.u, 0.1, 0.1, enforce_y_bound=enforce_y_bound)
+    return corrector.step(state, state.u, 0.1, 0.1, y_ceiling=y_ceiling)
 
 
 def test_pressure_step_checks_end_state(monkeypatch):
     res = _pressure_step_end(monkeypatch, 1.0, 0.5)
     assert np.all(res.z / res.rho <= 1.0)
     # z = 1 and p = 5 / (5 + d) give y = z / rho = 1 + d on this state law
-    for d, accepted in ((1e-12, True), (1e-9, False)):
+    for d in (1e-12, 1e-9):
         p = 5.0 / (5.0 + d)
-        if accepted:
+        with pytest.raises(InvariantViolation, match="y must stay at or below 1"):
             _pressure_step_end(monkeypatch, p, 1.0)
-        else:
-            with pytest.raises(InvariantViolation):
-                _pressure_step_end(monkeypatch, p, 1.0)
-            _pressure_step_end(monkeypatch, p, 1.0, enforce_y_bound=False)
+        _pressure_step_end(monkeypatch, p, 1.0, y_ceiling=False)
     # rho < 0 (p small), z <= 0, p <= 0
     for p, z in ((0.5, 1.0), (1.0, 0.0), (1.0, -0.1), (0.0, 0.5), (-1.0, 0.5)):
         with pytest.raises(InvariantViolation):
-            _pressure_step_end(monkeypatch, p, z, enforce_y_bound=False)
+            _pressure_step_end(monkeypatch, p, z, y_ceiling=False)
 
 
 def test_pressure_step_ends_with_y_at_most_one_within_8_ulp(monkeypatch):
     """Where a^2 z exceeds p by at most 8 ulp, the step returns z with
-    a^2 z <= p and z / rho <= 1 exactly; a 9-ulp excess is returned as
-    Newton left it, y above 1 within the guard's slack."""
+    a^2 z <= p and z / rho <= 1 exactly; a 9-ulp excess is left as Newton
+    left it, and the end check rejects its y above 1."""
     p = 1.0  # a^2 = 1 on E51, so a^2 z = z
     for ulps in range(9):
         z = p + ulps * np.spacing(p)
         res = _pressure_step_end(monkeypatch, p, z)
         assert np.all(E51.a2 * res.z <= res.p) and np.all(res.z / res.rho <= 1.0)
         assert np.all(res.z >= p - np.spacing(p))
-    z = p + 9 * np.spacing(p)
-    res = _pressure_step_end(monkeypatch, p, z)
-    assert np.all(res.z == z) and np.all(res.z / res.rho > 1.0)
+    with pytest.raises(InvariantViolation, match="y must stay at or below 1"):
+        _pressure_step_end(monkeypatch, p, p + 9 * np.spacing(p))
+
+
+def test_level_0_above_the_y_ceiling_stops_the_run():
+    """An initial y above 1 in one cell stops the run at level 0: the guard
+    checks the level-0 state, unclamped, as it checks every stepped one."""
+    problem = build_case(make_config("uniform", nx=3, ny=3, dt=0.05, t_end=0.1))
+    y_init = problem.y_init.copy()
+    y_init[4] = 1.5
+    with pytest.raises(SimulationError,
+                       match="initialization failed: y must stay at or below 1") as info:
+        simulate(dataclasses.replace(problem, y_init=y_init), 0.05, 0.1)
+    assert info.value.step == 0 and info.value.reports == []
+
+
+def test_gas_density_is_defined_only_inside_c():
+    """rho_g = z rho_l / (z + rho_l - rho) is refused where its denominator
+    is 0 (rho_g = +inf) or negative, and taken just above 0."""
+    z = np.array([1.0])
+    for rho in (6.0, 6.5):
+        with pytest.raises(InvariantViolation, match="admissible convex set C"):
+            E.gas_density_from_rho_z(np.array([rho]), z, E51)
+    rg = E.gas_density_from_rho_z(np.array([np.nextafter(6.0, 0.0)]), z, E51)
+    assert np.all(np.isfinite(rg)) and np.all(rg > 0)
+
+
+def test_manufactured_under_godunov_needs_no_y_ceiling(monkeypatch):
+    """The one input that needs ``Problem.y_ceiling`` off: the manufactured y
+    source lifts y above 1 from step 70, every report in bounds; with the
+    ceiling forced on, the same run stops there."""
+    config = make_config("manufactured", nx=10, ny=10, dt=0.02, t_end=1.6, flux="godunov")
+    reports = run_simulation(config).reports
+    assert len(reports) == 81 and all(r.bounds_ok for r in reports)
+    assert [r.y_max > 1.0 for r in reports].index(True) == 70
+    assert max(r.y_max for r in reports) == pytest.approx(1.031, abs=5e-4)
+    monkeypatch.setattr(cases.Problem, "y_ceiling", True)
+    with pytest.raises(SimulationError, match="aborted at step 70: y must stay at or below 1"):
+        run_simulation(config)

@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 
 from driftflux import driver
@@ -90,34 +89,10 @@ t_end = 0.06
 """
 
 
-def _run_sloshing(tmp_path, caplog):
+def test_cli_run_in_bounds_does_not_warn(tmp_path, caplog):
     cfg = tmp_path / "sloshing.cfg"
     cfg.write_text(SLOSHING_14x18)
     with caplog.at_level(logging.WARNING, logger="driftflux"):
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 0
-    return [r for r in caplog.records if r.levelno >= logging.WARNING]
-
-
-def test_cli_run_warns_once_when_reports_break_the_bounds(tmp_path, caplog, monkeypatch):
-    """A report whose y is just above 1 keeps the exit code and the CSV but
-    logs one warning with the count and the first such step."""
-    build = driver.build_step_report
-
-    def y_above_one_from_step_2(step, previous, state, *args, **kwargs):
-        if step >= 2:
-            y = state.y.copy()
-            y[0] = 1.0 + 1e-13
-            state = dataclasses.replace(state, y=y)
-        return build(step, previous, state, *args, **kwargs)
-
-    monkeypatch.setattr(driver, "build_step_report", y_above_one_from_step_2)
-    warnings = _run_sloshing(tmp_path, caplog)
-    assert [r.getMessage() for r in warnings] == [
-        "2 of 4 step reports are out of bounds (bounds_ok False), the first at step 2"]
-    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
-    assert len(rows) == 5 and not any(row.startswith("#") for row in rows)
-
-
-def test_cli_run_in_bounds_does_not_warn(tmp_path, caplog):
-    assert _run_sloshing(tmp_path, caplog) == []
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []

@@ -245,12 +245,16 @@ def test_sloshing_10x10_stops_with_a_named_error():
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-@pytest.mark.parametrize("path", [
-    pytest.param(path, id=os.path.basename(path)[:-4])
-    for path in sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))])
-def test_shipped_config_runs_at_its_shipped_size(path):
+@pytest.mark.parametrize("path,flux", [
+    # the default flux keeps the bare config name as its id
+    pytest.param(path, flux, id=os.path.basename(path)[:-4] + suffix)
+    for path in sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))
+    for flux, suffix in (("flux_splitting", ""), ("godunov", "-godunov"))])
+def test_shipped_config_runs_at_its_shipped_size(path, flux):
     config = load_config(path)
-    res = run_simulation(dataclasses.replace(config, t_end=2 * config.dt, out_dir=""))
+    assert config.flux == "flux_splitting"
+    res = run_simulation(dataclasses.replace(config, t_end=2 * config.dt, flux=flux,
+                                             out_dir=""))
     assert len(res.reports) == 3
     assert all(r.bounds_ok for r in res.reports)
 
