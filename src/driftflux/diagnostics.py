@@ -66,9 +66,10 @@ def bounds_ok(state, y_floor=0.0, y_ceiling=True):
                                    y_floor) is None
 
 
-def _state_fields(state, rho_face, mesh, geom, eos, dt, y_floor, y_ceiling):
+def _state_fields(state, rho_face, mesh, geom, eos, dt, bounds_ok):
     """Report fields of ``state`` alone; ``rho_face`` is the face density of
-    ``state.rho_prev``, the weight of the kinetic and pressure terms."""
+    ``state.rho_prev``, the weight of the kinetic and pressure terms, and
+    ``bounds_ok`` the verdict of the driver's guard on ``state``."""
     mass, gas_mass, mom = conservation_report(state, mesh, geom, rho_face)
     return dict(
         time=state.t, mass=mass, gas_mass=gas_mass,
@@ -76,26 +77,26 @@ def _state_fields(state, rho_face, mesh, geom, eos, dt, y_floor, y_ceiling):
         kinetic=0.5 * weighted_kinetic_norm(state.u, rho_face, geom),
         free_energy=free_energy_integral(state.rho, state.rho * state.y, mesh, eos),
         pressure_seminorm_term=0.5 * dt**2 * pressure_seminorm(state.p, rho_face, geom),
-        bounds_ok=bounds_ok(state, y_floor, y_ceiling),
+        bounds_ok=bounds_ok,
         y_min=float(np.min(state.y)), y_max=float(np.max(state.y)),
         p_min=float(np.min(state.p)), p_max=float(np.max(state.p)),
     )
 
 
-def build_step_report(step, previous, state_new, u_tilde, dt, p_used, assembler, eos,
-                      newton_iters, y_floor=0.0, y_ceiling=True):
+def build_step_report(step, previous, state_new, rho_face_old, u_tilde, dt, p_used,
+                      assembler, eos, newton_iters, bounds_ok):
     """Evaluate every term of the per-step entropy estimate and the totals.
 
     The old energies are the ``kinetic`` and ``free_energy`` of ``previous``,
     the report of the state the step started from, whose density is
-    ``state_new.rho_prev``.  ``p_used`` is the pressure the step actually
-    used for the increment (the renormalized one when that option is on).
-    The viscous term is the :class:`driftflux.momentum.MomentumAssembler`'s
-    form at the old density's viscosity.
+    ``state_new.rho_prev`` with the face density ``rho_face_old``.
+    ``p_used`` is the pressure the step actually used for the increment (the
+    renormalized one when that option is on).  The viscous term is the
+    :class:`driftflux.momentum.MomentumAssembler`'s form at the old density's
+    viscosity.  ``bounds_ok`` is the verdict of the driver's guard.
     """
     mesh, geom = assembler.mesh, assembler.geom
-    rho_face_old = face_density(state_new.rho_prev, geom)
-    fields = _state_fields(state_new, rho_face_old, mesh, geom, eos, dt, y_floor, y_ceiling)
+    fields = _state_fields(state_new, rho_face_old, mesh, geom, eos, dt, bounds_ok)
     fe_z = free_energy_integral(state_new.rho, state_new.z, mesh, eos)
     mu_cells = assembler.viscosity.cell_viscosity(state_new.rho_prev)
     visc = dt * assembler.viscous_form(u_tilde, u_tilde, mu_cells)
@@ -109,9 +110,9 @@ def build_step_report(step, previous, state_new, u_tilde, dt, p_used, assembler,
     )
 
 
-def initial_step_report(mesh, geom, eos, state, dt, y_floor=0.0, y_ceiling=True):
+def initial_step_report(mesh, geom, eos, state, dt, bounds_ok):
     fields = _state_fields(state, face_density(state.rho_prev, geom), mesh, geom, eos,
-                           dt, y_floor, y_ceiling)
+                           dt, bounds_ok)
     return StepReport(
         step=0, viscous_dissipation=0.0,
         pressure_seminorm_old=fields["pressure_seminorm_term"],
@@ -149,20 +150,17 @@ def pressure_work_inequality_check(mesh, eos, rho, rho_star, z, z_star, v_edges,
     z = np.asarray(z, dtype=float)
     v = np.asarray(v_edges, dtype=float)
     up, _ = upwind(mesh, v)
-    D = mesh.incidence[:, : mesh.n_internal]
     vol_dt = mesh.cell_measure / dt
-
-    def balance(x, x_star):
-        return vol_dt * (x - x_star) + D @ (v * x[up])
-
+    # the divergences of both balances' fluxes and of v from one product
+    div = mesh.incidence[:, : mesh.n_internal] @ np.column_stack([v * rho[up], v * z[up], v])
     scale = vol_dt * max(1.0, float(np.max(np.abs(rho))), float(np.max(np.abs(z))))
-    r1 = balance(rho, np.asarray(rho_star, dtype=float))
-    r2 = balance(z, np.asarray(z_star, dtype=float))
+    r1 = vol_dt * (rho - np.asarray(rho_star, dtype=float)) + div[:, 0]
+    r2 = vol_dt * (z - np.asarray(z_star, dtype=float)) + div[:, 1]
     if np.max(np.abs(r1)) > 1e-8 * scale or np.max(np.abs(r2)) > 1e-8 * scale:
         raise InvariantViolation("pressure-work check: inputs violate the upwind balances")
 
     p = _eos.p_from_rho_z(rho, z, eos)
-    lhs = float(np.sum(-p * (D @ v)))
+    lhs = float(np.sum(-p * div[:, 2]))
     rhs = float(np.sum(mesh.cell_measure * (
         _eos.free_energy(rho, z, eos)
         - _eos.free_energy(rho_star, z_star, eos))) / dt)

@@ -50,18 +50,19 @@ def initial_state(problem, dt):
 def advance(problem, state, dt, t_next, assembler, corrector, y_newton=None,
             renormalize=False):
     """One full scheme step, its y-correction a solve of the sequence
-    ``y_newton``; returns (new state, u_tilde, correction result, p_used)."""
+    ``y_newton``; returns (new state, u_tilde, correction result, p_used,
+    face density of ``state.rho``).  The face densities of rho^n and
+    rho^{n-1} are formed once here for every stage that weighs by them."""
+    rho_faces = face_density(state.rho, problem.geom), face_density(state.rho_prev, problem.geom)
     p_used = state.p
     if renormalize:
-        p_used = renormalize_pressure(
-            problem.mesh, problem.geom, state.p,
-            face_density(state.rho, problem.geom),
-            face_density(state.rho_prev, problem.geom))
+        p_used = renormalize_pressure(problem.mesh, problem.geom, state.p, *rho_faces)
     work = replace(state, p=p_used)
     u_tilde = predict_velocity(work, dt, assembler, problem.bc, t_next,
                                body_accel=problem.body_accel,
-                               source=problem.momentum_source)
-    corr = corrector.step(work, u_tilde, dt, t_next, y_ceiling=problem.y_ceiling)
+                               source=problem.momentum_source, rho_faces=rho_faces)
+    corr = corrector.step(work, u_tilde, dt, t_next, y_ceiling=problem.y_ceiling,
+                          rho_face_n=rho_faces[0])
     v_mean = volume_fluxes(problem.mesh, corr.u)[: problem.mesh.n_internal]
     G = drift_fluxes(problem.mesh, problem.eos, problem.drift,
                      corr.rho, corr.p, corr.z, v_mean)
@@ -71,14 +72,17 @@ def advance(problem, state, dt, t_next, assembler, corrector, y_newton=None,
                                   boundary_flux=problem.y_boundary_flux)
     new_state = State(t=t_next, u=corr.u, p=corr.p, rho=corr.rho, z=corr.z,
                       y=y_new, rho_prev=state.rho.copy(), fluxes=corr.fluxes)
-    return new_state, u_tilde, corr, p_used
+    return new_state, u_tilde, corr, p_used, rho_faces[0]
 
 
 def _guard(state, problem):
+    """The step report's ``bounds_ok``, True, when ``state`` lies in the one
+    admissible set; raises :class:`InvariantViolation` otherwise."""
     why = admissibility_violation(state.rho, state.z, state.p, state.y,
                                   y_ceiling=problem.y_ceiling, y_floor=problem.y_floor)
     if why:
         raise InvariantViolation(why)
+    return True
 
 
 def steps(problem, dt, t_end, ncfg=None, renormalize=False):
@@ -98,17 +102,15 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
     corrector = PressureCorrector(problem.mesh, problem.geom, problem.eos, problem.bc, ncfg)
     y_newton = NewtonSequence(ncfg)
     state = initial_state(problem, dt)
-    _guard(state, problem)
-    report = initial_step_report(problem.mesh, problem.geom, problem.eos, state,
-                                 dt, problem.y_floor, problem.y_ceiling)
+    report = initial_step_report(problem.mesh, problem.geom, problem.eos, state, dt,
+                                 _guard(state, problem))
     yield state, report
     for n in range(1, n_steps + 1):
-        state, u_tilde, corr, p_used = advance(
+        state, u_tilde, corr, p_used, rho_face_old = advance(
             problem, state, dt, n * dt, assembler, corrector, y_newton, renormalize)
-        _guard(state, problem)
         report = build_step_report(
-            n, report, state, u_tilde, dt, p_used, assembler, problem.eos,
-            corr.newton_iters, problem.y_floor, problem.y_ceiling)
+            n, report, state, rho_face_old, u_tilde, dt, p_used, assembler, problem.eos,
+            corr.newton_iters, _guard(state, problem))
         yield state, report
 
 

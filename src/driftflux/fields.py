@@ -39,8 +39,8 @@ def admissibility_violation(rho, z, p=None, y=None, y_ceiling=True, y_floor=0.0)
     """The first bound of the one admissible set that the cell fields break,
     or None: rho, z and p (when given), all arrays, must be positive, and p
     finite; y (z / rho when not given) must exceed y_floor (1 - Y_FLOOR_RTOL)
-    and, with ``y_ceiling``, stay at or below 1.  Every guard of a step, the
-    step report and the state laws of C test exactly this.
+    and, with ``y_ceiling``, stay at or below 1.  Every guard of a step, whose
+    verdict the step report records, and the state laws of C test exactly this.
     """
     if (rho <= 0).any() or (z <= 0).any() or (
             p is not None and ((p <= 0) | (p == np.inf)).any()):
@@ -68,11 +68,12 @@ def face_density(rho, geom):
     return (geom.half * rho[K] + geom.half * rho[L]) / geom.diamond
 
 
-def face_density_all(rho, geom):
-    """Face density on every face; boundary faces take the adjacent cell value."""
+def face_density_all(rho, geom, rho_face=None):
+    """Face density on every face; boundary faces take the adjacent cell value.
+    ``rho_face`` is :func:`face_density` of ``rho`` when the caller has it."""
     m = geom.mesh
     out = np.empty(m.n_faces)
-    out[: m.n_internal] = face_density(rho, geom)
+    out[: m.n_internal] = face_density(rho, geom) if rho_face is None else rho_face
     out[m.n_internal:] = np.asarray(rho)[m.face_K[m.n_internal:]]
     return out
 

@@ -71,11 +71,12 @@ class NewtonResult:
     residual_norm: float
 
 
-def _residual_miss(A, x, rhs, norm_A, floor=1e-8):
+def _residual_miss(A, x, rhs, norm_A, floor=1e-8, r=None):
     """(residual, bound) of the worst column that misses the a-posteriori
     bound and the ``floor`` relative to max(||b||, 1), or None.  Norms are
-    max|.| per column, so an (n, k) rhs is checked column by column."""
-    r = A @ x - rhs
+    max|.| per column, so an (n, k) rhs is checked column by column; ``r`` is
+    the residual of ``x``, of either sign, when the caller has it."""
+    r = A @ x - rhs if r is None else r
     worst = None
     for r_j, x_j, b_j in [(r, x, rhs)] if rhs.ndim == 1 else zip(r.T, x.T, rhs.T):
         res = np.abs(r_j).max(initial=0.0)
@@ -135,10 +136,10 @@ def _bound(norm_A, x, norm_b):
 
 
 def _sweep(A, rhs, x, correct, cap, norm_A):
-    """(x, sweeps) of x <- x + correct(rhs - A x), stopped at the first sweep
-    that fails to halve max|rhs - A x| (keeping the smaller residual), at
-    ``cap`` sweeps, or once the last contraction cannot reach the bound
-    within ``cap``."""
+    """(x, rhs - A x, sweeps) of x <- x + correct(rhs - A x), stopped at the
+    first sweep that fails to halve max|rhs - A x| (keeping the smaller
+    residual), at ``cap`` sweeps, or once the last contraction cannot reach
+    the bound within ``cap``."""
     r = rhs - A @ x
     norm = np.max(np.abs(r), initial=0.0)
     target = _bound(norm_A, x, np.abs(rhs).max(initial=0.0))
@@ -149,16 +150,23 @@ def _sweep(A, rhs, x, correct, cap, norm_A):
         norm_new = np.max(np.abs(r_new))
         sweeps += 1
         if not norm_new <= 0.5 * norm:
-            return (x_new if norm_new < norm else x), sweeps
+            return (x_new, r_new, sweeps) if norm_new < norm else (x, r, sweeps)
         q = norm_new / norm
         x, r, norm = x_new, r_new, norm_new
         if norm > target and sweeps + np.log(target / norm) / np.log(q) > cap:
             break
-    return x, sweeps
+    return x, r, sweeps
 
 
-def _accepted(A, x, rhs, norm_A, floor=1e-8):
-    return np.all(np.isfinite(x)) and _residual_miss(A, x, rhs, norm_A, floor) is None
+def _accepted(A, x, rhs, norm_A, floor=1e-8, r=None):
+    return np.all(np.isfinite(x)) and _residual_miss(A, x, rhs, norm_A, floor, r) is None
+
+
+def _norm_inf(A):
+    """||A||_inf of a CSC matrix: the max row sum of |A|, one product of the
+    absolute values on A's own structure with ones."""
+    abs_A = sp.csc_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    return float(np.max(abs_A @ np.ones(A.shape[1]), initial=0.0))
 
 
 def _gmres(A, rhs, precondition, norm_A):
@@ -246,10 +254,10 @@ def _sparse_solve(A, rhs, norm_A, held):
             iteration = "Jacobi", rhs / d, lambda r: r / d, _jacobi_cap(A.shape[0])
     if iteration:
         name, x, correct, cap = iteration
-        x, sweeps = _sweep(A, rhs, x, correct, cap, norm_A)
+        x, r, sweeps = _sweep(A, rhs, x, correct, cap, norm_A)
         # an iterate meets the strict bound: with a tiny rhs the floor alone
         # passes a start such as rhs / d that never contracted
-        if _accepted(A, x, rhs, norm_A, floor=0.0):
+        if _accepted(A, x, rhs, norm_A, floor=0.0, r=r):
             return x, True, f"{name}, {sweeps} sweeps", None
         after = f" after {sweeps} {name} sweeps"
     if cpr:
@@ -293,8 +301,7 @@ def solve(matrix, rhs, held=None):
     accepted, lu = False, None
     if sp.issparse(matrix) and matrix.shape[0] > DENSE_MAX:
         A = matrix.tocsc()
-        norm_A = float(np.max(np.bincount(A.indices, weights=np.abs(A.data),
-                                          minlength=A.shape[0]), initial=0.0))
+        norm_A = _norm_inf(A)
         x, accepted, path, lu = _sparse_solve(A, rhs, norm_A, held)
     else:
         A = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)

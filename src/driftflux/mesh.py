@@ -11,7 +11,7 @@ Every finite-volume balance (mass, gas mass, the y-correction and the
 pressure-work check) goes through one operator: the face incidence turns face
 fluxes in the K orientation into the net outflow of each cell, and
 :func:`edge_pair_index` / :func:`edge_pair_values` give the matching matrix
-entries.
+entries.  Up to ``linalg.DENSE_MAX`` cells the incidence is a dense ndarray.
 
 Every matrix the solver assembles (the momentum matrix, both Newton
 Jacobians, the renormalization system and the transport matrices) keeps a
@@ -19,6 +19,8 @@ fixed sparsity on a mesh: each is a :class:`SparsePattern`, built on first
 use and cached by :meth:`Mesh2D.pattern`, and filled with each call's
 values: as a dense ndarray up to ``linalg.DENSE_MAX`` unknowns, the size that
 :func:`driftflux.linalg.solve` solves dense, and in its CSC structure above.
+The other mesh-only arrays of a step are built once too, by
+:meth:`Mesh2D.tables`.
 """
 
 import copy
@@ -64,9 +66,14 @@ class Mesh2D:
     boundary_tags: np.ndarray     # (B,) wall/slip/inlet/outlet
     # (M, F) face incidence: the first I columns are the signed edge incidence
     # D (+1 at K, -1 at L), the last B the boundary scatter (+1 at K), so one
-    # product gives the net outflow of every cell
-    incidence: sp.csc_matrix
+    # product gives the net outflow of every cell.  Up to DENSE_MAX cells it
+    # is an ndarray: one BLAS product costs less than scipy's sparse dispatch,
+    # and one with two or more columns (gemm) sums each row in the CSC
+    # product's order, bit for bit on every mesh of 2 to 128 cells; a
+    # matrix-vector product (gemv) may round another way
+    incidence: np.ndarray | sp.csc_matrix
     _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pattern(self, key, build):
         """The :class:`SparsePattern` ``key`` of this mesh; ``build(mesh)``
@@ -74,6 +81,14 @@ class Mesh2D:
         if key not in self._patterns:
             self._patterns[key] = build(self)
         return self._patterns[key]
+
+    def tables(self, key, build):
+        """The mesh-only arrays ``key`` of a step other than its patterns,
+        such as the momentum dof tables; ``build(mesh)`` makes them on first
+        use, and every caller shares them read-only."""
+        if key not in self._tables:
+            self._tables[key] = build(self)
+        return self._tables[key]
 
     @property
     def n_cells(self):
@@ -215,6 +230,8 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
                          face_K[n_int:]]),
          np.concatenate([np.arange(0, 2 * n_int, 2), 2 * n_int + np.arange(n_bnd + 1)])),
         shape=(nx * ny, F))
+    if nx * ny <= DENSE_MAX:
+        incidence = incidence.toarray()
 
     return Mesh2D(
         nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), x0=float(x0), y0=float(y0),

@@ -124,69 +124,90 @@ def assemble_dual_mass_fluxes(mesh, primal_fluxes):
     return gx * (_CORNER_NRAW[:, 0] * mesh.dy / 2) + gy * (_CORNER_NRAW[:, 1] * mesh.dx / 2)
 
 
+@dataclass(frozen=True)
+class MomentumTables:
+    """The mesh-only arrays of the prediction step, shared read-only by
+    every :class:`MomentumAssembler` on a mesh with one viscosity form."""
+
+    ndof: int
+    element: np.ndarray         # unit-viscosity 8x8 element matrix
+    cell_dofs: np.ndarray       # (M, 8) dof 2*face + component of each cell
+    dirichlet_dofs: np.ndarray  # rows with a prescribed velocity
+    tie_dofs: np.ndarray        # tangential slip dofs tied to their mirror partner
+    tie_partners: np.ndarray
+
+
+def momentum_tables(mesh, constant_form):
+    """The :class:`MomentumTables` of ``mesh``, with the element matrix of
+    the viscosity form ``constant_form`` (see :func:`viscous_element_matrix`)."""
+    bidx = np.arange(mesh.n_boundary)
+    tags = mesh.boundary_tags
+    gface = mesh.n_internal + bidx
+    axis = mesh.face_axis[gface]
+    full = 2 * gface[tags != SLIP]
+    slip = np.where(tags == SLIP)[0]
+    slip_face = gface[slip]
+    slip_normal_dof = 2 * slip_face + axis[slip]
+    partners = mirror_partners(mesh)[slip]
+    tang = 1 - axis[slip]
+    tied = partners >= 0
+    slip_tan_dof = 2 * slip_face + tang
+    arrays = [viscous_element_matrix(mesh.dx, mesh.dy, constant_form),
+              (2 * mesh.cell_faces[:, :, None] + np.arange(2)).reshape(-1, 8),
+              np.concatenate([full, full + 1, slip_normal_dof, slip_tan_dof[~tied]]),
+              # u_d - u_partner = 0
+              slip_tan_dof[tied], 2 * partners[tied] + tang[tied]]
+    for a in arrays:
+        a.flags.writeable = False
+    return MomentumTables(2 * mesh.n_faces, *arrays)
+
+
 class MomentumAssembler:
     """Constrained dofs of a mesh and the prediction-step assembly.
 
-    The matrix fills the mesh's fixed ``momentum`` :class:`SparsePattern`,
-    built on the first :meth:`assemble`; only its values change per step.
-    Each step's system is solved on its own, with no held LU, so a large
-    one tries Jacobi before it is factorized (:func:`driftflux.linalg.solve`).
+    The mesh's :class:`MomentumTables` are built by the first assembler of a
+    viscosity form on it.  The matrix fills the mesh's fixed ``momentum``
+    :class:`SparsePattern`, built on the first :meth:`assemble`; only its
+    values change per step.  Each step's system is solved on its own, with no
+    held LU, so a large one tries Jacobi before it is factorized
+    (:func:`driftflux.linalg.solve`).
     """
 
     def __init__(self, mesh, geom, viscosity):
         self.mesh = mesh
         self.geom = geom
         self.viscosity = viscosity
-        self.ndof = 2 * mesh.n_faces
-        self._element = viscous_element_matrix(mesh.dx, mesh.dy, viscosity.constant_form)
-        # local dof 2*face + component of each cell's 8 velocity dofs
-        self._cell_dofs = (2 * mesh.cell_faces[:, :, None] + np.arange(2)).reshape(-1, 8)
-
-        # constrained dofs
-        bidx = np.arange(mesh.n_boundary)
-        tags = mesh.boundary_tags
-        gface = mesh.n_internal + bidx
-        axis = mesh.face_axis[gface]
-        full = 2 * gface[tags != SLIP]
-        slip = np.where(tags == SLIP)[0]
-        slip_face = gface[slip]
-        slip_normal_dof = 2 * slip_face + axis[slip]
-        partners = mirror_partners(mesh)[slip]
-        tang = 1 - axis[slip]
-        tied = partners >= 0
-        slip_tan_dof = 2 * slip_face + tang
-        self._dirichlet_dofs = np.concatenate(
-            [full, full + 1, slip_normal_dof, slip_tan_dof[~tied]])
-        # tangential slip dofs tied to their mirror partner: u_d - u_partner = 0
-        self._tie_dofs = slip_tan_dof[tied]
-        self._tie_partners = 2 * partners[tied] + tang[tied]
+        form = viscosity.constant_form
+        self.tables = mesh.tables(("momentum", form), lambda m: momentum_tables(m, form))
 
     def _pattern(self, mesh):
         """Triplet positions in :meth:`assemble`'s value order: inertia,
         advection, viscosity (constrained rows dropped), then the identity
         rows of the Dirichlet dofs and the slip ties."""
-        dof = np.arange(self.ndof)
+        tab = self.tables
+        dof = np.arange(tab.ndof)
         # the row of each dof: -1 for the constrained ones
         row = dof.copy()
-        row[self._dirichlet_dofs] = -1
-        row[self._tie_dofs] = -1
+        row[tab.dirichlet_dofs] = -1
+        row[tab.tie_dofs] = -1
         # dofs of the out- and in-diamond of each sub-edge, (2, 4M, 2)
         ends = 2 * np.stack([mesh.cell_faces[:, _CORNER_OUT], mesh.cell_faces[:, _CORNER_IN]])
         ends = ends.reshape(2, -1, 1) + np.arange(2)
-        gd = self._cell_dofs
-        dd, td = self._dirichlet_dofs, self._tie_dofs
-        return SparsePattern(self.ndof, [
+        gd = tab.cell_dofs
+        dd, td = tab.dirichlet_dofs, tab.tie_dofs
+        return SparsePattern(tab.ndof, [
             (row, dof),
             # (out, out), (out, in), then (in, in), (in, out)
             (row[ends[:1]], ends), (row[ends[1:]], ends[::-1]),
             (row[gd][:, :, None], gd[:, None, :]),  # element (cell, test dof, trial dof)
-            (np.concatenate([dd, td, td]), np.concatenate([dd, td, self._tie_partners]))])
+            (np.concatenate([dd, td, td]), np.concatenate([dd, td, tab.tie_partners]))])
 
     def viscous_form(self, u, w, mu_cells):
         """a_d(u, w) evaluated on full (F,2) dof arrays."""
-        ue = np.asarray(u).reshape(-1)[self._cell_dofs]
-        we = np.asarray(w).reshape(-1)[self._cell_dofs]
-        return float(np.asarray(mu_cells) @ np.einsum("ca,ca->c", we @ self._element, ue))
+        tab = self.tables
+        ue = np.asarray(u).reshape(-1)[tab.cell_dofs]
+        we = np.asarray(w).reshape(-1)[tab.cell_dofs]
+        return float(np.asarray(mu_cells) @ np.einsum("ca,ca->c", we @ tab.element, ue))
 
     def assemble(self, rho_face_n, rho_face_nm1, u_n, dual, p_n, dt, mu_cells,
                  body_accel=None, source=None, t=None, bc=None):
@@ -195,17 +216,17 @@ class MomentumAssembler:
         ``dual`` holds the mesh's (M, 4) sub-edge fluxes from
         :func:`assemble_dual_mass_fluxes`.
         """
-        m = self.mesh
+        m, tab = self.mesh, self.tables
         dia = self.geom.face_lump
         # centered advection on diamond sub-edges: +half in the out-diamond's
         # rows, -half in the in-diamond's
         half = 0.5 * dual.ravel()
-        n_tie = self._tie_dofs.size
+        n_tie = tab.tie_dofs.size
         A = m.pattern("momentum", self._pattern).matrix(block() for block in (  # one at a time
             lambda: np.repeat(dia * rho_face_n / dt, 2),                     # lumped inertia
             lambda: np.repeat(np.concatenate([half, half, -half, -half]), 2),
-            lambda: (np.asarray(mu_cells)[:, None, None] * self._element).ravel(),
-            lambda: np.ones(self._dirichlet_dofs.size + n_tie), lambda: -np.ones(n_tie)))
+            lambda: (np.asarray(mu_cells)[:, None, None] * tab.element).ravel(),
+            lambda: np.ones(tab.dirichlet_dofs.size + n_tie), lambda: -np.ones(n_tie)))
 
         rhs = (dia * rho_face_nm1)[:, None] * np.asarray(u_n) / dt
         # pressure force on internal faces: + |sigma| (p_K - p_L) n
@@ -223,19 +244,22 @@ class MomentumAssembler:
         u_bnd = np.zeros((m.n_faces, 2))
         if bc is not None:
             u_bnd[m.n_internal:] = bc.face_velocity(m, t)
-        rhs[self._dirichlet_dofs] = u_bnd.ravel()[self._dirichlet_dofs]
-        rhs[self._tie_dofs] = 0.0
+        rhs[tab.dirichlet_dofs] = u_bnd.ravel()[tab.dirichlet_dofs]
+        rhs[tab.tie_dofs] = 0.0
         return A, rhs
 
 
-def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=None):
-    """Solve the discrete momentum balance for the predicted velocity."""
+def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=None,
+                     rho_faces=None):
+    """Solve the discrete momentum balance for the predicted velocity.
+
+    ``rho_faces`` holds the internal-face densities of ``state.rho`` and
+    ``state.rho_prev`` when the caller has them; :func:`face_density` has
+    checked that both densities are positive."""
     mesh = assembler.mesh
     geom = assembler.geom
-    rho_face_n = face_density_all(state.rho, geom)
-    rho_face_nm1 = face_density_all(state.rho_prev, geom)
-    if np.any(rho_face_n <= 0) or np.any(rho_face_nm1 <= 0):
-        raise InvariantViolation("predict_velocity: nonpositive face density")
+    rho_face_n, rho_face_nm1 = (face_density_all(rho, geom, f) for rho, f in
+                                zip((state.rho, state.rho_prev), rho_faces or (None, None)))
     dual = assemble_dual_mass_fluxes(mesh, state.fluxes)
     mu_cells = assembler.viscosity.cell_viscosity(state.rho)
     A, b = assembler.assemble(rho_face_n, rho_face_nm1, state.u, dual, state.p, dt,

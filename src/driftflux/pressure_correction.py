@@ -123,11 +123,13 @@ class PressureCorrector:
         self.newton = NewtonSequence(cfg, block=mesh.n_cells)
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
-    def step(self, state, u_tilde, dt, t_next, y_ceiling=True):
+    def step(self, state, u_tilde, dt, t_next, y_ceiling=True, rho_face_n=None):
         """One pressure correction step; returns the end-of-step unknowns.
 
         ``y_ceiling=False`` drops the z/rho <= 1 validation, needed when a
         manufactured gas-fraction source legitimately pushes y above 1.
+        ``rho_face_n`` is the face density of ``state.rho`` when the caller
+        has it.
         """
         eos = self.eos
         m = self.mesh
@@ -139,7 +141,8 @@ class PressureCorrector:
         p_old = np.asarray(state.p, dtype=float)
         rho_n = np.asarray(state.rho, dtype=float)
         rhoy_n = rho_n * np.asarray(state.y, dtype=float)
-        rho_face_n = face_density(rho_n, self.geom)
+        if rho_face_n is None:
+            rho_face_n = face_density(rho_n, self.geom)
         vol_dt = m.cell_measure / dt
         c_edge = dt * m.edge_measure**2 / (self.geom.diamond * rho_face_n)
         v_all = volume_fluxes(m, u_tilde)

@@ -6,12 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from driftflux import driver
+from driftflux import diagnostics, driver, fields
+from driftflux import pressure_correction as pc
 from driftflux.config import load_config, make_config
 from driftflux.driver import (SimulationResult, build_case, manufactured_errors,
                               run_simulation, simulate, steps)
 from driftflux.errors import ConfigurationError, InvariantViolation, SimulationError
 from driftflux.fields import State
+from driftflux.verification import random_wall_problem
 
 
 def exact_injection_errors(n, t=0.5):
@@ -324,3 +326,30 @@ def test_validate_state_detects_violations():
     rho = E.rho_from_py(p, y, e)
     assert admissibility_violation(rho, rho * y, p, y) is None
     assert admissibility_violation(rho, rho * y, p, np.array([0.3, 1.5])) is not None
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_a_step_forms_each_face_density_once_and_reports_the_guard_verdict(
+        monkeypatch, renormalize):
+    """Each step forms the face densities of rho^n and rho^{n-1} once, in
+    ``advance``, for the renormalization, the predictor, the corrector and the
+    report; the initial report forms one more.  The report's ``bounds_ok`` is
+    the guard's verdict: no report calls ``admissibility_violation``."""
+    calls = []
+    face_density = fields.face_density
+
+    def counting(rho, geom):
+        calls.append(1)
+        return face_density(rho, geom)
+
+    for module in (driver, diagnostics, fields, pc):
+        monkeypatch.setattr(module, "face_density", counting)
+
+    def no_second_check(*args, **kwargs):
+        raise AssertionError("the report re-checked the admissible set")
+
+    monkeypatch.setattr(diagnostics, "admissibility_violation", no_second_check)
+    problem = random_wall_problem(np.random.default_rng(7))
+    res = simulate(problem, dt=0.05, t_end=0.15, renormalize=renormalize)
+    assert len(res.reports) == 4 and all(r.bounds_ok for r in res.reports)
+    assert len(calls) == 1 + 2 * 3

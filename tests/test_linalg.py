@@ -567,6 +567,48 @@ def test_jacobi_solves_a_diagonally_dominant_system(splu_calls, caplog):
     assert np.max(np.abs(x - spla.spsolve(A, b))) < 1e-13 * np.max(np.abs(x))
 
 
+def test_sweep_returns_the_residual_of_its_iterate_and_accepts_on_it(monkeypatch):
+    """The residual _sweep returns is rhs - A x of the iterate it returns, bit
+    for bit, and a Jacobi solve accepts on it: one product with A per sweep,
+    the start's included, and none more."""
+    A = _tridiagonal(1600, 20.0, -1.0)
+    b = np.random.default_rng(14).normal(size=1600)
+    d = A.diagonal()
+    x, r, sweeps = linalg._sweep(A, b, b / d, lambda r: r / d, 50, 22.0)
+    assert sweeps > 0 and np.array_equal(r, b - A @ x)
+    products = []
+
+    class Counting(sp.csc_matrix):
+        def __matmul__(self, other):
+            products.append(1)
+            return super().__matmul__(other)
+
+    monkeypatch.setattr(linalg, "_static_pivot_lu", None)  # no factorization
+    x2, accepted, path, _ = linalg._sparse_solve(Counting(A), b, 22.0, None)
+    assert accepted and path == f"Jacobi, {sweeps} sweeps"
+    assert np.array_equal(x2, x) and len(products) == sweeps + 1
+
+
+def test_norm_inf_equals_the_row_sums_of_bincount(monkeypatch):
+    """||A||_inf from one product of |A| with ones equals the bincount row
+    sums it replaced, bit for bit, on every sparse system of a 12x12 run
+    (momentum, pressure and y Jacobians) and on an empty matrix."""
+    seen = []
+    norm_inf = linalg._norm_inf
+
+    def recording(A):
+        seen.append((A, norm_inf(A)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(linalg, "_norm_inf", recording)
+    run_simulation(make_config("manufactured", nx=12, ny=12, dt=0.01, t_end=0.03))
+    assert {A.shape[0] for A, _ in seen} == {144, 288, 2 * 2 * 12 * 13}
+    seen.append((sp.csc_matrix((5, 5)), norm_inf(sp.csc_matrix((5, 5)))))
+    for A, norm in seen:
+        rows = np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[0])
+        assert norm == float(np.max(rows, initial=0.0))
+
+
 def test_jacobi_that_does_not_contract_hands_over_to_the_lu(splu_calls, caplog):
     caplog.set_level("DEBUG", logger="driftflux.linalg")
     A = _tridiagonal(1600, 2.05, -1.0)

@@ -541,6 +541,29 @@ def test_momentum_fill_memory(monkeypatch):
 
 # --- structure built once ---------------------------------------------------
 
+def test_momentum_tables_are_built_once_per_mesh_and_read_only(monkeypatch):
+    """A second problem on a box shape builds no element matrix, dof table or
+    mirror partners: its assembler shares the mesh's read-only tables."""
+    first = verification.random_wall_problem(np.random.default_rng(3), 3, 5)
+    driver.simulate(first, dt=0.05, t_end=0.05)
+    for name in ("viscous_element_matrix", "momentum_tables", "mirror_partners"):
+        def spy(*args, _name=name):
+            raise AssertionError(f"{_name} called again")
+        monkeypatch.setattr(momentum, name, spy)
+    second = verification.random_wall_problem(np.random.default_rng(4), 3, 5)
+    assert second.mesh is first.mesh
+    assert len(driver.simulate(second, dt=0.05, t_end=0.1).reports) == 3
+    a = MomentumAssembler(first.mesh, first.geom, first.viscosity)
+    b = MomentumAssembler(second.mesh, second.geom, second.viscosity)
+    assert a.tables is b.tables
+    for name, array in vars(a.tables).items():
+        if name != "ndof":
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+
 def test_patterns_built_once_and_matrices_do_not_alias(monkeypatch):
     built = []
     filled = {}

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 import scipy.sparse as sp
 
+import driftflux.mesh as mesh_mod
+from driftflux.linalg import DENSE_MAX
 from driftflux.mesh import (build_uniform_mesh, edge_pair_index, edge_pair_values, upwind,
                             upwind_fluxes, upwind_transport_matrix)
 
@@ -52,6 +54,22 @@ def test_incidence_conserves(mesh53):
     ones = np.ones(mesh53.n_cells)
     assert np.all(ones @ mesh53.incidence[:, :n] == 0.0)
     assert np.all(ones @ mesh53.incidence[:, n:] == 1.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (11, 11), (12, 11)])
+def test_incidence_is_dense_up_to_dense_max_cells(monkeypatch, shape):
+    """Up to DENSE_MAX cells the incidence is an ndarray equal to the CSC
+    build entry for entry; a 12x11 mesh (132 cells) keeps the CSC matrix."""
+    m = build_uniform_mesh(*shape, 1.0, 1.0)
+    monkeypatch.setattr(mesh_mod, "DENSE_MAX", 0)
+    csc = build_uniform_mesh(*shape, 1.0, 1.0).incidence
+    assert sp.issparse(csc) and csc.format == "csc"
+    if m.n_cells <= DENSE_MAX:
+        assert type(m.incidence) is np.ndarray
+        assert np.array_equal(m.incidence, csc.toarray())
+    else:
+        assert sp.issparse(m.incidence) and m.incidence.format == "csc"
+        assert (m.incidence != csc).nnz == 0
 
 
 @pytest.mark.parametrize("zero_share", [0.0, 0.3, 1.0])
