@@ -85,7 +85,7 @@ class Mesh2D:
     def tables(self, key, build):
         """The mesh-only arrays ``key`` of a step other than its patterns,
         such as the momentum dof tables; ``build(mesh)`` makes them on first
-        use, and every caller shares them read-only."""
+        use, and every caller shares them."""
         if key not in self._tables:
             self._tables[key] = build(self)
         return self._tables[key]
