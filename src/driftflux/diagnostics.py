@@ -11,8 +11,7 @@ import numpy as np
 
 from . import eos as _eos
 from .errors import InvariantViolation
-from .fields import (admissibility_violation, face_density, pressure_seminorm,
-                     weighted_kinetic_norm)
+from .fields import pressure_seminorm, weighted_kinetic_norm
 from .mesh import upwind
 
 
@@ -46,13 +45,13 @@ CSV_COLUMNS = ["step", "time", "mass", "gas_mass", "mom_x", "mom_y", "kinetic",
                "p_max", "newton_iters", "outer_iters"]
 
 
-def conservation_report(state, mesh, geom, rho_face):
-    """(total mass, total gas mass, momentum vector); ``rho_face`` is the face
-    density of ``state.rho_prev``, the momentum's weight."""
+def conservation_report(state, mesh, geom):
+    """(total mass, total gas mass, momentum vector); the momentum is weighted
+    by ``state.rho_face_prev``."""
     mass = float(mesh.cell_measure * np.sum(state.rho))
     gas_mass = float(mesh.cell_measure * np.sum(state.z))
     n = mesh.n_internal
-    mom = np.sum((geom.diamond * rho_face)[:, None] * np.asarray(state.u)[:n], axis=0)
+    mom = np.sum((geom.diamond * state.rho_face_prev)[:, None] * np.asarray(state.u)[:n], axis=0)
     return mass, gas_mass, mom
 
 
@@ -60,47 +59,41 @@ def free_energy_integral(rho, z, mesh, eos):
     return float(mesh.cell_measure * np.sum(_eos.free_energy(rho, z, eos)))
 
 
-def bounds_ok(state, y_floor=0.0, y_ceiling=True):
-    """Whether ``state`` lies in the one admissible set, the driver's guard."""
-    return admissibility_violation(state.rho, state.z, state.p, state.y, y_ceiling,
-                                   y_floor) is None
-
-
-def _state_fields(state, rho_face, mesh, geom, eos, dt, bounds_ok):
-    """Report fields of ``state`` alone; ``rho_face`` is the face density of
-    ``state.rho_prev``, the weight of the kinetic and pressure terms, and
-    ``bounds_ok`` the verdict of the driver's guard on ``state``."""
-    mass, gas_mass, mom = conservation_report(state, mesh, geom, rho_face)
+def _state_fields(state, mesh, geom, eos, dt, bounds_ok):
+    """Report fields of ``state`` alone; ``state.rho_face_prev`` weighs the
+    kinetic and pressure terms, and ``bounds_ok`` is the verdict of the
+    driver's guard on ``state``."""
+    mass, gas_mass, mom = conservation_report(state, mesh, geom)
     return dict(
         time=state.t, mass=mass, gas_mass=gas_mass,
         mom_x=float(mom[0]), mom_y=float(mom[1]),
-        kinetic=0.5 * weighted_kinetic_norm(state.u, rho_face, geom),
+        kinetic=0.5 * weighted_kinetic_norm(state.u, state.rho_face_prev, geom),
         free_energy=free_energy_integral(state.rho, state.rho * state.y, mesh, eos),
-        pressure_seminorm_term=0.5 * dt**2 * pressure_seminorm(state.p, rho_face, geom),
+        pressure_seminorm_term=0.5 * dt**2 * pressure_seminorm(state.p, state.rho_face_prev, geom),
         bounds_ok=bounds_ok,
         y_min=float(np.min(state.y)), y_max=float(np.max(state.y)),
         p_min=float(np.min(state.p)), p_max=float(np.max(state.p)),
     )
 
 
-def build_step_report(step, previous, state_new, rho_face_old, u_tilde, dt, p_used,
-                      assembler, eos, newton_iters, bounds_ok):
+def build_step_report(step, previous, state_new, u_tilde, dt, p_used, assembler, eos,
+                      newton_iters, bounds_ok):
     """Evaluate every term of the per-step entropy estimate and the totals.
 
     The old energies are the ``kinetic`` and ``free_energy`` of ``previous``,
     the report of the state the step started from, whose density is
-    ``state_new.rho_prev`` with the face density ``rho_face_old``.
+    ``state_new.rho_prev`` with the face density ``state_new.rho_face_prev``.
     ``p_used`` is the pressure the step actually used for the increment (the
     renormalized one when that option is on).  The viscous term is the
     :class:`driftflux.momentum.MomentumAssembler`'s form at the old density's
     viscosity.  ``bounds_ok`` is the verdict of the driver's guard.
     """
     mesh, geom = assembler.mesh, assembler.geom
-    fields = _state_fields(state_new, rho_face_old, mesh, geom, eos, dt, bounds_ok)
+    fields = _state_fields(state_new, mesh, geom, eos, dt, bounds_ok)
     fe_z = free_energy_integral(state_new.rho, state_new.z, mesh, eos)
     mu_cells = assembler.viscosity.cell_viscosity(state_new.rho_prev)
     visc = dt * assembler.viscous_form(u_tilde, u_tilde, mu_cells)
-    p_term_old = 0.5 * dt**2 * pressure_seminorm(p_used, rho_face_old, geom)
+    p_term_old = 0.5 * dt**2 * pressure_seminorm(p_used, state_new.rho_face_prev, geom)
     lhs = fields["kinetic"] + fe_z + visc + fields["pressure_seminorm_term"]
     rhs = previous.kinetic + previous.free_energy + p_term_old
     return StepReport(
@@ -111,8 +104,7 @@ def build_step_report(step, previous, state_new, rho_face_old, u_tilde, dt, p_us
 
 
 def initial_step_report(mesh, geom, eos, state, dt, bounds_ok):
-    fields = _state_fields(state, face_density(state.rho_prev, geom), mesh, geom, eos,
-                           dt, bounds_ok)
+    fields = _state_fields(state, mesh, geom, eos, dt, bounds_ok)
     return StepReport(
         step=0, viscous_dissipation=0.0,
         pressure_seminorm_old=fields["pressure_seminorm_term"],

@@ -35,34 +35,37 @@ def initial_state(problem, dt):
     The given initial pressure is kept as data; the state law ties rho, p and
     z together only from the first correction step on.  The mass fraction is
     re-paired with the predicted fields, y^0 = z^0 / rho^0; the driver's guard
-    checks this level like every other.
+    checks this level like every other, and the initial density and gas
+    density, which no guard sees as rho_prev, must be positive.
     """
     z_guess = problem.rho_init * problem.y_init
+    why = admissibility_violation(problem.rho_init, z_guess, y_ceiling=False)
+    if why:
+        raise InvariantViolation(f"initial data: {why}")
     rho0, z0, fluxes = init_density_prediction(
         problem.mesh, problem.bc, problem.eos, problem.rho_init, problem.u_init,
         problem.p_init, z_guess, dt)
     return State(t=0.0, u=np.array(problem.u_init, dtype=float),
-                 p=np.array(problem.p_init, dtype=float), rho=rho0,
-                 z=z0, y=z0 / rho0,
-                 rho_prev=np.array(problem.rho_init, dtype=float), fluxes=fluxes)
+                 p=np.array(problem.p_init, dtype=float), rho=rho0, z=z0, y=z0 / rho0,
+                 rho_prev=np.array(problem.rho_init, dtype=float), fluxes=fluxes,
+                 rho_face=face_density(rho0, problem.geom),
+                 rho_face_prev=face_density(problem.rho_init, problem.geom))
 
 
 def advance(problem, state, dt, t_next, assembler, corrector, y_newton=None,
             renormalize=False):
     """One full scheme step, its y-correction a solve of the sequence
-    ``y_newton``; returns (new state, u_tilde, correction result, p_used,
-    face density of ``state.rho``).  The face densities of rho^n and
-    rho^{n-1} are formed once here for every stage that weighs by them."""
-    rho_faces = face_density(state.rho, problem.geom), face_density(state.rho_prev, problem.geom)
+    ``y_newton``; returns (new state, u_tilde, correction result, p_used).
+    Only the new level's face density is formed: rho^n's is carried on."""
     p_used = state.p
     if renormalize:
-        p_used = renormalize_pressure(problem.mesh, problem.geom, state.p, *rho_faces)
+        p_used = renormalize_pressure(problem.mesh, problem.geom, state.p, state.rho_face,
+                                      state.rho_face_prev)
     work = replace(state, p=p_used)
     u_tilde = predict_velocity(work, dt, assembler, problem.bc, t_next,
                                body_accel=problem.body_accel,
-                               source=problem.momentum_source, rho_faces=rho_faces)
-    corr = corrector.step(work, u_tilde, dt, t_next, y_ceiling=problem.y_ceiling,
-                          rho_face_n=rho_faces[0])
+                               source=problem.momentum_source)
+    corr = corrector.step(work, u_tilde, dt, t_next, y_ceiling=problem.y_ceiling)
     v_mean = volume_fluxes(problem.mesh, corr.u)[: problem.mesh.n_internal]
     G = drift_fluxes(problem.mesh, problem.eos, problem.drift,
                      corr.rho, corr.p, corr.z, v_mean)
@@ -71,8 +74,10 @@ def advance(problem, state, dt, t_next, assembler, corrector, y_newton=None,
                                   source=problem.y_source, t=t_next,
                                   boundary_flux=problem.y_boundary_flux)
     new_state = State(t=t_next, u=corr.u, p=corr.p, rho=corr.rho, z=corr.z,
-                      y=y_new, rho_prev=state.rho.copy(), fluxes=corr.fluxes)
-    return new_state, u_tilde, corr, p_used, rho_faces[0]
+                      y=y_new, rho_prev=state.rho.copy(), fluxes=corr.fluxes,
+                      rho_face=face_density(corr.rho, problem.geom),
+                      rho_face_prev=state.rho_face)
+    return new_state, u_tilde, corr, p_used
 
 
 def _guard(state, problem):
@@ -106,11 +111,10 @@ def steps(problem, dt, t_end, ncfg=None, renormalize=False):
                                  _guard(state, problem))
     yield state, report
     for n in range(1, n_steps + 1):
-        state, u_tilde, corr, p_used, rho_face_old = advance(
+        state, u_tilde, corr, p_used = advance(
             problem, state, dt, n * dt, assembler, corrector, y_newton, renormalize)
-        report = build_step_report(
-            n, report, state, rho_face_old, u_tilde, dt, p_used, assembler, problem.eos,
-            corr.newton_iters, _guard(state, problem))
+        report = build_step_report(n, report, state, u_tilde, dt, p_used, assembler,
+                                   problem.eos, corr.newton_iters, _guard(state, problem))
         yield state, report
 
 

@@ -67,7 +67,9 @@ def viscous_element_matrix(dx, dy, constant_model):
         A = A + G_cr / 3.0
     else:
         A = A + G.transpose(1, 2, 0, 3) - 2.0 / 3.0 * G_cr
-    return A.reshape(8, 8)
+    A = A.reshape(8, 8)
+    A.flags.writeable = False  # shared by every assembler on a mesh
+    return A
 
 
 @dataclass
@@ -126,20 +128,18 @@ def assemble_dual_mass_fluxes(mesh, primal_fluxes):
 
 @dataclass(frozen=True)
 class MomentumTables:
-    """The mesh-only arrays of the prediction step, shared read-only by
-    every :class:`MomentumAssembler` on a mesh with one viscosity form."""
+    """The mesh-only dof arrays of the prediction step, shared read-only by
+    every :class:`MomentumAssembler` on a mesh."""
 
     ndof: int
-    element: np.ndarray         # unit-viscosity 8x8 element matrix
     cell_dofs: np.ndarray       # (M, 8) dof 2*face + component of each cell
     dirichlet_dofs: np.ndarray  # rows with a prescribed velocity
     tie_dofs: np.ndarray        # tangential slip dofs tied to their mirror partner
     tie_partners: np.ndarray
 
 
-def momentum_tables(mesh, constant_form):
-    """The :class:`MomentumTables` of ``mesh``, with the element matrix of
-    the viscosity form ``constant_form`` (see :func:`viscous_element_matrix`)."""
+def momentum_tables(mesh):
+    """The :class:`MomentumTables` of ``mesh``."""
     bidx = np.arange(mesh.n_boundary)
     tags = mesh.boundary_tags
     gface = mesh.n_internal + bidx
@@ -152,8 +152,7 @@ def momentum_tables(mesh, constant_form):
     tang = 1 - axis[slip]
     tied = partners >= 0
     slip_tan_dof = 2 * slip_face + tang
-    arrays = [viscous_element_matrix(mesh.dx, mesh.dy, constant_form),
-              (2 * mesh.cell_faces[:, :, None] + np.arange(2)).reshape(-1, 8),
+    arrays = [(2 * mesh.cell_faces[:, :, None] + np.arange(2)).reshape(-1, 8),
               np.concatenate([full, full + 1, slip_normal_dof, slip_tan_dof[~tied]]),
               # u_d - u_partner = 0
               slip_tan_dof[tied], 2 * partners[tied] + tang[tied]]
@@ -162,15 +161,39 @@ def momentum_tables(mesh, constant_form):
     return MomentumTables(2 * mesh.n_faces, *arrays)
 
 
+def momentum_pattern(mesh):
+    """Triplet positions in :meth:`MomentumAssembler.assemble`'s value order:
+    inertia, advection, viscosity (constrained rows dropped), then the
+    identity rows of the Dirichlet dofs and the slip ties; from the mesh's
+    own :class:`MomentumTables`."""
+    tab = mesh.tables("momentum", momentum_tables)
+    dof = np.arange(tab.ndof)
+    # the row of each dof: -1 for the constrained ones
+    row = dof.copy()
+    row[tab.dirichlet_dofs] = -1
+    row[tab.tie_dofs] = -1
+    # dofs of the out- and in-diamond of each sub-edge, (2, 4M, 2)
+    ends = 2 * np.stack([mesh.cell_faces[:, _CORNER_OUT], mesh.cell_faces[:, _CORNER_IN]])
+    ends = ends.reshape(2, -1, 1) + np.arange(2)
+    gd = tab.cell_dofs
+    dd, td = tab.dirichlet_dofs, tab.tie_dofs
+    return SparsePattern(tab.ndof, [
+        (row, dof),
+        # (out, out), (out, in), then (in, in), (in, out)
+        (row[ends[:1]], ends), (row[ends[1:]], ends[::-1]),
+        (row[gd][:, :, None], gd[:, None, :]),  # element (cell, test dof, trial dof)
+        (np.concatenate([dd, td, td]), np.concatenate([dd, td, tab.tie_partners]))])
+
+
 class MomentumAssembler:
     """Constrained dofs of a mesh and the prediction-step assembly.
 
-    The mesh's :class:`MomentumTables` are built by the first assembler of a
-    viscosity form on it.  The matrix fills the mesh's fixed ``momentum``
-    :class:`SparsePattern`, built on the first :meth:`assemble`; only its
-    values change per step.  Each step's system is solved on its own, with no
-    held LU, so a large one tries Jacobi before it is factorized
-    (:func:`driftflux.linalg.solve`).
+    The mesh's :class:`MomentumTables`, and its unit-viscosity element matrix
+    of each viscosity form, are built by the first assembler that needs them.
+    The matrix fills the mesh's fixed ``momentum`` :class:`SparsePattern`,
+    built on the first :meth:`assemble`; only its values change per step.
+    Each step's system is solved on its own, with no held LU, so a large one
+    tries Jacobi before it is factorized (:func:`driftflux.linalg.solve`).
     """
 
     def __init__(self, mesh, geom, viscosity):
@@ -178,36 +201,16 @@ class MomentumAssembler:
         self.geom = geom
         self.viscosity = viscosity
         form = viscosity.constant_form
-        self.tables = mesh.tables(("momentum", form), lambda m: momentum_tables(m, form))
-
-    def _pattern(self, mesh):
-        """Triplet positions in :meth:`assemble`'s value order: inertia,
-        advection, viscosity (constrained rows dropped), then the identity
-        rows of the Dirichlet dofs and the slip ties."""
-        tab = self.tables
-        dof = np.arange(tab.ndof)
-        # the row of each dof: -1 for the constrained ones
-        row = dof.copy()
-        row[tab.dirichlet_dofs] = -1
-        row[tab.tie_dofs] = -1
-        # dofs of the out- and in-diamond of each sub-edge, (2, 4M, 2)
-        ends = 2 * np.stack([mesh.cell_faces[:, _CORNER_OUT], mesh.cell_faces[:, _CORNER_IN]])
-        ends = ends.reshape(2, -1, 1) + np.arange(2)
-        gd = tab.cell_dofs
-        dd, td = tab.dirichlet_dofs, tab.tie_dofs
-        return SparsePattern(tab.ndof, [
-            (row, dof),
-            # (out, out), (out, in), then (in, in), (in, out)
-            (row[ends[:1]], ends), (row[ends[1:]], ends[::-1]),
-            (row[gd][:, :, None], gd[:, None, :]),  # element (cell, test dof, trial dof)
-            (np.concatenate([dd, td, td]), np.concatenate([dd, td, tab.tie_partners]))])
+        self.tables = mesh.tables("momentum", momentum_tables)
+        self.element = mesh.tables(("viscous_element", form),
+                                   lambda m: viscous_element_matrix(m.dx, m.dy, form))
 
     def viscous_form(self, u, w, mu_cells):
         """a_d(u, w) evaluated on full (F,2) dof arrays."""
         tab = self.tables
         ue = np.asarray(u).reshape(-1)[tab.cell_dofs]
         we = np.asarray(w).reshape(-1)[tab.cell_dofs]
-        return float(np.asarray(mu_cells) @ np.einsum("ca,ca->c", we @ tab.element, ue))
+        return float(np.asarray(mu_cells) @ np.einsum("ca,ca->c", we @ self.element, ue))
 
     def assemble(self, rho_face_n, rho_face_nm1, u_n, dual, p_n, dt, mu_cells,
                  body_accel=None, source=None, t=None, bc=None):
@@ -222,10 +225,10 @@ class MomentumAssembler:
         # rows, -half in the in-diamond's
         half = 0.5 * dual.ravel()
         n_tie = tab.tie_dofs.size
-        A = m.pattern("momentum", self._pattern).matrix(block() for block in (  # one at a time
+        A = m.pattern("momentum", momentum_pattern).matrix(block() for block in (  # one at a time
             lambda: np.repeat(dia * rho_face_n / dt, 2),                     # lumped inertia
             lambda: np.repeat(np.concatenate([half, half, -half, -half]), 2),
-            lambda: (np.asarray(mu_cells)[:, None, None] * tab.element).ravel(),
+            lambda: (np.asarray(mu_cells)[:, None, None] * self.element).ravel(),
             lambda: np.ones(tab.dirichlet_dofs.size + n_tie), lambda: -np.ones(n_tie)))
 
         rhs = (dia * rho_face_nm1)[:, None] * np.asarray(u_n) / dt
@@ -249,17 +252,11 @@ class MomentumAssembler:
         return A, rhs
 
 
-def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=None,
-                     rho_faces=None):
-    """Solve the discrete momentum balance for the predicted velocity.
-
-    ``rho_faces`` holds the internal-face densities of ``state.rho`` and
-    ``state.rho_prev`` when the caller has them; :func:`face_density` has
-    checked that both densities are positive."""
+def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=None):
+    """Solve the discrete momentum balance for the predicted velocity."""
     mesh = assembler.mesh
-    geom = assembler.geom
-    rho_face_n, rho_face_nm1 = (face_density_all(rho, geom, f) for rho, f in
-                                zip((state.rho, state.rho_prev), rho_faces or (None, None)))
+    rho_face_n = face_density_all(state.rho, state.rho_face, mesh)
+    rho_face_nm1 = face_density_all(state.rho_prev, state.rho_face_prev, mesh)
     dual = assemble_dual_mass_fluxes(mesh, state.fluxes)
     mu_cells = assembler.viscosity.cell_viscosity(state.rho)
     A, b = assembler.assemble(rho_face_n, rho_face_nm1, state.u, dual, state.p, dt,

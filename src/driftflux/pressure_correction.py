@@ -35,7 +35,7 @@ import numpy as np
 
 from . import eos as _eos
 from .errors import InvariantViolation
-from .fields import admissibility_violation, face_density
+from .fields import admissibility_violation
 from .linalg import NewtonSequence, newton_solve, solve
 from .mesh import (SparsePattern, edge_pair_index, edge_pair_values, inlet_split, upwind,
                    upwind_fluxes, volume_fluxes)
@@ -65,8 +65,6 @@ def assemble_pressure_operator(mesh, geom, rho_face, rho_upwind, border=0.0):
     """The elliptic operator (L q)_K = sum (rho_up/rho_sigma)(|s|^2/|D_s|)(q_K - q_L),
     bordered by the mean-value row and column: the (M+1)-square matrix
     [[L, b], [b^t, 0]] with b = ``border`` in every cell."""
-    if np.any(np.asarray(rho_face) <= 0):
-        raise InvariantViolation("pressure operator: nonpositive face density")
     w = np.asarray(rho_upwind) / np.asarray(rho_face) * mesh.edge_measure**2 / geom.diamond
     b = np.full(mesh.n_cells, float(border))
     return mesh.pattern("bordered_pressure_operator", _bordered_pattern).matrix(
@@ -123,13 +121,11 @@ class PressureCorrector:
         self.newton = NewtonSequence(cfg, block=mesh.n_cells)
         self._p_floor = 1e-12 * eos.a2 * eos.rho_l
 
-    def step(self, state, u_tilde, dt, t_next, y_ceiling=True, rho_face_n=None):
+    def step(self, state, u_tilde, dt, t_next, y_ceiling=True):
         """One pressure correction step; returns the end-of-step unknowns.
 
         ``y_ceiling=False`` drops the z/rho <= 1 validation, needed when a
         manufactured gas-fraction source legitimately pushes y above 1.
-        ``rho_face_n`` is the face density of ``state.rho`` when the caller
-        has it.
         """
         eos = self.eos
         m = self.mesh
@@ -141,10 +137,8 @@ class PressureCorrector:
         p_old = np.asarray(state.p, dtype=float)
         rho_n = np.asarray(state.rho, dtype=float)
         rhoy_n = rho_n * np.asarray(state.y, dtype=float)
-        if rho_face_n is None:
-            rho_face_n = face_density(rho_n, self.geom)
         vol_dt = m.cell_measure / dt
-        c_edge = dt * m.edge_measure**2 / (self.geom.diamond * rho_face_n)
+        c_edge = dt * m.edge_measure**2 / (self.geom.diamond * state.rho_face)
         v_all = volume_fluxes(m, u_tilde)
         v_tilde = v_all[:nint]
         split = vb_out, vb_in = inlet_split(m, v_all[nint:])
@@ -246,7 +240,7 @@ class PressureCorrector:
         u = np.array(u_tilde, dtype=float)
         dp = (p - p_old)[K] - (p - p_old)[L]
         u[:nint] += (dt * m.edge_measure[:nint] /
-                     (self.geom.diamond * rho_face_n) * dp)[:, None] * m.edge_normal
+                     (self.geom.diamond * state.rho_face) * dp)[:, None] * m.edge_normal
         fluxes = upwind_fluxes(m, v, up, split, rho, rho_in)
         return CorrectionResult(u=u, p=p, z=z, rho=rho, fluxes=fluxes,
                                 newton_iters=res.iterations,

@@ -12,18 +12,19 @@ from driftflux import eos as E
 from driftflux.boundary import BoundaryConditions
 from driftflux.cases import build_case
 from driftflux.config import make_config
-from driftflux.diagnostics import bounds_ok
 from driftflux.driver import _guard, run_simulation, simulate
 from driftflux.eos import EosParams
 from driftflux.errors import InvariantViolation, SimulationError
-from driftflux.fields import State
+from driftflux.fields import State, admissibility_violation, face_density
 from driftflux.gas_fraction import FLUX_FUNCTIONS, correct_mass_fraction
 from driftflux.linalg import NewtonResult
 from driftflux.mesh import build_diamond_geometry, build_uniform_mesh
 from driftflux.pressure_correction import PressureCorrector
+from driftflux.verification import random_wall_problem
 
 E51 = EosParams(5.0, 1.0)
 MESH = build_uniform_mesh(2, 1, 1.0, 1.0)
+GEOM = build_diamond_geometry(MESH)
 ONE_ULP_ABOVE_ONE = np.nextafter(1.0, 2.0)
 
 
@@ -31,8 +32,17 @@ def _state(y, rho=1.0, p=1.0, z=None):
     y = np.full(2, y, dtype=float)
     rho = np.full(2, rho, dtype=float)
     z = rho * y if z is None else np.full(2, z, dtype=float)
+    rho_face = face_density(rho, GEOM)
     return State(t=0.0, u=np.zeros((MESH.n_faces, 2)), p=np.full(2, p, dtype=float),
-                 rho=rho, z=z, y=y, rho_prev=rho, fluxes=np.zeros(MESH.n_faces))
+                 rho=rho, z=z, y=y, rho_prev=rho, fluxes=np.zeros(MESH.n_faces),
+                 rho_face=rho_face, rho_face_prev=rho_face)
+
+
+def bounds_ok(state, y_floor=0.0, y_ceiling=True):
+    """Whether ``state`` lies in the one admissible set, as the driver's guard
+    decides it."""
+    return admissibility_violation(state.rho, state.z, state.p, state.y, y_ceiling,
+                                   y_floor) is None
 
 
 def _guard_accepts(state, ceiling=True, y_floor=0.0):
@@ -102,8 +112,7 @@ def test_nonpositive_fields_rejected_by_y_correction(rho, z):
 
 def _pressure_step_end(monkeypatch, p, z, y_ceiling=True):
     """Run one correction step whose Newton solve returns (p, z) in every cell."""
-    geom = build_diamond_geometry(MESH)
-    corrector = PressureCorrector(MESH, geom, E51, BoundaryConditions())
+    corrector = PressureCorrector(MESH, GEOM, E51, BoundaryConditions())
     x = np.concatenate([np.full(2, p), np.full(2, z)])
     monkeypatch.setattr("driftflux.pressure_correction.newton_solve",
                         lambda *args, **kw: NewtonResult(x=x, iterations=1, residual_norm=0.0))
@@ -120,9 +129,10 @@ def test_pressure_step_checks_end_state(monkeypatch):
         with pytest.raises(InvariantViolation, match="y must stay at or below 1"):
             _pressure_step_end(monkeypatch, p, 1.0)
         _pressure_step_end(monkeypatch, p, 1.0, y_ceiling=False)
-    # rho < 0 (p small), z <= 0, p <= 0
+    # rho < 0 (p small), z <= 0, p <= 0; the state law divides by the stubbed
+    # p = 0, which Newton's own admissibility test (p above a floor) never returns
     for p, z in ((0.5, 1.0), (1.0, 0.0), (1.0, -0.1), (0.0, 0.5), (-1.0, 0.5)):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation), np.errstate(divide="ignore"):
             _pressure_step_end(monkeypatch, p, z, y_ceiling=False)
 
 
@@ -150,6 +160,40 @@ def test_level_0_above_the_y_ceiling_stops_the_run():
                        match="initialization failed: y must stay at or below 1") as info:
         simulate(dataclasses.replace(problem, y_init=y_init), 0.05, 0.1)
     assert info.value.step == 0 and info.value.reports == []
+
+
+@pytest.mark.parametrize("field,message", [("rho_init", "initial data: rho, p, z"),
+                                           ("p_init", "rho, p, z")])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_nonpositive_initial_data_stops_the_run_at_level_0(field, message, value):
+    """One nonpositive cell of the initial density or pressure stops the run
+    at level 0 with a named error: the density is checked where the initial
+    data are read, before any face density is formed, and the pressure by
+    the level-0 guard, before any state law takes it."""
+    problem = random_wall_problem(np.random.default_rng(5))
+    data = getattr(problem, field).copy()
+    data[6] = value
+    with pytest.raises(SimulationError,
+                       match=f"initialization failed: {message} must stay positive") as info:
+        simulate(dataclasses.replace(problem, **{field: data}), 0.05, 0.1)
+    assert info.value.step == 0 and info.value.reports == []
+
+
+def test_negative_renormalized_pressure_stops_the_step(monkeypatch):
+    """The renormalized pressure is the one pressure that no guard sees
+    before a state law takes it: a negative cell of it stops the run at
+    step 1, at the start check of the pressure step's Newton solve."""
+    def renormalized(mesh, geom, p, *rho_faces):
+        q = p.copy()
+        q[6] = -1.0
+        return q
+
+    monkeypatch.setattr("driftflux.driver.renormalize_pressure", renormalized)
+    problem = random_wall_problem(np.random.default_rng(5))
+    with pytest.raises(SimulationError, match="aborted at step 1: initial Newton iterate "
+                                              "is inadmissible") as info:
+        simulate(problem, 0.05, 0.1, renormalize=True)
+    assert info.value.step == 1
 
 
 def test_gas_density_is_defined_only_inside_c():

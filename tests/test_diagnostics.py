@@ -17,10 +17,11 @@ def test_conservation_report_uniform():
     m = build_uniform_mesh(3, 3, 1.0, 1.0)
     g = build_diamond_geometry(m)
     rho = np.full(m.n_cells, 2.0)
+    rf = face_density(rho, g)
     state = State(t=0.0, u=np.zeros((m.n_faces, 2)), p=np.ones(m.n_cells),
                   rho=rho, z=0.5 * rho, y=np.full(m.n_cells, 0.5),
-                  rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces))
-    mass, gas, mom = D.conservation_report(state, m, g, face_density(rho, g))
+                  rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces), rho_face=rf, rho_face_prev=rf)
+    mass, gas, mom = D.conservation_report(state, m, g)
     assert mass == pytest.approx(2.0)
     assert gas == pytest.approx(1.0)
     assert np.allclose(mom, 0.0)
@@ -32,10 +33,10 @@ def test_conservation_report_momentum_sum():
     rho = np.array([1.0, 2.0, 3.0, 4.0])
     u = np.zeros((m.n_faces, 2))
     u[: m.n_internal] = [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, -1.0]]
-    state = State(t=0.0, u=u, p=np.ones(4), rho=rho, z=0.5 * rho,
-                  y=np.full(4, 0.5), rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces))
     rf = face_density(rho, g)
-    _, _, mom = D.conservation_report(state, m, g, rf)
+    state = State(t=0.0, u=u, p=np.ones(4), rho=rho, z=0.5 * rho, y=np.full(4, 0.5),
+                  rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces), rho_face=rf, rho_face_prev=rf)
+    _, _, mom = D.conservation_report(state, m, g)
     brute = sum(g.diamond[e] * rf[e] * u[e] for e in range(m.n_internal))
     assert np.allclose(mom, brute)
 

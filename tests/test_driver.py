@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from driftflux import diagnostics, driver, fields
+from driftflux import diagnostics, driver, fields, momentum
 from driftflux import pressure_correction as pc
 from driftflux.config import load_config, make_config
 from driftflux.driver import (SimulationResult, build_case, manufactured_errors,
@@ -22,8 +22,10 @@ def exact_injection_errors(n, t=0.5):
     sol = problem.exact
     mesh = problem.mesh
     rho, _, y, z, p = sol.eval(t, mesh.cell_centers)
+    rho_face = fields.face_density(rho, problem.geom)
     state = State(t=t, u=sol.velocity(mesh.face_midpoint, t), p=p, rho=rho, z=z,
-                  y=y, rho_prev=rho, fluxes=np.zeros(mesh.n_faces))
+                  y=y, rho_prev=rho, fluxes=np.zeros(mesh.n_faces),
+                  rho_face=rho_face, rho_face_prev=rho_face)
     return manufactured_errors(SimulationResult(problem=problem, state=state, reports=[]))
 
 
@@ -331,9 +333,10 @@ def test_validate_state_detects_violations():
 @pytest.mark.parametrize("renormalize", [False, True])
 def test_a_step_forms_each_face_density_once_and_reports_the_guard_verdict(
         monkeypatch, renormalize):
-    """Each step forms the face densities of rho^n and rho^{n-1} once, in
-    ``advance``, for the renormalization, the predictor, the corrector and the
-    report; the initial report forms one more.  The report's ``bounds_ok`` is
+    """Each level's face density is formed once and carried on its ``State``:
+    level 0 forms those of rho^0 and rho_prev, each step only that of its new
+    density, which the renormalization, the predictor, the corrector and the
+    reports of this step and the next read.  The report's ``bounds_ok`` is
     the guard's verdict: no report calls ``admissibility_violation``."""
     calls = []
     face_density = fields.face_density
@@ -342,14 +345,15 @@ def test_a_step_forms_each_face_density_once_and_reports_the_guard_verdict(
         calls.append(1)
         return face_density(rho, geom)
 
-    for module in (driver, diagnostics, fields, pc):
-        monkeypatch.setattr(module, "face_density", counting)
+    for module in (driver, diagnostics, fields, pc, momentum):
+        monkeypatch.setattr(module, "face_density", counting, raising=False)
 
     def no_second_check(*args, **kwargs):
         raise AssertionError("the report re-checked the admissible set")
 
-    monkeypatch.setattr(diagnostics, "admissibility_violation", no_second_check)
+    monkeypatch.setattr(diagnostics, "admissibility_violation", no_second_check,
+                        raising=False)
     problem = random_wall_problem(np.random.default_rng(7))
     res = simulate(problem, dt=0.05, t_end=0.15, renormalize=renormalize)
     assert len(res.reports) == 4 and all(r.bounds_ok for r in res.reports)
-    assert len(calls) == 1 + 2 * 3
+    assert len(calls) == 2 + 1 * 3

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from driftflux import fields
-from driftflux.errors import InvariantViolation
+from driftflux import driver, fields
+from driftflux.driver import simulate
+from driftflux.errors import SimulationError
 from driftflux.mesh import build_diamond_geometry, build_uniform_mesh, upwind
+from driftflux.verification import random_wall_problem
 
 
 @pytest.fixture
@@ -47,9 +51,19 @@ def test_face_density_bounds_property():
     assert np.all(rf >= lo - 1e-14) and np.all(rf <= hi + 1e-14)
 
 
-def test_face_density_rejects_nonpositive(geom2):
-    with pytest.raises(InvariantViolation):
-        fields.face_density(np.array([1.0, -0.5]), geom2)
+def test_face_density_rejects_nonpositive(monkeypatch):
+    """A nonpositive cell density never reaches :func:`fields.face_density`,
+    which checks nothing: a run whose initial density has one stops at level
+    0, before any face density is formed."""
+    problem = random_wall_problem(np.random.default_rng(0), 2, 1)
+    problem = dataclasses.replace(problem, rho_init=np.array([1.0, -0.5]))
+
+    def never(*args):
+        raise AssertionError("a face density was formed")
+
+    monkeypatch.setattr(driver, "face_density", never)
+    with pytest.raises(SimulationError, match="initialization failed: initial data: rho"):
+        simulate(problem, 0.05, 0.1)
 
 
 def test_upwind_value_examples(mesh2):

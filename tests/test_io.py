@@ -1,9 +1,9 @@
 import numpy as np
 
 from driftflux.eos import EosParams
-from driftflux.fields import State
+from driftflux.fields import State, face_density
 from driftflux.io import cell_velocity, write_vtk
-from driftflux.mesh import build_uniform_mesh
+from driftflux.mesh import build_diamond_geometry, build_uniform_mesh
 
 
 def _reference_vtk(mesh, state, eos):
@@ -41,8 +41,9 @@ def test_vtk_dump_matches_entry_by_entry_formatting(tmp_path):
     p, rho, z, y = field(1e5), field(1.0), field(0.5), field(0.5)
     u = rng.normal(size=(mesh.n_faces, 2))
     u[0] = [-0.0, 1e-17]
+    rho_face = face_density(rho, build_diamond_geometry(mesh))
     state = State(t=0.125, u=u, p=p, rho=rho, z=z, y=y, rho_prev=rho,
-                  fluxes=np.zeros(mesh.n_faces))
+                  fluxes=np.zeros(mesh.n_faces), rho_face=rho_face, rho_face_prev=rho_face)
     eos = EosParams(5.0, 1.0)
     path = tmp_path / "dump.vtk"
     write_vtk(mesh, state, eos, str(path))

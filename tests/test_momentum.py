@@ -18,7 +18,8 @@ from driftflux.momentum import (MomentumAssembler, ViscosityModel,
 E51 = EosParams(5.0, 1.0)
 
 
-def wall_state(mesh, rho, u=None, p=None, fluxes=None):
+def wall_state(geom, rho, u=None, p=None, fluxes=None):
+    mesh = geom.mesh
     M = mesh.n_cells
     return State(
         t=0.0,
@@ -29,6 +30,7 @@ def wall_state(mesh, rho, u=None, p=None, fluxes=None):
         y=np.full(M, 0.4),
         rho_prev=np.asarray(rho, dtype=float).copy(),
         fluxes=np.zeros(mesh.n_faces) if fluxes is None else fluxes,
+        rho_face=face_density(rho, geom), rho_face_prev=face_density(rho, geom),
     )
 
 
@@ -183,7 +185,7 @@ def test_viscous_form_matches_per_cell_sum(constant):
 def test_predict_velocity_zero_state():
     m = build_uniform_mesh(4, 4, 1.0, 1.0)
     g = build_diamond_geometry(m)
-    state = wall_state(m, np.full(m.n_cells, 2.0))
+    state = wall_state(g, np.full(m.n_cells, 2.0))
     asm = MomentumAssembler(m, g, ViscosityModel("constant", mu=1e-2))
     u = predict_velocity(state, 0.1, asm, BoundaryConditions(), 0.1)
     assert np.max(np.abs(u)) < 1e-13
@@ -206,8 +208,8 @@ def test_predicted_velocity_solves_momentum_system():
     asm = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
     dual = assemble_dual_mass_fluxes(problem.mesh, state.fluxes)
     mu = problem.viscosity.cell_viscosity(state.rho)
-    A, b = asm.assemble(face_density_all(state.rho, problem.geom),
-                        face_density_all(state.rho_prev, problem.geom),
+    A, b = asm.assemble(face_density_all(state.rho, state.rho_face, problem.mesh),
+                        face_density_all(state.rho_prev, state.rho_face_prev, problem.mesh),
                         state.u, dual, state.p, config.dt, mu,
                         source=problem.momentum_source, t=config.dt, bc=problem.bc)
     u = predict_velocity(state, config.dt, asm, problem.bc, config.dt,

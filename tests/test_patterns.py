@@ -195,7 +195,7 @@ def _pressure_oracle(mesh, geom, state, u_tilde, dt, bc, eos, x):
     bK = mesh.face_K[nint:]
     p_old = state.p
     vol_dt = mesh.cell_measure / dt
-    c_edge = dt * mesh.edge_measure**2 / (geom.diamond * face_density(state.rho, geom))
+    c_edge = dt * mesh.edge_measure**2 / (geom.diamond * state.rho_face)
     v_all = volume_fluxes(mesh, u_tilde)
     vb_out, vb_in = inlet_split(mesh, v_all[nint:])
 
@@ -228,8 +228,10 @@ def test_pressure_jacobian_matches_coo_oracle(monkeypatch):
     p = rng.uniform(0.5, 2.0, M)
     y = rng.uniform(0.2, 0.6, M)
     rho = E.rho_from_py(p, y, E51)
+    rho_face = face_density(rho, geom)
     state = State(t=0.0, u=np.zeros((mesh.n_faces, 2)), p=p, rho=rho, z=rho * y, y=y,
-                  rho_prev=rho.copy(), fluxes=np.zeros(mesh.n_faces))
+                  rho_prev=rho.copy(), fluxes=np.zeros(mesh.n_faces),
+                  rho_face=rho_face, rho_face_prev=rho_face)
     u_tilde = rng.normal(size=(mesh.n_faces, 2))
     u_tilde[rng.permutation(nint)[: int(0.3 * nint)]] = 0.0
     bc = BoundaryConditions(inlet_mass_fraction=0.3)
@@ -486,12 +488,12 @@ def test_momentum_pattern_build_memory():
     44 bytes per triplet of traced memory and keeps at most 7 (the np.unique
     build took 87 and kept 10.7)."""
     problem = driver.build_case(make_config("sloshing", nx=40, ny=40))
-    assembler = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
-    assembler._pattern(build_uniform_mesh(3, 3, 1.0, 1.0))  # first-call costs
+    MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)  # builds the tables
+    momentum.momentum_pattern(build_uniform_mesh(3, 3, 1.0, 1.0))  # first-call costs
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        pattern = problem.mesh.pattern("momentum", assembler._pattern)
+        pattern = problem.mesh.pattern("momentum", momentum.momentum_pattern)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -543,7 +545,8 @@ def test_momentum_fill_memory(monkeypatch):
 
 def test_momentum_tables_are_built_once_per_mesh_and_read_only(monkeypatch):
     """A second problem on a box shape builds no element matrix, dof table or
-    mirror partners: its assembler shares the mesh's read-only tables."""
+    mirror partners: its assembler shares the mesh's read-only tables and
+    element matrix."""
     first = verification.random_wall_problem(np.random.default_rng(3), 3, 5)
     driver.simulate(first, dt=0.05, t_end=0.05)
     for name in ("viscous_element_matrix", "momentum_tables", "mirror_partners"):
@@ -555,7 +558,8 @@ def test_momentum_tables_are_built_once_per_mesh_and_read_only(monkeypatch):
     assert len(driver.simulate(second, dt=0.05, t_end=0.1).reports) == 3
     a = MomentumAssembler(first.mesh, first.geom, first.viscosity)
     b = MomentumAssembler(second.mesh, second.geom, second.viscosity)
-    assert a.tables is b.tables
+    assert a.tables is b.tables and a.element is b.element
+    assert not a.element.flags.writeable
     for name, array in vars(a.tables).items():
         if name != "ndof":
             assert not array.flags.writeable

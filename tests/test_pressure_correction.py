@@ -101,14 +101,16 @@ def test_two_cell_against_dense_fsolve_oracle():
     p_n = E.p_from_rho_z(rho_n, rho_n * y_n, E51)
     u = np.zeros((m.n_faces, 2))
     u[0] = (0.3, 0.0)
+    rho_face = face_density(rho_n, g)
     state = State(t=0.0, u=u, p=p_n, rho=rho_n, z=rho_n * y_n, y=y_n,
-                  rho_prev=rho_n.copy(), fluxes=np.zeros(m.n_faces))
+                  rho_prev=rho_n.copy(), fluxes=np.zeros(m.n_faces),
+                  rho_face=rho_face, rho_face_prev=rho_face)
     corr = PressureCorrector(m, g, E51, BoundaryConditions())
     res = corr.step(state, u, dt, dt)
 
     # independent dense residual solved by scipy's own Newton machinery
     vol_dt = m.cell_measure / dt
-    c = dt * m.edge_measure[0] ** 2 / (g.diamond[0] * face_density(rho_n, g)[0])
+    c = dt * m.edge_measure[0] ** 2 / (g.diamond[0] * rho_face[0])
     v_t = m.edge_measure[0] * 0.3
     rhoy = rho_n * y_n
 
@@ -329,8 +331,10 @@ def test_step_upwinds_edges_that_the_pressure_drives_across_zero(monkeypatch):
     rho = rng.uniform(0.5, 2.0, M)
     y = rng.uniform(0.2, 0.6, M)
     p = E.p_from_rho_z(rho, rho * y, E51)
+    rho_face = face_density(rho, g)
     state = State(t=0.0, u=np.zeros((m.n_faces, 2)), p=p, rho=rho, z=rho * y, y=y,
-                  rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces))
+                  rho_prev=rho.copy(), fluxes=np.zeros(m.n_faces),
+                  rho_face=rho_face, rho_face_prev=rho_face)
     u_tilde = np.zeros((m.n_faces, 2))
     u_tilde[:nint] = rng.normal(size=(nint, 2))
     still = rng.permutation(nint)[: nint // 2]
