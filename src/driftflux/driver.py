@@ -196,10 +196,6 @@ class ConvergenceStudy:
         y = np.log([p[1] for p in pts])
         return float(np.polyfit(x, y, 1)[0])
 
-    def ratio(self, variable, coarse, fine, dt=None):
-        dt = dt if dt is not None else self.dts[0]
-        return self._error(variable, coarse, dt) / self._error(variable, fine, dt)
-
 
 def convergence_study(meshes, dts, t_end=0.5, flux="flux_splitting", matrix=False):
     """Error table of the manufactured case over meshes x time steps.

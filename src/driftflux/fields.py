@@ -43,8 +43,9 @@ def admissibility_violation(rho, z, p=None, y=None, y_ceiling=True, y_floor=0.0)
     or None: rho, z and p (when given), all arrays, must be positive, and p
     finite; y (z / rho when not given) must exceed y_floor (1 - Y_FLOOR_RTOL)
     and, with ``y_ceiling``, stay at or below 1.  Every guard of a step, whose
-    verdict the step report records, the check of a run's initial data and
-    :func:`~driftflux.eos.gas_density_from_rho_z` on C test exactly this.
+    verdict the step report records, the check of a run's initial data,
+    :func:`~driftflux.eos.gas_density_from_rho_z` on C and the y-correction's
+    Newton iterates test exactly this.
     """
     if (rho <= 0).any() or (z <= 0).any() or (
             p is not None and ((p <= 0) | (p == np.inf)).any()):

@@ -15,12 +15,11 @@ entries.  Up to ``linalg.DENSE_MAX`` cells the incidence is a dense ndarray.
 
 Every matrix the solver assembles (the momentum matrix, both Newton
 Jacobians, the renormalization system and the transport matrices) keeps a
-fixed sparsity on a mesh: each is a :class:`SparsePattern`, built on first
-use and cached by :meth:`Mesh2D.pattern`, and filled with each call's
-values: as a dense ndarray up to ``linalg.DENSE_MAX`` unknowns, the size that
-:func:`driftflux.linalg.solve` solves dense, and in its CSC structure above.
-The other mesh-only arrays of a step are built once too, by
-:meth:`Mesh2D.tables`.
+fixed sparsity on a mesh: each is a :class:`SparsePattern`, filled with
+each call's values: as a dense ndarray up to ``linalg.DENSE_MAX`` unknowns,
+the size that :func:`driftflux.linalg.solve` solves dense, and in its CSC
+structure above.  The patterns and the other mesh-only arrays of a step are
+built on first use and kept by :meth:`Mesh2D.cached`.
 """
 
 import copy
@@ -72,23 +71,15 @@ class Mesh2D:
     # product's order, bit for bit on every mesh of 2 to 128 cells; a
     # matrix-vector product (gemv) may round another way
     incidence: np.ndarray | sp.csc_matrix
-    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def pattern(self, key, build):
-        """The :class:`SparsePattern` ``key`` of this mesh; ``build(mesh)``
-        makes it on first use."""
-        if key not in self._patterns:
-            self._patterns[key] = build(self)
-        return self._patterns[key]
-
-    def tables(self, key, build):
-        """The mesh-only arrays ``key`` of a step other than its patterns,
-        such as the momentum dof tables; ``build(mesh)`` makes them on first
-        use, and every caller shares them."""
-        if key not in self._tables:
-            self._tables[key] = build(self)
-        return self._tables[key]
+    def cached(self, key, build):
+        """The mesh-only object ``key``, such as a :class:`SparsePattern` or
+        the momentum dof tables; ``build(mesh)`` makes it on first use, and
+        every caller shares it."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
 
     @property
     def n_cells(self):
@@ -310,7 +301,7 @@ def upwind_transport_matrix(mesh, up, v, diagonal):
     the implicit upwind balance of the edge fluxes ``v`` with upstream cells
     ``up``."""
     up_is_K = up == mesh.edge_K
-    return mesh.pattern("transport", transport_pattern).matrix([
+    return mesh.cached("transport", transport_pattern).matrix([
         edge_pair_values([np.where(up_is_K, v, 0.0), np.where(up_is_K, 0.0, v)]), diagonal])
 
 
@@ -338,11 +329,11 @@ class SparsePattern:
     broadcast against each other, and the block's triplets follow the C
     order of that shape.  Triplets in a negative row are dropped.  Each
     :meth:`matrix` call sums the value blocks into their slots in place, with
-    no concatenated copy above 8192 triplets, so duplicates add as in a COO
-    matrix.  Up to ``DENSE_MAX`` unknowns each matrix is an (n, n) ndarray,
-    summed by one ``np.bincount`` over the triplets' row-major positions; above,
-    it is CSC, and every matrix shares ``indices`` and ``indptr`` (sorted,
-    read-only) but owns its ``data``.
+    no concatenated copy, so duplicates add as in a COO matrix.  Up to
+    ``DENSE_MAX`` unknowns each matrix is an (n, n) ndarray, summed by one
+    ``np.bincount`` over the triplets' row-major positions; above, it is CSC,
+    and every matrix shares ``indices`` and ``indptr`` (sorted, read-only)
+    but owns its ``data``.
 
     The triplet-to-compressed-column step follows Davis (*Direct Methods for
     Sparse Linear Systems*, SIAM 2006), here by one sort of an int64 key per
@@ -387,11 +378,10 @@ class SparsePattern:
             return np.bincount(self._dense, np.concatenate(list(blocks)),
                                minlength=n * n + 1)[:-1].reshape(n, n)
         A = copy.copy(self._template)
-        # np.add.at reads int32 slots as they are (np.bincount copies them to
-        # int64); up to 8192 triplets, copying beats one call per value block
+        # np.add.at reads int32 slots as they are (np.bincount copies them to int64)
         data = np.zeros(self.nnz + 1)
         start = 0
-        for block in [np.concatenate(list(blocks))] if self._slot.size <= 8192 else blocks:
+        for block in blocks:
             np.add.at(data, self._slot[start:start + len(block)], block)
             start += len(block)
         if start != self._slot.size:

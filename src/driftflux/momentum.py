@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import mirror_partners
-from .errors import InvariantViolation
 from .fields import face_density_all
 from .linalg import solve
 from .mesh import (E, N, S, SLIP, W, SparsePattern, inlet_split, upwind, upwind_fluxes,
@@ -115,8 +114,6 @@ def assemble_dual_mass_fluxes(mesh, primal_fluxes):
     the primal ones, which is what carries the mass balance to the diamonds.
     """
     f = np.asarray(primal_fluxes, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise InvariantViolation("dual fluxes: non-finite primal fluxes")
     # flux density along the +axis, single-valued per face, so the piecewise
     # reconstruction matches across cells; (M, 4) in the order W, E, S, N
     sign = np.where(mesh.face_axis == 0, mesh.face_normal[:, 0], mesh.face_normal[:, 1])
@@ -166,7 +163,7 @@ def momentum_pattern(mesh):
     inertia, advection, viscosity (constrained rows dropped), then the
     identity rows of the Dirichlet dofs and the slip ties; from the mesh's
     own :class:`MomentumTables`."""
-    tab = mesh.tables("momentum", momentum_tables)
+    tab = mesh.cached("momentum_tables", momentum_tables)
     dof = np.arange(tab.ndof)
     # the row of each dof: -1 for the constrained ones
     row = dof.copy()
@@ -190,7 +187,7 @@ class MomentumAssembler:
 
     The mesh's :class:`MomentumTables`, and its unit-viscosity element matrix
     of each viscosity form, are built by the first assembler that needs them.
-    The matrix fills the mesh's fixed ``momentum`` :class:`SparsePattern`,
+    The matrix fills the mesh's fixed ``momentum_pattern`` :class:`SparsePattern`,
     built on the first :meth:`assemble`; only its values change per step.
     Each step's system is solved on its own, with no held LU, so a large one
     tries Jacobi before it is factorized (:func:`driftflux.linalg.solve`).
@@ -201,8 +198,8 @@ class MomentumAssembler:
         self.geom = geom
         self.viscosity = viscosity
         form = viscosity.constant_form
-        self.tables = mesh.tables("momentum", momentum_tables)
-        self.element = mesh.tables(("viscous_element", form),
+        self.tables = mesh.cached("momentum_tables", momentum_tables)
+        self.element = mesh.cached(("viscous_element", form),
                                    lambda m: viscous_element_matrix(m.dx, m.dy, form))
 
     def viscous_form(self, u, w, mu_cells):
@@ -225,7 +222,8 @@ class MomentumAssembler:
         # rows, -half in the in-diamond's
         half = 0.5 * dual.ravel()
         n_tie = tab.tie_dofs.size
-        A = m.pattern("momentum", momentum_pattern).matrix(block() for block in (  # one at a time
+        pattern = m.cached("momentum_pattern", momentum_pattern)
+        A = pattern.matrix(block() for block in (  # one at a time
             lambda: np.repeat(dia * rho_face_n / dt, 2),                     # lumped inertia
             lambda: np.repeat(np.concatenate([half, half, -half, -half]), 2),
             lambda: (np.asarray(mu_cells)[:, None, None] * self.element).ravel(),

@@ -49,7 +49,6 @@ class CorrectionResult:
     rho: np.ndarray
     fluxes: np.ndarray
     newton_iters: int
-    residual: float
 
 
 def _bordered_pattern(m):
@@ -67,7 +66,7 @@ def assemble_pressure_operator(mesh, geom, rho_face, rho_upwind, border=0.0):
     [[L, b], [b^t, 0]] with b = ``border`` in every cell."""
     w = np.asarray(rho_upwind) / np.asarray(rho_face) * mesh.edge_measure**2 / geom.diamond
     b = np.full(mesh.n_cells, float(border))
-    return mesh.pattern("bordered_pressure_operator", _bordered_pattern).matrix(
+    return mesh.cached("bordered_pressure_operator", _bordered_pattern).matrix(
         [edge_pair_values([w, -w]), b, b])
 
 
@@ -192,7 +191,7 @@ class PressureCorrector:
             wp_K, wp_L = at_up(v * drdp[up])
             wz_K, wz_L = at_up(v * drdz[up])
             v_K, v_L = at_up(v)
-            pattern = m.pattern("pressure_jacobian", _jacobian_pattern)
+            pattern = m.cached("pressure_jacobian", _jacobian_pattern)
             return pattern.matrix([
                 # mass balance: d/dp through v and rho_up, d/dz through rho_up
                 edge_pair_values([c_rho + wp_K, wp_L - c_rho, wz_K, wz_L]),
@@ -243,5 +242,4 @@ class PressureCorrector:
                      (self.geom.diamond * state.rho_face) * dp)[:, None] * m.edge_normal
         fluxes = upwind_fluxes(m, v, up, split, rho, rho_in)
         return CorrectionResult(u=u, p=p, z=z, rho=rho, fluxes=fluxes,
-                                newton_iters=res.iterations,
-                                residual=res.residual_norm)
+                                newton_iters=res.iterations)

@@ -14,6 +14,7 @@ from .diagnostics import (drift_dissipation_check, entropy_scale,
                           segment_point_check)
 from .driver import simulate
 from .eos import EosParams
+from .errors import InvariantViolation
 from .gas_fraction import FLUX_FUNCTIONS, DriftModel, correct_mass_fraction, drift_fluxes, _phi
 from .linalg import NewtonConfig, solve
 from .mesh import build_diamond_geometry, build_uniform_mesh, upwind, upwind_transport_matrix
@@ -79,11 +80,11 @@ def pressure_work_instance(rng, eos, dt=0.1):
         A = upwind_transport_matrix(mesh, upwind(mesh, v)[0], v,
                                     np.full(M, mesh.cell_measure / dt))
         rho, z = solve(A, mesh.cell_measure / dt * np.column_stack([rho_star, z_star])).T
-        ok = (np.all(rho > 0) and np.all(z > 0)
-              and np.all(z - rho + eos.rho_l > 0)
-              and np.all(z_star - rho_star + eos.rho_l > 0))
-        if ok:
-            return mesh, rho_star, z_star, rho, z, v
+        try:
+            _eos.gas_density_from_rho_z(rho, z, eos)  # (rho*, z*) are in C by construction
+        except InvariantViolation:
+            continue
+        return mesh, rho_star, z_star, rho, z, v
     raise RuntimeError("could not draw an admissible pressure-work instance")
 
 

@@ -14,7 +14,7 @@ from driftflux.cases import build_case
 from driftflux.config import make_config
 from driftflux.driver import _guard, run_simulation, simulate
 from driftflux.eos import EosParams
-from driftflux.errors import InvariantViolation, SimulationError
+from driftflux.errors import DriftFluxError, InvariantViolation, SimulationError
 from driftflux.fields import State, admissibility_violation, face_density
 from driftflux.gas_fraction import FLUX_FUNCTIONS, correct_mass_fraction
 from driftflux.linalg import NewtonResult
@@ -54,10 +54,13 @@ def _guard_accepts(state, ceiling=True, y_floor=0.0):
 
 
 def _y_correction_accepts(rho, z, source=None):
+    """Whether a y-correction with drift, which runs Newton, takes (rho, z):
+    Newton's admissible set is the one admissible set of y = z / rho."""
     try:
-        correct_mass_fraction(MESH, np.full(2, rho), np.full(2, z), np.zeros(1),
-                              FLUX_FUNCTIONS["flux_splitting"], 0.0, 0.1, source=source)
-    except InvariantViolation:
+        with np.errstate(divide="ignore"):
+            correct_mass_fraction(MESH, np.full(2, rho), np.full(2, z), np.array([0.1]),
+                                  FLUX_FUNCTIONS["flux_splitting"], 0.0, 0.1, source=source)
+    except DriftFluxError:
         return False
     return True
 

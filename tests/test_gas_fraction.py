@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+from driftflux.driver import simulate
 from driftflux.eos import EosParams
-from driftflux.errors import InvariantViolation
+from driftflux.errors import DriftFluxError
 from driftflux.gas_fraction import (FLUX_FUNCTIONS, DriftModel, _phi,
                                     correct_mass_fraction, drift_fluxes)
 from driftflux.linalg import NewtonSequence
 from driftflux.mesh import build_uniform_mesh
+from driftflux.verification import random_wall_problem
 
 E51 = EosParams(5.0, 1.0)
 FS = FLUX_FUNCTIONS["flux_splitting"]
@@ -177,13 +181,15 @@ def test_correct_bounds_randomized():
 
 
 def test_correct_rejects_bad_input():
+    """With drift, Newton's start check rejects a negative density and a y
+    above 1."""
     m = build_uniform_mesh(2, 1, 1.0, 1.0)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(DriftFluxError):
         correct_mass_fraction(m, np.array([1.0, -1.0]), np.array([0.3, 0.3]),
-                              np.zeros(1), FS, 0.0, 0.1)
-    with pytest.raises(InvariantViolation):
+                              np.array([0.1]), FS, 0.0, 0.1)
+    with pytest.raises(DriftFluxError):
         correct_mass_fraction(m, np.array([1.0, 1.0]), np.array([0.3, 1.5]),
-                              np.zeros(1), FS, 0.0, 0.1)
+                              np.array([0.1]), FS, 0.0, 0.1)
 
 
 def test_drift_model_validation():
@@ -191,3 +197,15 @@ def test_drift_model_validation():
         DriftModel("darcy", lam=0.0)
     with pytest.raises(ValueError):
         DriftModel("constant", diffusion=-0.1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_darcy_closed_box_under_godunov_runs_in_bounds(seed):
+    """Strong Darcy drift (lambda = 0.1) under the Godunov flux on the entropy
+    suite's 4x4 closed box: with Newton's iterates kept at y in (0, 1], where
+    the flux partials do not vanish, every y-correction converges and all 20
+    steps stay in bounds."""
+    problem = dataclasses.replace(random_wall_problem(np.random.default_rng(seed)),
+                                  drift=DriftModel("darcy", lam=0.1), flux_fn=GOD)
+    reports = simulate(problem, 0.05, 1.0).reports
+    assert len(reports) == 21 and all(r.bounds_ok for r in reports)

@@ -51,6 +51,12 @@ def dense(A):
     return A.toarray() if sp.issparse(A) else A
 
 
+def _mesh_patterns(mesh):
+    """The :class:`SparsePattern` entries of the mesh's cache, by key."""
+    return {key: value for key, value in mesh._cache.items()
+            if isinstance(value, SparsePattern)}
+
+
 def _assert_same_matrix(A, oracle):
     if A.shape[0] <= DENSE_MAX:
         assert type(A) is np.ndarray
@@ -164,7 +170,7 @@ def test_momentum_matrix_matches_coo_oracle(tags, constant):
     asm = MomentumAssembler(mesh, geom, visc)
     A, rhs = asm.assemble(*args, **kw)
     _assert_same_matrix(A, oracle)
-    assert mesh.pattern("momentum", None).nnz == oracle.nnz
+    assert mesh.cached("momentum_pattern", None).nnz == oracle.nnz
     assert np.max(np.abs(rhs - rhs_oracle)) <= 1e-14 * np.max(np.abs(rhs_oracle))
     # a second fill of the same pattern with other values
     A2, _ = asm.assemble(*args[:-1], 2.0 * mu, **kw)
@@ -375,10 +381,11 @@ def test_dense_fill_equals_the_csc_fill(monkeypatch, shape):
                                (np.array([-1, 2]), np.array([4, 2]))])
     random.matrix([rng.normal(size=200), rng.normal(size=2)])
 
-    assert sorted(mesh._patterns) == ["bordered_pressure_operator", "momentum",
-                                      "pressure_jacobian", "transport"]
+    patterns = _mesh_patterns(mesh)
+    assert sorted(patterns) == ["bordered_pressure_operator", "momentum_pattern",
+                                "pressure_jacobian", "transport"]
     assert {id(pattern) for pattern, _, _ in fills} == {
-        id(pattern) for pattern in [random, *mesh._patterns.values()]}
+        id(pattern) for pattern in [random, *patterns.values()]}
     for pattern, blocks, A in fills:
         assert type(A) is np.ndarray and A.shape[0] <= DENSE_MAX
         as_csc = copy.copy(pattern)
@@ -453,8 +460,8 @@ def test_every_mesh_pattern_matches_the_unique_build(monkeypatch, case):
     monkeypatch.setattr(mesh_mod.SparsePattern, "__init__", recording_init)
     config = make_config(case, nx=6, ny=8, dt=0.01, t_end=0.01, renormalize=True)
     mesh = driver.run_simulation(config).problem.mesh
-    assert sorted(mesh._patterns) == ["bordered_pressure_operator", "momentum",
-                                      "pressure_jacobian", "transport"]
+    assert sorted(_mesh_patterns(mesh)) == ["bordered_pressure_operator", "momentum_pattern",
+                                            "pressure_jacobian", "transport"]
     assert len(built) == 4
     for pattern, n, blocks in built:
         _assert_matches_unique_build(pattern, n, blocks)
@@ -493,7 +500,7 @@ def test_momentum_pattern_build_memory():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        pattern = problem.mesh.pattern("momentum", momentum.momentum_pattern)
+        pattern = problem.mesh.cached("momentum_pattern", momentum.momentum_pattern)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

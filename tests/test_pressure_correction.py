@@ -210,13 +210,14 @@ def test_step_takes_no_inadmissible_or_worse_extrapolated_start(monkeypatch):
     asm = MomentumAssembler(problem.mesh, problem.geom, problem.viscosity)
     ut = predict_velocity(state, config.dt, asm, problem.bc, config.dt,
                           source=problem.momentum_source)
-    guesses = []
+    guesses, results = [], []
     newton_solve = pc.newton_solve
 
     def spy(*args, **kwargs):
         solve = inspect.signature(newton_solve).bind(*args, **kwargs).arguments
         guesses.append(solve["newton"].guess(solve["x0"], solve["start_fn"]))
-        return newton_solve(*args, **kwargs)
+        results.append(newton_solve(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(pc, "newton_solve", spy)
     M = problem.mesh.n_cells
@@ -235,7 +236,8 @@ def test_step_takes_no_inadmissible_or_worse_extrapolated_start(monkeypatch):
         res = step(d)
         for name in ("p", "z", "rho", "u", "fluxes"):
             assert np.array_equal(getattr(res, name), getattr(fresh, name))
-        assert (res.newton_iters, res.residual) == (fresh.newton_iters, fresh.residual)
+        assert res.newton_iters == fresh.newton_iters
+        assert results[-1].residual_norm == results[0].residual_norm
     assert guesses[0] is None and guesses[1] is None
     assert np.all(guesses[2][:M] > 1.9 * state.p)
 
@@ -354,7 +356,7 @@ def test_step_upwinds_edges_that_the_pressure_drives_across_zero(monkeypatch):
 
     (solve_cfg, abs_scale, r0, res), = solves
     assert solve_cfg is cfg and abs_scale >= 1.0
-    assert corr.residual == res.residual_norm <= cfg.abs_tol * abs_scale + cfg.rel_tol * r0
+    assert res.residual_norm <= cfg.abs_tol * abs_scale + cfg.rel_tol * r0
     assert corr.newton_iters == res.iterations <= 8
 
     v = volume_fluxes(m, corr.u)
