@@ -1,4 +1,8 @@
-"""Diagnostics CSV and legacy ASCII VTK output."""
+"""Diagnostics CSV and legacy binary VTK output.
+
+The VTK dumps store every array as big-endian IEEE doubles, so each value is
+written exactly and the bytes do not depend on how a platform formats floats.
+"""
 
 import os
 
@@ -28,47 +32,33 @@ def write_diagnostics_csv(reports, path, abort_note=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def _formatted(fmt, values, sep="\n"):
-    """``fmt`` applied to each row of ``values``, joined by ``sep``, in one %
-    operation over the whole array: the same text as formatting entry by entry."""
-    values = np.asarray(values, dtype=float)
-    return sep.join([fmt] * len(values)) % tuple(values.ravel().tolist())
-
-
 def cell_velocity(mesh, u_face):
     """Cell-averaged velocity: mean of the four face vectors."""
     return np.mean(np.asarray(u_face)[mesh.cell_faces], axis=1)
 
 
 def write_vtk(mesh, state, eos, path):
-    """Legacy ASCII rectilinear-grid dump with the cell unknowns."""
+    """Legacy binary rectilinear-grid dump with the cell unknowns: each array
+    is a block of big-endian float64 after its header line."""
     nx, ny = mesh.nx, mesh.ny
-    xs = mesh.x0 + mesh.dx * np.arange(nx + 1)
-    ys = mesh.y0 + mesh.dy * np.arange(ny + 1)
-    alpha_g = eos.a2 * state.z / state.p
-    vel = cell_velocity(mesh, state.u)
-    out = []
-    out.append("# vtk DataFile Version 3.0")
-    out.append(f"driftflux t={format_float(state.t)}")
-    out.append("ASCII")
-    out.append("DATASET RECTILINEAR_GRID")
-    out.append(f"DIMENSIONS {nx + 1} {ny + 1} 1")
-    out.append(f"X_COORDINATES {nx + 1} double")
-    out.append(_formatted(FLOAT, xs, " "))
-    out.append(f"Y_COORDINATES {ny + 1} double")
-    out.append(_formatted(FLOAT, ys, " "))
-    out.append("Z_COORDINATES 1 double")
-    out.append("0")
-    out.append(f"CELL_DATA {mesh.n_cells}")
+    vel = np.zeros((mesh.n_cells, 3))
+    vel[:, :2] = cell_velocity(mesh, state.u)
+    out = [f"# vtk DataFile Version 3.0\ndriftflux t={format_float(state.t)}\nBINARY\n"
+           f"DATASET RECTILINEAR_GRID\nDIMENSIONS {nx + 1} {ny + 1} 1\n".encode()]
+
+    def block(line, values):
+        out.extend((f"{line}\n".encode(), np.asarray(values, dtype=">f8").tobytes(), b"\n"))
+
+    block(f"X_COORDINATES {nx + 1} double", mesh.x0 + mesh.dx * np.arange(nx + 1))
+    block(f"Y_COORDINATES {ny + 1} double", mesh.y0 + mesh.dy * np.arange(ny + 1))
+    block("Z_COORDINATES 1 double", 0.0)
+    out.append(f"CELL_DATA {mesh.n_cells}\n".encode())
     for name, arr in (("p", state.p), ("rho", state.rho), ("z", state.z),
-                      ("y", state.y), ("alpha_g", alpha_g)):
-        out.append(f"SCALARS {name} double 1")
-        out.append("LOOKUP_TABLE default")
-        out.append(_formatted(FLOAT, arr))
-    out.append("VECTORS velocity double")
-    out.append(_formatted(f"{FLOAT} {FLOAT} 0", vel))
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+                      ("y", state.y), ("alpha_g", eos.a2 * state.z / state.p)):
+        block(f"SCALARS {name} double 1\nLOOKUP_TABLE default", arr)
+    block("VECTORS velocity double", vel)
+    with open(path, "wb") as fh:
+        fh.writelines(out)
 
 
 def dump_path(out_dir, step):

@@ -87,14 +87,13 @@ def test_vtk_structure(tmp_path):
     config = make_config("uniform", nx=3, ny=2, dt=0.05, t_end=0.05,
                          out_dir=str(tmp_path), dump_interval=1)
     run_simulation(config)
-    text = (tmp_path / "fields_000001.vtk").read_text().splitlines()
-    assert text[0].startswith("# vtk DataFile")
-    assert "DATASET RECTILINEAR_GRID" in text
-    assert "DIMENSIONS 4 3 1" in text
-    assert "CELL_DATA 6" in text
+    data = (tmp_path / "fields_000001.vtk").read_bytes()
+    assert data.startswith(b"# vtk DataFile")
+    assert b"\nBINARY\nDATASET RECTILINEAR_GRID\nDIMENSIONS 4 3 1\n" in data
+    assert b"\nCELL_DATA 6\n" in data
     for name in ("p", "rho", "z", "y", "alpha_g"):
-        assert f"SCALARS {name} double 1" in text
-    assert "VECTORS velocity double" in text
+        assert f"\nSCALARS {name} double 1\nLOOKUP_TABLE default\n".encode() in data
+    assert b"\nVECTORS velocity double\n" in data
 
 
 def test_config_file_round_trip(tmp_path):
