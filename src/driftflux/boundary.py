@@ -10,6 +10,7 @@ prescribed (rho, z) fields of (x, t).  Outflow always upwinds the interior.
 import numpy as np
 
 from . import eos as _eos
+from .errors import ConfigurationError
 from .mesh import INLET, SLIP, WALL
 
 
@@ -54,7 +55,7 @@ class BoundaryConditions:
                 mesh.face_midpoint[mesh.n_internal:][is_inlet], t)
         elif np.any(is_inlet):
             if self.inlet_mass_fraction is None:
-                raise ValueError("inlet faces present but no inlet state given")
+                raise ConfigurationError("inlet faces present but no inlet state given")
             y_imp = self.inlet_mass_fraction
             K = mesh.face_K[mesh.n_internal:][is_inlet]
 

@@ -109,11 +109,10 @@ def drift_fluxes(mesh, eos, model, rho, p, z, v_mean):
     ``v_mean``); the Darcy variant uses the mean-value edge pressure so the
     drift term is entropy-dissipative.
     """
-    K, L = mesh.edge_K, mesh.edge_L
-    rho = np.asarray(rho, dtype=float)
-    rho_up = rho[upwind(mesh, v_mean)[0]]
     if model.kind == "none":
         return np.zeros(mesh.n_internal)
+    K, L = mesh.edge_K, mesh.edge_L
+    rho_up = np.asarray(rho, dtype=float)[upwind(mesh, v_mean)[0]]
     if model.kind == "constant":
         ur_n = mesh.edge_normal @ np.asarray(model.u_r, dtype=float)
         return rho_up * mesh.edge_measure * ur_n

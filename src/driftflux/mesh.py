@@ -3,9 +3,12 @@ and the implicit upwind transport operator.
 
 Cells are indexed row-major, k = j*nx + i.  Faces live in a single index
 space: internal faces first (x-normal block, then y-normal block, each
-row-major), boundary faces after (left, right, bottom, top sides).  For an
-internal face sigma = K|L the stored normal points from K to L; for a
-boundary face it is the outward normal of the single adjacent cell.
+row-major), boundary faces after (left, right, bottom, top sides).  One
+table of these six face blocks builds every face array and both
+``cell_faces`` entries of each face.  For an internal face sigma = K|L the
+stored normal points from K to L; for a boundary face it is the outward
+normal of the single adjacent cell.  The diamond measures are
+|sigma| face_d / 2.
 
 Every finite-volume balance (mass, gas mass, the y-correction and the
 pressure-work check) goes through one operator: the face incidence turns face
@@ -127,91 +130,56 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
         raise ConfigurationError(f"domain extents must be positive, got {Lx}x{Ly}")
     nx, ny = int(nx), int(ny)
     dx, dy = Lx / nx, Ly / ny
+    k = np.arange(nx * ny).reshape(ny, nx)
+    xc, yc = x0 + (np.arange(nx) + 0.5) * dx, y0 + (np.arange(ny) + 0.5) * dy
+    xe, ye = x0 + np.arange(1, nx) * dx, y0 + np.arange(1, ny) * dy
 
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))  # row-major: j slow, i fast
-    cell_centers = np.column_stack(
-        [x0 + (ii.ravel() + 0.5) * dx, y0 + (jj.ravel() + 0.5) * dy]
-    )
-
-    n_x_edges = ny * (nx - 1)
-    n_y_edges = nx * (ny - 1)
-    n_int = n_x_edges + n_y_edges
+    n_int = ny * (nx - 1) + nx * (ny - 1)
     n_bnd = 2 * nx + 2 * ny
     F = n_int + n_bnd
-
     face_K = np.empty(F, dtype=np.int64)
     face_L = np.full(F, -1, dtype=np.int64)
-    face_normal = np.zeros((F, 2))
+    face_normal = np.empty((F, 2))
     face_measure = np.empty(F)
     face_midpoint = np.empty((F, 2))
     face_axis = np.empty(F, dtype=np.int8)
     face_d = np.empty(F)
-
-    # internal x-normal edges, between (i,j) and (i+1,j)
-    if nx > 1:
-        i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny))
-        i, j = i.ravel(), j.ravel()
-        e = j * (nx - 1) + i
-        face_K[e] = j * nx + i
-        face_L[e] = j * nx + i + 1
-        face_normal[e] = (1.0, 0.0)
-        face_measure[e] = dy
-        face_midpoint[e, 0] = x0 + (i + 1) * dx
-        face_midpoint[e, 1] = y0 + (j + 0.5) * dy
-        face_axis[e] = 0
-        face_d[e] = dx
-    # internal y-normal edges, between (i,j) and (i,j+1)
-    if ny > 1:
-        i, j = np.meshgrid(np.arange(nx), np.arange(ny - 1))
-        i, j = i.ravel(), j.ravel()
-        e = n_x_edges + j * nx + i
-        face_K[e] = j * nx + i
-        face_L[e] = (j + 1) * nx + i
-        face_normal[e] = (0.0, 1.0)
-        face_measure[e] = dx
-        face_midpoint[e, 0] = x0 + (i + 0.5) * dx
-        face_midpoint[e, 1] = y0 + (j + 1) * dy
-        face_axis[e] = 1
-        face_d[e] = dy
-
-    boundary_side = np.empty(n_bnd, dtype="<U6")
-    j, i = np.arange(ny), np.arange(nx)
-    ym, xm = y0 + (j + 0.5) * dy, x0 + (i + 0.5) * dx
-    # side, first face, interior cells, normal, measure, midpoint, axis, distance
-    sides = [("left", 0, j * nx, (-1.0, 0.0), dy, (x0, ym), 0, dx / 2),
-             ("right", ny, j * nx + nx - 1, (1.0, 0.0), dy, (x0 + Lx, ym), 0, dx / 2),
-             ("bottom", 2 * ny, i, (0.0, -1.0), dx, (xm, y0), 1, dy / 2),
-             ("top", 2 * ny + nx, (ny - 1) * nx + i, (0.0, 1.0), dx, (xm, y0 + Ly), 1, dy / 2)]
-    for side, first, cells, normal, measure, (mx, my), axis, dist in sides:
-        b = n_int + first + np.arange(cells.size)
-        face_K[b] = cells
-        face_normal[b] = normal
-        face_measure[b] = measure
-        face_midpoint[b, 0] = mx
-        face_midpoint[b, 1] = my
-        face_axis[b] = axis
-        face_d[b] = dist
-        boundary_side[b - n_int] = side
-
-    # per-cell face table [W, E, S, N]
     cell_faces = np.empty((nx * ny, 4), dtype=np.int64)
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
-    ii, jj = ii.ravel(), jj.ravel()
-    k = jj * nx + ii
-    cell_faces[k, W] = np.where(ii > 0, jj * (nx - 1) + ii - 1, n_int + jj)
-    cell_faces[k, E] = np.where(ii < nx - 1, jj * (nx - 1) + ii, n_int + ny + jj)
-    cell_faces[k, S] = np.where(jj > 0, n_x_edges + (jj - 1) * nx + ii, n_int + 2 * ny + ii)
-    cell_faces[k, N] = np.where(
-        jj < ny - 1, n_x_edges + jj * nx + ii, n_int + 2 * ny + nx + ii
-    )
-
+    boundary_side = np.empty(n_bnd, dtype="<U6")
     boundary_tags = np.full(n_bnd, WALL, dtype="<U6")
-    if tags is not None:
-        for b in range(n_bnd):
-            if callable(tags):
-                boundary_tags[b] = tags(boundary_side[b], face_midpoint[n_int + b])
-            else:
-                boundary_tags[b] = tags.get(boundary_side[b], WALL)
+
+    # the face blocks in face-index order: side (None inside), cells K and
+    # K's local face, the offset of cell L and L's local face, normal,
+    # measure, midpoint, axis and distance
+    blocks = [(None, k[:, :-1], E, 1, W, (1.0, 0.0), dy, (xe, yc[:, None]), 0, dx),
+              (None, k[:-1], N, nx, S, (0.0, 1.0), dx, (xc, ye[:, None]), 1, dy),
+              ("left", k[:, 0], W, 0, 0, (-1.0, 0.0), dy, (x0, yc), 0, dx / 2),
+              ("right", k[:, -1], E, 0, 0, (1.0, 0.0), dy, (x0 + Lx, yc), 0, dx / 2),
+              ("bottom", k[0], S, 0, 0, (0.0, -1.0), dx, (xc, y0), 1, dy / 2),
+              ("top", k[-1], N, 0, 0, (0.0, 1.0), dx, (xc, y0 + Ly), 1, dy / 2)]
+    start = 0
+    for side, K, local_K, offset, local_L, normal, measure, mid, axis, dist in blocks:
+        f = np.arange(start, start + K.size)
+        start += K.size
+        face_normal[f] = normal
+        face_measure[f] = measure
+        mx, my, _ = np.broadcast_arrays(*mid, K)
+        face_midpoint[f, 0], face_midpoint[f, 1] = mx.ravel(), my.ravel()
+        face_axis[f] = axis
+        face_d[f] = dist
+        K = K.ravel()
+        face_K[f] = K
+        cell_faces[K, local_K] = f
+        if side is None:
+            face_L[f] = K + offset
+            cell_faces[K + offset, local_L] = f
+            continue
+        b = f - n_int
+        boundary_side[b] = side
+        if callable(tags):
+            boundary_tags[b] = [tags(side, x) for x in face_midpoint[f]]
+        elif tags is not None:
+            boundary_tags[b] = tags.get(side, WALL)
 
     # built column by column (each face lists its cells), which skips the
     # COO sort that would double the cost of building a small mesh
@@ -226,7 +194,8 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
 
     return Mesh2D(
         nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), x0=float(x0), y0=float(y0),
-        dx=dx, dy=dy, cell_measure=dx * dy, cell_centers=cell_centers,
+        dx=dx, dy=dy, cell_measure=dx * dy,
+        cell_centers=np.column_stack([np.tile(xc, ny), np.repeat(yc, nx)]),
         face_K=face_K, face_L=face_L, face_normal=face_normal,
         face_measure=face_measure, face_midpoint=face_midpoint,
         face_axis=face_axis, face_d=face_d, cell_faces=cell_faces,
@@ -396,22 +365,15 @@ class DiamondGeometry:
 
     mesh: Mesh2D
     half: np.ndarray          # (I,) |D_{K,sigma}| = |D_{L,sigma}|
-    diamond: np.ndarray       # (I,) |D_sigma|
-    boundary_half: np.ndarray  # (B,) |D_{K,sigma}| of boundary faces
+    diamond: np.ndarray       # (I,) |D_sigma|, a view of face_lump
     face_lump: np.ndarray     # (F,) diamond measure for internal, half for boundary
 
 
 def build_diamond_geometry(mesh):
-    """Half-diamond and diamond measures of a uniform mesh."""
-    m = mesh
-    # cone with base sigma and apex at the cell center: |sigma| * dist / 2
-    dist = np.where(m.face_axis[: m.n_internal] == 0, m.dx / 2, m.dy / 2)
-    half = m.face_measure[: m.n_internal] * dist / 2.0
-    bdist = np.where(m.face_axis[m.n_internal:] == 0, m.dx / 2, m.dy / 2)
-    boundary_half = m.face_measure[m.n_internal:] * bdist / 2.0
-    diamond = 2.0 * half
-    face_lump = np.concatenate([diamond, boundary_half])
-    return DiamondGeometry(
-        mesh=mesh, half=half, diamond=diamond,
-        boundary_half=boundary_half, face_lump=face_lump,
-    )
+    """Diamond and half-diamond measures of a uniform mesh, all from
+    ``face_lump`` = |sigma| face_d / 2, the cones with base sigma and apex at
+    the adjacent cell centres: |D_sigma| on an internal face, |D_{K,sigma}|
+    on a boundary face."""
+    face_lump = mesh.face_measure * mesh.face_d / 2
+    diamond = face_lump[: mesh.n_internal]
+    return DiamondGeometry(mesh=mesh, half=diamond / 2, diamond=diamond, face_lump=face_lump)

@@ -8,6 +8,7 @@ import pytest
 
 from driftflux import diagnostics, driver, fields, momentum
 from driftflux import pressure_correction as pc
+from driftflux.boundary import BoundaryConditions
 from driftflux.config import load_config, make_config
 from driftflux.driver import (SimulationResult, build_case, manufactured_errors,
                               run_simulation, simulate, steps)
@@ -202,6 +203,16 @@ def test_bubble_column_smoke():
     masses = [r.mass for r in res.reports]
     assert all(b >= a for a, b in zip(masses, masses[1:]))
 
+
+def test_inlet_without_inflow_data_stops_at_initialization():
+    """Inlet faces with neither an inlet state nor a mass fraction are a
+    configuration error, so the run stops with a SimulationError."""
+    problem = build_case(make_config("bubble_column", nx=10, ny=20))
+    problem = dataclasses.replace(problem, bc=BoundaryConditions(velocity=problem.bc.velocity))
+    with pytest.raises(SimulationError, match="initialization failed: inlet faces present "
+                                              "but no inlet state given") as err:
+        simulate(problem, dt=0.02, t_end=0.1)
+    assert isinstance(err.value.__cause__, ConfigurationError)
 
 def test_sloshing_smoke():
     config = make_config("sloshing", nx=10, ny=14, dt=0.02, t_end=0.1)

@@ -203,6 +203,19 @@ def test_solve_singular_raises(splu_calls):
     assert splu_calls == [(n, True), (n, False)]
 
 
+def test_a_solution_that_misses_the_bound_raises_with_its_residual(monkeypatch):
+    """No natural input reaches the final check (a Wilkinson growth matrix
+    of 200 to 1,100 unknowns still solves to about 1e-15), so the sparse
+    path is stubbed to hand back an inaccurate x."""
+    A = _tridiagonal(N_SPARSE, 4.0, -1.0)
+    b = np.ones(N_SPARSE)
+    x = spla.spsolve(A, b) + 1e-3
+    monkeypatch.setattr(linalg, "_sparse_solve", lambda *args: (x, False, "fallback", None))
+    with pytest.raises(SolverError, match="residual .* exceeds bound") as err:
+        solve(A, b)
+    assert err.value.residual == np.abs(A @ x - b).max() > 1e-8
+
+
 # --- the dense branch -------------------------------------------------------
 
 def test_small_systems_never_reach_splu(splu_calls, caplog):
@@ -848,6 +861,30 @@ def test_a_step_whose_cpr_misses_holds_and_refines_the_lu_of_j(splu_calls, caplo
     assert [n for n, _ in splu_calls].count(2 * M) == factorized
     assert all(static for _, static in splu_calls)
 
+
+def test_cpr_whose_p_has_a_zero_pivot_solves_through_the_lu_of_j(splu_calls, caplog):
+    """Column 0 of A holds its diagonal only and w_0 c equals it, so column 0
+    of P = A - diag(w) C is zero and P's factorization breaks down: CPR takes
+    no GMRES iteration.  J is regular (B is diag(w) plus a subdiagonal, not
+    D diag(w)), and its static-pivot LU, with A banded wide enough for the
+    factor to be worth holding, solves and is held."""
+    caplog.set_level("DEBUG", logger="driftflux.linalg")
+    M, c, band = M_CPR, 0.1, range(-24, 25)
+    A = sp.diags([np.full(M - abs(k), 96.0 if k == 0 else -1.0) for k in band], band,
+                 format="lil")
+    A[1:25, 0] = 0.0
+    w = np.full(M, 2.0)
+    w[0] = 96.0 / c
+    B = sp.diags([w, np.ones(M - 1)], [0, -1])
+    J = sp.bmat([[A.tocsc(), B], [c * sp.eye(M), sp.eye(M)]], format="csc")
+    b = np.random.default_rng(24).normal(size=2 * M)
+    held = NewtonSequence(block=M)
+    x = solve(J, b, held=held)
+    [path] = _paths(caplog)
+    assert re.fullmatch(r"static LU after \d+ Jacobi sweeps and 0 GMRES iterations", path)
+    assert splu_calls == [(M, True), (2 * M, True)]
+    assert held.lu is not None and held.lu.shape == J.shape
+    assert _meets_the_bound(J, x, b)
 
 @pytest.mark.parametrize("where", ["rhs", "matrix"])
 def test_cpr_on_a_non_finite_system_raises_the_named_error(where):

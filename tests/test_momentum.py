@@ -100,7 +100,7 @@ def test_dual_balance_after_upwind_mass_step():
     assert np.max(np.abs(resid)) < 1e-10 * scale
     # boundary half-diamonds close with the boundary primal flux (walls: zero)
     bK = m.face_K[m.n_internal:]
-    resid_b = (g.boundary_half / dt * (rho0[bK] - rho_prev[bK])
+    resid_b = (g.face_lump[m.n_internal:] / dt * (rho0[bK] - rho_prev[bK])
                + bal[m.n_internal:] + fluxes[m.n_internal:])
     assert np.max(np.abs(resid_b)) < 1e-10 * scale
 
