@@ -1,10 +1,11 @@
 """Boundary condition data shared by the momentum and pressure steps.
 
-Tags: wall (u = 0), slip (u.n = 0, tangential mirror-tied to the opposite
-face of the same cell), inlet and outlet (prescribed velocity).  Inflow
-through an inlet face carries a prescribed state: either a fixed gas mass
-fraction (density then follows from the adjacent cell's pressure) or
-prescribed (rho, z) fields of (x, t).  Outflow always upwinds the interior.
+Tags: wall (u = 0), slip (the natural slip condition: u.n = 0 is its one
+essential condition, and the tangential dof is an unknown), inlet and outlet
+(prescribed velocity).  Inflow through an inlet face carries a prescribed
+state: either a fixed gas mass fraction (density then follows from the
+adjacent cell's pressure) or prescribed (rho, z) fields of (x, t).  Outflow
+always upwinds the interior.
 """
 
 import numpy as np
@@ -26,8 +27,9 @@ class BoundaryConditions:
         self.inlet_state = inlet_state
 
     def face_velocity(self, mesh, t):
-        """Prescribed velocity values for every boundary face (slip rows excluded
-        from use; their entries are placeholders)."""
+        """Prescribed velocity values for every boundary face: ``velocity`` on
+        inlet and outlet faces, 0 on walls and slip faces (a slip face's
+        normal dof takes its 0, its tangential dof is an unknown)."""
         vals = np.zeros((mesh.n_boundary, 2))
         if self.velocity is not None:
             sel = (mesh.boundary_tags != WALL) & (mesh.boundary_tags != SLIP)
@@ -69,16 +71,3 @@ class BoundaryConditions:
             return state
         return lambda p_cells: (rho_in, z_in, zero, zero)
 
-
-def mirror_partners(mesh):
-    """For each boundary face, the opposite face of its cell (slip mirror).
-
-    Returns -1 where the opposite face is itself a boundary face (single-cell
-    row or column); such tangential dofs fall back to homogeneous Dirichlet.
-    """
-    opposite = {"left": 1, "right": 0, "bottom": 3, "top": 2}  # W<->E, S<->N
-    opp_local = np.array([opposite[s] for s in mesh.boundary_side])
-    K = mesh.face_K[mesh.n_internal:]
-    partner = mesh.cell_faces[K, opp_local]
-    partner = np.where(partner < mesh.n_internal, partner, -1)
-    return partner

@@ -36,7 +36,7 @@ def _cmd_run(args):
 def _cmd_convergence(args):
     meshes = [int(v) for v in args.meshes.split(",")]
     dts = [float(v) for v in args.dts.split(",")]
-    study = convergence_study(meshes, dts, matrix=args.matrix)
+    study = convergence_study(meshes, dts)
     print("n, dt, err_u, err_p, err_y")
     for (n, dt), errs in sorted(study.errors.items()):
         if errs is None:
@@ -80,7 +80,6 @@ def main(argv=None):
     p_conv = sub.add_parser("convergence", help="manufactured-solution study")
     p_conv.add_argument("--meshes", required=True, help="comma-separated cell counts")
     p_conv.add_argument("--dts", required=True, help="comma-separated time steps")
-    p_conv.add_argument("--matrix", action="store_true", help="run the full mesh x dt matrix")
     p_conv.add_argument("--out", default=None)
     p_conv.set_defaults(func=_cmd_convergence)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import eos as _eos
 from .errors import InvariantViolation
-from .fields import pressure_seminorm, weighted_kinetic_norm
+from .fields import pressure_seminorm, velocity_unknowns, weighted_kinetic_norm
 from .mesh import upwind
 
 
@@ -46,12 +46,14 @@ CSV_COLUMNS = ["step", "time", "mass", "gas_mass", "mom_x", "mom_y", "kinetic",
 
 
 def conservation_report(state, mesh, geom):
-    """(total mass, total gas mass, momentum vector); the momentum is weighted
-    by ``state.rho_face_prev``."""
+    """(total mass, total gas mass, momentum vector); the momentum sums the
+    velocity unknowns, internal and slip faces, weighted by the face mass of
+    ``state.rho_face_prev`` (:func:`driftflux.fields.velocity_unknowns`)."""
     mass = float(mesh.cell_measure * np.sum(state.rho))
     gas_mass = float(mesh.cell_measure * np.sum(state.z))
-    n = mesh.n_internal
-    mom = np.sum((geom.diamond * state.rho_face_prev)[:, None] * np.asarray(state.u)[:n], axis=0)
+    u = np.asarray(state.u)
+    mom = sum(np.sum(mass_f[:, None] * u[f], axis=0)
+              for f, mass_f in velocity_unknowns(state.rho_face_prev, geom))
     return mass, gas_mass, mom
 
 

@@ -2,13 +2,17 @@
 
 Cell fields are plain (M,) arrays; face velocity fields are (F, 2) arrays
 covering internal and boundary faces (boundary rows hold the prescribed
-Dirichlet data).  :func:`admissibility_violation` is the one positivity
-check; the face densities and norms take fields that passed it.
+Dirichlet data, except the tangential component of a slip face, an unknown);
+face densities are (F,) arrays on every face.  :func:`admissibility_violation`
+is the one positivity check; the face densities and norms take fields that
+passed it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .mesh import SLIP
 
 # relative slack under a positive reporting floor on y
 Y_FLOOR_RTOL = 1e-12
@@ -22,8 +26,8 @@ class State:
     fluxes F_{sigma,K} of the latest discrete mass balance; together they
     satisfy |K|/dt (rho - rho_prev) + sum F = 0, the compatibility the
     momentum step needs.  ``rho_face`` and ``rho_face_prev`` are the
-    internal-face :func:`face_density` of ``rho`` and ``rho_prev``, formed
-    once per level and read by every stage that weighs by them.
+    every-face :func:`face_density` of ``rho`` and ``rho_prev``, formed once
+    per level and read by every stage that weighs by them.
     """
 
     t: float
@@ -34,8 +38,8 @@ class State:
     y: np.ndarray          # (M,)
     rho_prev: np.ndarray   # (M,)
     fluxes: np.ndarray     # (F,) F_{sigma,K}, K orientation
-    rho_face: np.ndarray       # (F_int,)
-    rho_face_prev: np.ndarray  # (F_int,)
+    rho_face: np.ndarray       # (F,)
+    rho_face_prev: np.ndarray  # (F,)
 
 
 def admissibility_violation(rho, z, p=None, y=None, y_ceiling=True, y_floor=0.0):
@@ -59,29 +63,38 @@ def admissibility_violation(rho, z, p=None, y=None, y_ceiling=True, y_floor=0.0)
 
 
 def face_density(rho, geom):
-    """Half-diamond weighted face density on internal edges.
-
-    rho_sigma = (|D_K| rho_K + |D_L| rho_L) / |D_sigma|, positive whenever the
+    """Face density on every face: the half-diamond weighted average
+    rho_sigma = (|D_K| rho_K + |D_L| rho_L) / |D_sigma| on internal edges,
+    and the adjacent cell's density on boundary faces; positive whenever the
     cell densities are.
     """
     m, rho = geom.mesh, np.asarray(rho)
-    return (geom.half * rho[m.edge_K] + geom.half * rho[m.edge_L]) / geom.diamond
+    return np.concatenate([(geom.half * rho[m.edge_K] + geom.half * rho[m.edge_L]) / geom.diamond,
+                           rho[m.face_K[m.n_internal:]]])
 
 
-def face_density_all(rho, rho_face, mesh):
-    """Face density on every face: ``rho_face``, the :func:`face_density` of
-    ``rho``, on the internal ones; boundary faces take the adjacent cell value."""
-    out = np.empty(mesh.n_faces)
-    out[: mesh.n_internal] = rho_face
-    out[mesh.n_internal:] = np.asarray(rho)[mesh.face_K[mesh.n_internal:]]
-    return out
+def velocity_unknowns(rho_face, geom):
+    """(faces, mass) blocks of the velocity unknowns, with the inertia's face
+    mass face_lump rho_sigma of the momentum step: the internal faces, then
+    the slip faces, whose tangential dof is free, when the mesh has any.  A
+    sum over them is taken block by block, so that on a mesh with no slip
+    side it is the internal sum."""
+    rho_face = np.asarray(rho_face)
+    n = geom.mesh.n_internal
+    blocks = [(slice(n), geom.diamond * rho_face[:n])]
+    slip = geom.mesh.cached("slip_faces",
+                            lambda m: m.n_internal + np.flatnonzero(m.boundary_tags == SLIP))
+    if slip.size:
+        blocks.append((slip, geom.face_lump[slip] * rho_face[slip]))
+    return blocks
 
 
 def weighted_kinetic_norm(u, rho_face, geom):
-    """||u||^2_rho = sum over internal edges of |D_sigma| rho_sigma |u_sigma|^2."""
-    n = geom.mesh.n_internal
-    uu = np.asarray(u)[:n]
-    return float(np.sum(geom.diamond * np.asarray(rho_face)[:n] * np.sum(uu * uu, axis=1)))
+    """||u||^2_rho = sum over the :func:`velocity_unknowns` of
+    face_lump rho_sigma |u_sigma|^2."""
+    u = np.asarray(u)
+    return sum(float(np.sum(mass * np.sum(u[f] * u[f], axis=1)))
+               for f, mass in velocity_unknowns(rho_face, geom))
 
 
 def pressure_seminorm(q, rho_face, geom):

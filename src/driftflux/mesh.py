@@ -37,6 +37,8 @@ from .linalg import DENSE_MAX
 WALL = "wall"
 SLIP = "slip"
 INLET = "inlet"
+TAGS = (WALL, SLIP, INLET, "outlet")
+SIDES = ("left", "right", "bottom", "top")
 
 # local face order within a cell
 W, E, S, N = 0, 1, 2, 3
@@ -64,7 +66,6 @@ class Mesh2D:
     cell_faces: np.ndarray        # (M, 4) global face ids, order [W, E, S, N]
     n_internal: int
     n_boundary: int
-    boundary_side: np.ndarray     # (B,) left/right/bottom/top
     boundary_tags: np.ndarray     # (B,) wall/slip/inlet/outlet
     # (M, F) face incidence: the first I columns are the signed edge incidence
     # D (+1 at K, -1 at L), the last B the boundary scatter (+1 at K), so one
@@ -121,13 +122,18 @@ class Mesh2D:
 def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
     """Build a uniform nx-by-ny rectangular mesh on [x0,x0+Lx] x [y0,y0+Ly].
 
-    ``tags`` optionally maps a boundary side name to a tag, or is a callable
-    ``(side, midpoint) -> tag``; every boundary face defaults to ``wall``.
+    ``tags`` optionally maps a boundary side name (left, right, bottom,
+    top) to a tag, or is a callable ``(side, midpoint) -> tag``; every
+    boundary face defaults to ``wall``.  A side name or a tag (wall, slip,
+    inlet, outlet) outside these raises :class:`ConfigurationError`.
     """
     if int(nx) != nx or int(ny) != ny or nx < 1 or ny < 1:
         raise ConfigurationError(f"cell counts must be positive integers, got {nx}x{ny}")
     if Lx <= 0 or Ly <= 0:
         raise ConfigurationError(f"domain extents must be positive, got {Lx}x{Ly}")
+    if not (tags is None or callable(tags)) and (unknown := set(tags) - set(SIDES)):
+        raise ConfigurationError(f"unknown boundary sides {sorted(unknown, key=repr)}; "
+                                 f"the sides are {', '.join(SIDES)}")
     nx, ny = int(nx), int(ny)
     dx, dy = Lx / nx, Ly / ny
     k = np.arange(nx * ny).reshape(ny, nx)
@@ -145,8 +151,7 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
     face_axis = np.empty(F, dtype=np.int8)
     face_d = np.empty(F)
     cell_faces = np.empty((nx * ny, 4), dtype=np.int64)
-    boundary_side = np.empty(n_bnd, dtype="<U6")
-    boundary_tags = np.full(n_bnd, WALL, dtype="<U6")
+    boundary_tags = np.empty(n_bnd, dtype="<U6")
 
     # the face blocks in face-index order: side (None inside), cells K and
     # K's local face, the offset of cell L and L's local face, normal,
@@ -174,12 +179,12 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
             face_L[f] = K + offset
             cell_faces[K + offset, local_L] = f
             continue
-        b = f - n_int
-        boundary_side[b] = side
-        if callable(tags):
-            boundary_tags[b] = [tags(side, x) for x in face_midpoint[f]]
-        elif tags is not None:
-            boundary_tags[b] = tags.get(side, WALL)
+        side_tags = ([tags(side, x) for x in face_midpoint[f]] if callable(tags)
+                     else [WALL if tags is None else tags.get(side, WALL)])
+        if unknown := set(side_tags) - set(TAGS):
+            raise ConfigurationError(f"unknown boundary tags {sorted(unknown, key=repr)} on the "
+                                     f"{side} side; the tags are {', '.join(TAGS)}")
+        boundary_tags[f - n_int] = side_tags
 
     # built column by column (each face lists its cells), which skips the
     # COO sort that would double the cost of building a small mesh
@@ -200,7 +205,7 @@ def build_uniform_mesh(nx, ny, Lx, Ly, x0=0.0, y0=0.0, tags=None):
         face_measure=face_measure, face_midpoint=face_midpoint,
         face_axis=face_axis, face_d=face_d, cell_faces=cell_faces,
         n_internal=n_int, n_boundary=n_bnd,
-        boundary_side=boundary_side, boundary_tags=boundary_tags,
+        boundary_tags=boundary_tags,
         incidence=incidence,
     )
 

@@ -1,20 +1,21 @@
 """Velocity prediction step: Rannacher-Turek assembly with diamond-cell
 dual mass fluxes, plus the first-step density prediction.
 
-Velocity dofs live on every face (2 components); boundary dofs carry
-Dirichlet rows (wall/inlet/outlet) or the slip constraints, so the system
-stays square over 2 * n_faces unknowns.  The mesh fixes the sparsity: inertia,
-advection, viscosity and the constraint rows fill one
+Velocity dofs live on every face (2 components), so the system stays square
+over 2 * n_faces unknowns.  Both components of a wall, inlet or outlet face
+carry Dirichlet rows, and of a slip face only the normal one: the natural
+slip condition (Verfuerth, Numer. Math. 50, 1987) leaves its tangential dof
+an unknown with its Galerkin row and its half-diamond inertia, so that the
+energy identity of the step tests every velocity unknown.  The mesh fixes
+the sparsity: inertia, advection, viscosity and the Dirichlet rows fill one
 :class:`driftflux.mesh.SparsePattern`, built on the first assembly, where the
-other entries of the constrained rows are dropped once.
+other entries of the Dirichlet rows are dropped once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import mirror_partners
-from .fields import face_density_all
 from .linalg import solve
 from .mesh import (E, N, S, SLIP, W, SparsePattern, inlet_split, upwind, upwind_fluxes,
                    upwind_transport_matrix, volume_fluxes)
@@ -131,28 +132,18 @@ class MomentumTables:
     ndof: int
     cell_dofs: np.ndarray       # (M, 8) dof 2*face + component of each cell
     dirichlet_dofs: np.ndarray  # rows with a prescribed velocity
-    tie_dofs: np.ndarray        # tangential slip dofs tied to their mirror partner
-    tie_partners: np.ndarray
 
 
 def momentum_tables(mesh):
-    """The :class:`MomentumTables` of ``mesh``."""
-    bidx = np.arange(mesh.n_boundary)
+    """The :class:`MomentumTables` of ``mesh``: every component of a wall,
+    inlet or outlet face is prescribed, and of a slip face only the normal
+    one; its tangential dof keeps its Galerkin row."""
     tags = mesh.boundary_tags
-    gface = mesh.n_internal + bidx
-    axis = mesh.face_axis[gface]
+    gface = mesh.n_internal + np.arange(mesh.n_boundary)
     full = 2 * gface[tags != SLIP]
-    slip = np.where(tags == SLIP)[0]
-    slip_face = gface[slip]
-    slip_normal_dof = 2 * slip_face + axis[slip]
-    partners = mirror_partners(mesh)[slip]
-    tang = 1 - axis[slip]
-    tied = partners >= 0
-    slip_tan_dof = 2 * slip_face + tang
+    slip = gface[tags == SLIP]
     arrays = [(2 * mesh.cell_faces[:, :, None] + np.arange(2)).reshape(-1, 8),
-              np.concatenate([full, full + 1, slip_normal_dof, slip_tan_dof[~tied]]),
-              # u_d - u_partner = 0
-              slip_tan_dof[tied], 2 * partners[tied] + tang[tied]]
+              np.concatenate([full, full + 1, 2 * slip + mesh.face_axis[slip]])]
     for a in arrays:
         a.flags.writeable = False
     return MomentumTables(2 * mesh.n_faces, *arrays)
@@ -160,30 +151,27 @@ def momentum_tables(mesh):
 
 def momentum_pattern(mesh):
     """Triplet positions in :meth:`MomentumAssembler.assemble`'s value order:
-    inertia, advection, viscosity (constrained rows dropped), then the
-    identity rows of the Dirichlet dofs and the slip ties; from the mesh's
-    own :class:`MomentumTables`."""
+    inertia, advection, viscosity (Dirichlet rows dropped), then the identity
+    rows of the Dirichlet dofs; from the mesh's own :class:`MomentumTables`."""
     tab = mesh.cached("momentum_tables", momentum_tables)
     dof = np.arange(tab.ndof)
-    # the row of each dof: -1 for the constrained ones
+    # the row of each dof: -1 for the prescribed ones
     row = dof.copy()
     row[tab.dirichlet_dofs] = -1
-    row[tab.tie_dofs] = -1
     # dofs of the out- and in-diamond of each sub-edge, (2, 4M, 2)
     ends = 2 * np.stack([mesh.cell_faces[:, _CORNER_OUT], mesh.cell_faces[:, _CORNER_IN]])
     ends = ends.reshape(2, -1, 1) + np.arange(2)
-    gd = tab.cell_dofs
-    dd, td = tab.dirichlet_dofs, tab.tie_dofs
+    gd, dd = tab.cell_dofs, tab.dirichlet_dofs
     return SparsePattern(tab.ndof, [
         (row, dof),
         # (out, out), (out, in), then (in, in), (in, out)
         (row[ends[:1]], ends), (row[ends[1:]], ends[::-1]),
         (row[gd][:, :, None], gd[:, None, :]),  # element (cell, test dof, trial dof)
-        (np.concatenate([dd, td, td]), np.concatenate([dd, td, tab.tie_partners]))])
+        (dd, dd)])
 
 
 class MomentumAssembler:
-    """Constrained dofs of a mesh and the prediction-step assembly.
+    """Dirichlet dofs of a mesh and the prediction-step assembly.
 
     The mesh's :class:`MomentumTables`, and its unit-viscosity element matrix
     of each viscosity form, are built by the first assembler that needs them.
@@ -221,13 +209,12 @@ class MomentumAssembler:
         # centered advection on diamond sub-edges: +half in the out-diamond's
         # rows, -half in the in-diamond's
         half = 0.5 * dual.ravel()
-        n_tie = tab.tie_dofs.size
         pattern = m.cached("momentum_pattern", momentum_pattern)
         A = pattern.matrix(block() for block in (  # one at a time
             lambda: np.repeat(dia * rho_face_n / dt, 2),                     # lumped inertia
             lambda: np.repeat(np.concatenate([half, half, -half, -half]), 2),
             lambda: (np.asarray(mu_cells)[:, None, None] * self.element).ravel(),
-            lambda: np.ones(tab.dirichlet_dofs.size + n_tie), lambda: -np.ones(n_tie)))
+            lambda: np.ones(tab.dirichlet_dofs.size)))
 
         rhs = (dia * rho_face_nm1)[:, None] * np.asarray(u_n) / dt
         # pressure force on internal faces: + |sigma| (p_K - p_L) n
@@ -240,24 +227,20 @@ class MomentumAssembler:
         if source is not None:
             rhs += dia[:, None] * source(m.face_midpoint, t)
         rhs = rhs.ravel()
-        # constrained rows: prescribed boundary velocity (0 on walls and slip
-        # faces), 0 for the ties
+        # Dirichlet rows: prescribed boundary velocity (0 on walls, and on the
+        # normal component of slip faces)
         u_bnd = np.zeros((m.n_faces, 2))
         if bc is not None:
             u_bnd[m.n_internal:] = bc.face_velocity(m, t)
         rhs[tab.dirichlet_dofs] = u_bnd.ravel()[tab.dirichlet_dofs]
-        rhs[tab.tie_dofs] = 0.0
         return A, rhs
 
 
 def predict_velocity(state, dt, assembler, bc, t_next, body_accel=None, source=None):
     """Solve the discrete momentum balance for the predicted velocity."""
-    mesh = assembler.mesh
-    rho_face_n = face_density_all(state.rho, state.rho_face, mesh)
-    rho_face_nm1 = face_density_all(state.rho_prev, state.rho_face_prev, mesh)
-    dual = assemble_dual_mass_fluxes(mesh, state.fluxes)
+    dual = assemble_dual_mass_fluxes(assembler.mesh, state.fluxes)
     mu_cells = assembler.viscosity.cell_viscosity(state.rho)
-    A, b = assembler.assemble(rho_face_n, rho_face_nm1, state.u, dual, state.p, dt,
+    A, b = assembler.assemble(state.rho_face, state.rho_face_prev, state.u, dual, state.p, dt,
                               mu_cells, body_accel=body_accel, source=source,
                               t=t_next, bc=bc)
     return solve(A, b).reshape(-1, 2)

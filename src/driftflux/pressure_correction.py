@@ -75,9 +75,10 @@ def renormalize_pressure(mesh, geom, p_n, rho_face_n, rho_face_nm1):
     with g the facewise geometric mean of rho^n and rho^{n-1}; the constant
     mode is fixed by preserving the volume-weighted mean of p^n.
     """
-    M = mesh.n_cells
+    M, n = mesh.n_cells, mesh.n_internal
     p_n = np.asarray(p_n, dtype=float)
-    g = np.sqrt(np.asarray(rho_face_n) * np.asarray(rho_face_nm1))
+    rho_face_n = np.asarray(rho_face_n)[:n]
+    g = np.sqrt(rho_face_n * np.asarray(rho_face_nm1)[:n])
     # the zero border leaves row M of the right-hand side free for the mean
     rhs = assemble_pressure_operator(mesh, geom, g, 1.0) @ np.append(p_n, 0.0)
     rhs[M] = np.full(M, mesh.cell_measure) @ p_n
@@ -137,7 +138,7 @@ class PressureCorrector:
         rho_n = np.asarray(state.rho, dtype=float)
         rhoy_n = rho_n * np.asarray(state.y, dtype=float)
         vol_dt = m.cell_measure / dt
-        c_edge = dt * m.edge_measure**2 / (self.geom.diamond * state.rho_face)
+        c_edge = dt * m.edge_measure**2 / (self.geom.diamond * state.rho_face[:nint])
         v_all = volume_fluxes(m, u_tilde)
         v_tilde = v_all[:nint]
         split = vb_out, vb_in = inlet_split(m, v_all[nint:])
@@ -239,7 +240,7 @@ class PressureCorrector:
         u = np.array(u_tilde, dtype=float)
         dp = (p - p_old)[K] - (p - p_old)[L]
         u[:nint] += (dt * m.edge_measure[:nint] /
-                     (self.geom.diamond * state.rho_face) * dp)[:, None] * m.edge_normal
+                     (self.geom.diamond * state.rho_face[:nint]) * dp)[:, None] * m.edge_normal
         fluxes = upwind_fluxes(m, v, up, split, rho, rho_in)
         return CorrectionResult(u=u, p=p, z=z, rho=rho, fluxes=fluxes,
                                 newton_iters=res.iterations)

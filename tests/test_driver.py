@@ -312,8 +312,8 @@ def test_sloshing_frequency_run_is_guarded(monkeypatch):
     from sloshing import sloshing_frequency
 
     args = dict(nx=14, ny=18, dt=0.02, t_end=0.4)
-    assert sloshing_frequency(**args) == (6.567601259800116, 5.534495443651783,
-                                          0.18666666666666684, 21)
+    assert sloshing_frequency(**args) == (6.558377100727363, 5.534495443651783,
+                                          0.18500000000000003, 21)
     advance = driver.advance
 
     def poisoned_advance(problem, state, dt, t_next, *args, **kwargs):
@@ -367,3 +367,12 @@ def test_a_step_forms_each_face_density_once_and_reports_the_guard_verdict(
     res = simulate(problem, dt=0.05, t_end=0.15, renormalize=renormalize)
     assert len(res.reports) == 4 and all(r.bounds_ok for r in res.reports)
     assert len(calls) == 2 + 1 * 3
+
+
+def test_steps_warns_when_t_end_is_not_a_multiple_of_dt(caplog):
+    problem = build_case(make_config("uniform", nx=2, ny=1))
+    with caplog.at_level("WARNING", logger="driftflux"):
+        assert len(list(driver.steps(problem, 0.05, 0.15))) == 4
+        assert not caplog.records
+        assert len(list(driver.steps(problem, 0.05, 0.12))) == 3
+    assert caplog.messages == ["t_end 0.12 is not a multiple of dt 0.05; running 2 steps"]

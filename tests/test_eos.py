@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from driftflux import eos
 from driftflux.eos import EosParams
-from driftflux.errors import InvariantViolation
+from driftflux.errors import ConfigurationError, InvariantViolation
 
 E51 = EosParams(rho_l=5.0, a2=1.0)
 PHYS = EosParams(rho_l=1000.0, a2=1e5 / 1.2)
@@ -49,6 +49,12 @@ def test_nonpositive_pressure_rejected():
     nonpositive pressure stops at its guard (``test_admissible.py``)."""
     with pytest.raises(InvariantViolation):
         eos.p_from_rho_z(5.0, -0.1, E51)  # outside C
+
+
+@pytest.mark.parametrize("rho_l, a2", [(0.0, 1.0), (5.0, -1.0)])
+def test_nonpositive_eos_parameters_raise(rho_l, a2):
+    with pytest.raises(ConfigurationError, match="EOS parameters must be positive"):
+        EosParams(rho_l, a2)
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.1, 10.0))

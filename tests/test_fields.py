@@ -37,7 +37,11 @@ def test_face_density_weighted_average():
     assert g.half == pytest.approx(np.full(m.n_internal, m.cell_measure / 4))
     rho = np.array([4.0, 0.4, 1.0, 2.0])
     expect = 0.5 * (rho[m.edge_K] + rho[m.edge_L])
-    assert fields.face_density(rho, g) == pytest.approx(expect, rel=1e-14)
+    rf = fields.face_density(rho, g)
+    assert rf.shape == (m.n_faces,)
+    assert rf[: m.n_internal] == pytest.approx(expect, rel=1e-14)
+    # a boundary face takes its cell's density
+    assert np.array_equal(rf[m.n_internal:], rho[m.face_K[m.n_internal:]])
 
 
 def test_face_density_bounds_property():
@@ -46,8 +50,10 @@ def test_face_density_bounds_property():
     rng = np.random.default_rng(0)
     rho = rng.uniform(0.1, 9.0, m.n_cells)
     rf = fields.face_density(rho, g)
-    lo = np.minimum(rho[m.edge_K], rho[m.edge_L])
-    hi = np.maximum(rho[m.edge_K], rho[m.edge_L])
+    # on every face between the densities of its cells (K twice on the boundary)
+    L = np.where(m.face_L >= 0, m.face_L, m.face_K)
+    lo = np.minimum(rho[m.face_K], rho[L])
+    hi = np.maximum(rho[m.face_K], rho[L])
     assert np.all(rf >= lo - 1e-14) and np.all(rf <= hi + 1e-14)
 
 
@@ -85,6 +91,22 @@ def test_weighted_kinetic_norm_single_edge(geom2):
     assert fields.weighted_kinetic_norm(u, np.array([2.0]), geom2) == pytest.approx(12.5)
     # quadratic homogeneity
     assert fields.weighted_kinetic_norm(2 * u, np.array([2.0]), geom2) == pytest.approx(50.0)
+
+
+def test_weighted_kinetic_norm_books_slip_faces_with_their_half_diamond():
+    """A slip face's tangential dof is a velocity unknown: it enters with the
+    inertia's face mass |D_{K,sigma}| rho_K; a wall face's velocity does not."""
+    m = build_uniform_mesh(2, 1, 1.0, 1.0, tags={"left": "slip"})
+    g = build_diamond_geometry(m)
+    rf = fields.face_density(np.array([2.0, 5.0]), g)
+    u = np.zeros((m.n_faces, 2))
+    left, right = m.n_internal, m.n_internal + 1
+    u[left] = (0.0, 3.0)
+    u[right] = (0.0, 7.0)  # a wall face: not an unknown
+    # |D_{K,sigma}| = 1 * 0.25 / 2 = 0.125, rho_K = 2, |u|^2 = 9
+    assert fields.weighted_kinetic_norm(u, rf, g) == pytest.approx(2.25)
+    u[0] = (1.0, 0.0)  # plus the internal face: |D| = 0.25, rho = 3.5
+    assert fields.weighted_kinetic_norm(u, rf, g) == pytest.approx(2.25 + 0.875)
 
 
 def test_pressure_seminorm_examples(geom2):

@@ -197,6 +197,10 @@ def test_drift_model_validation():
         DriftModel("darcy", lam=0.0)
     with pytest.raises(ValueError):
         DriftModel("constant", diffusion=-0.1)
+    m = build_uniform_mesh(2, 1, 1.0, 1.0)
+    one = np.ones(2)
+    with pytest.raises(ValueError, match="unknown drift model 'weird'"):
+        drift_fluxes(m, E51, DriftModel("weird"), one, one, 0.3 * one, np.array([1.0]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -46,6 +46,20 @@ def test_invalid_dimensions_raise():
         build_uniform_mesh(2, 2, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("tags, match", [
+    ({"top": "outflow"}, r"\['outflow'\] on the top side"),
+    ({"left": "Slip"}, r"\['Slip'\] on the left side"),
+    ({"Bottom": "wall"}, r"unknown boundary sides \['Bottom'\]"),
+    (lambda side, x: "outlet" if side == "top" else "slipp", r"\['slipp'\] on the left side")],
+    ids=["truncated", "capitalized", "side-key", "callable"])
+def test_unknown_boundary_tags_and_sides_raise(tags, match):
+    """A tag outside wall/slip/inlet/outlet, from a dict or a callable, and a
+    side key outside left/right/bottom/top raise: none is stored truncated to
+    six characters or ignored."""
+    with pytest.raises(ConfigurationError, match=match):
+        build_uniform_mesh(3, 2, 1.0, 1.0, tags=tags)
+
+
 def test_orthogonality_and_orientation():
     m = build_uniform_mesh(4, 3, 2.0, 1.5)
     # segment between adjacent centers is orthogonal to the edge tangent
@@ -135,7 +149,7 @@ def _per_face_oracle(nx, ny, Lx, Ly, x0, y0, tags):
         face_normal=np.array(normal, dtype=float), face_measure=np.array(measure, dtype=float),
         face_midpoint=np.array(midpoint, dtype=float), face_axis=np.array(axis, dtype=np.int8),
         face_d=np.array(dist, dtype=float), cell_faces=cell_faces,
-        boundary_side=np.array(sides, dtype="<U6"), boundary_tags=np.array(btags, dtype="<U6"))
+        boundary_tags=np.array(btags, dtype="<U6"))
 
 
 def _sparger(side, x):

@@ -26,7 +26,7 @@ import driftflux.momentum as momentum
 import driftflux.pressure_correction as pc
 import driftflux.verification as verification
 from driftflux import eos as E
-from driftflux.boundary import BoundaryConditions, mirror_partners
+from driftflux.boundary import BoundaryConditions
 from driftflux.config import make_config
 from driftflux.eos import EosParams
 from driftflux.fields import State, face_density
@@ -80,22 +80,14 @@ def _pairs(mesh, col, val, row0=0):
 
 # --- momentum ---------------------------------------------------------------
 
-def _constraints(mesh):
-    """Dirichlet dofs and (dof, partner) slip ties from the boundary tags."""
-    dirichlet, ties = [], []
-    partners = mirror_partners(mesh)
+def _dirichlet(mesh):
+    """Dirichlet dofs from the boundary tags: both components of a wall,
+    inlet or outlet face, the normal one of a slip face."""
+    dirichlet = []
     for b, tag in enumerate(mesh.boundary_tags):
         f = mesh.n_internal + b
-        if tag != "slip":
-            dirichlet += [2 * f, 2 * f + 1]
-            continue
-        axis = int(mesh.face_axis[f])
-        dirichlet.append(2 * f + axis)
-        if partners[b] >= 0:
-            ties.append((2 * f + 1 - axis, 2 * partners[b] + 1 - axis))
-        else:
-            dirichlet.append(2 * f + 1 - axis)
-    return np.array(dirichlet), np.array(ties, dtype=int).reshape(-1, 2)
+        dirichlet += [2 * f + int(mesh.face_axis[f])] if tag == "slip" else [2 * f, 2 * f + 1]
+    return np.array(dirichlet)
 
 
 def _momentum_oracle(mesh, geom, constant, rho_n, rho_nm1, u_n, dual, p, dt, mu,
@@ -116,14 +108,11 @@ def _momentum_oracle(mesh, geom, constant, rho_n, rho_nm1, u_n, dual, p, dt, mu,
     element = viscous_element_matrix(mesh.dx, mesh.dy, constant)
     trip.append((np.repeat(gd, 8, axis=1).ravel(), np.tile(gd, (1, 8)).ravel(),
                  (mu[:, None, None] * element).ravel()))
-    dirichlet, ties = _constraints(mesh)
+    dirichlet = _dirichlet(mesh)
     constrained = np.zeros(2 * F, dtype=bool)
     constrained[dirichlet] = True
-    constrained[ties[:, 0]] = True
     trip = [(r[~constrained[r]], c[~constrained[r]], v[~constrained[r]]) for r, c, v in trip]
-    trip += [(dirichlet, dirichlet, np.ones(dirichlet.size)),
-             (ties[:, 0], ties[:, 0], np.ones(len(ties))),
-             (ties[:, 0], ties[:, 1], -np.ones(len(ties)))]
+    trip.append((dirichlet, dirichlet, np.ones(dirichlet.size)))
 
     rhs = np.zeros(2 * F)
     dp = p[mesh.edge_K] - p[mesh.edge_L]
@@ -137,7 +126,6 @@ def _momentum_oracle(mesh, geom, constant, rho_n, rho_nm1, u_n, dual, p, dt, mu,
         rhs[d] += lump * rho_n * body[i]
         rhs[d] += lump * sv[:, i]
     rhs[dirichlet] = u_bnd.ravel()[dirichlet]
-    rhs[ties[:, 0]] = 0.0
     return _coo(2 * F, trip), rhs
 
 
@@ -201,7 +189,7 @@ def _pressure_oracle(mesh, geom, state, u_tilde, dt, bc, eos, x):
     bK = mesh.face_K[nint:]
     p_old = state.p
     vol_dt = mesh.cell_measure / dt
-    c_edge = dt * mesh.edge_measure**2 / (geom.diamond * state.rho_face)
+    c_edge = dt * mesh.edge_measure**2 / (geom.diamond * state.rho_face[:nint])
     v_all = volume_fluxes(mesh, u_tilde)
     vb_out, vb_in = inlet_split(mesh, v_all[nint:])
 
@@ -505,7 +493,7 @@ def test_momentum_pattern_build_memory():
     finally:
         tracemalloc.stop()
     triplets = pattern._slot.size
-    assert triplets == 160_640
+    assert triplets == 160_320
     assert (peak - start) / triplets <= 44.0
     assert (kept - start) / triplets <= 7.0
 
@@ -539,7 +527,7 @@ def test_momentum_fill_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     data = (pattern.nnz + 1) * 8
-    assert pattern._slot.size == 160_640 and len(blocks) == 5
+    assert pattern._slot.size == 160_320 and len(blocks) == 4
     assert data <= kept - start <= data + 1024
     assert peak - start <= data + 128 * 1024 < data + 8 * pattern._slot.size
     sums = np.bincount(pattern._slot, np.concatenate(blocks), minlength=pattern.nnz + 1)
@@ -551,12 +539,11 @@ def test_momentum_fill_memory(monkeypatch):
 # --- structure built once ---------------------------------------------------
 
 def test_momentum_tables_are_built_once_per_mesh_and_read_only(monkeypatch):
-    """A second problem on a box shape builds no element matrix, dof table or
-    mirror partners: its assembler shares the mesh's read-only tables and
-    element matrix."""
+    """A second problem on a box shape builds no element matrix or dof table:
+    its assembler shares the mesh's read-only tables and element matrix."""
     first = verification.random_wall_problem(np.random.default_rng(3), 3, 5)
     driver.simulate(first, dt=0.05, t_end=0.05)
-    for name in ("viscous_element_matrix", "momentum_tables", "mirror_partners"):
+    for name in ("viscous_element_matrix", "momentum_tables"):
         def spy(*args, _name=name):
             raise AssertionError(f"{_name} called again")
         monkeypatch.setattr(momentum, name, spy)

@@ -1,6 +1,7 @@
-"""The property suites build one mesh per box shape."""
+"""The property suites build one mesh per box shape; an unknown suite is refused."""
 
 import numpy as np
+import pytest
 
 import driftflux.verification as verification
 
@@ -26,3 +27,8 @@ def test_entropy_suite_is_the_same_with_fresh_meshes(monkeypatch):
     fresh = verification.suite_entropy(seed=101, n_seeds=2)
     assert len(built) == 4
     assert shared.passed and fresh.data == shared.data
+
+
+def test_unknown_suite_raises():
+    with pytest.raises(ValueError, match="unknown suite 'nope'; available: "):
+        verification.run_suite("nope")
